@@ -1,0 +1,116 @@
+"""Golden bytes: the emitted reports of small seed-0 runs, pinned by sha256.
+
+Each case is a two-client, three-task run where communication rounds fire
+(burn_in=1, q=2), so scoring, admission, replay, aggregation, smoothing and
+broadcast all shape the bytes. A refactor must keep every hash; only a
+change that declares a new baseline may re-record them.
+"""
+
+import hashlib
+
+import pytest
+
+from fedreplay.config import ExperimentConfig
+from fedreplay.runner import emit_report, run_experiment
+
+_BASE = dict(
+    clients=2,
+    tasks=3,
+    batch_size=3,
+    test_split=0.2,
+    seed=0,
+    classes=6,
+    samples_per_class=30,
+    dim=4,
+    center_spread=2.0,
+    cluster_sigma=1.0,
+    memory_capacity=16,
+    memory_policy="bottom_k",
+    uncertainty_metric="bi",
+    perturbation_count=3,
+    burn_in=1,
+    q=2,
+    hidden_dims=(8,),
+    learning_rate=0.5,
+)
+
+CASES = {
+    "bottom_k_bi": {},
+    "random": {"memory_policy": "random"},
+    "class_balanced_random": {"memory_policy": "class_balanced_random"},
+    "top_k_lc_mask": {
+        "memory_policy": "top_k",
+        "uncertainty_metric": "lc",
+        "perturbation_kind": "mask",
+        "mask_fraction": 0.25,
+    },
+    "class_weighted": {"aggregation": "class_weighted"},
+    "fedprox": {"aggregation": "fedprox", "fedprox_mu": 0.1},
+    "adam_reset": {"optimizer": "adam", "learning_rate": 0.05, "reset_optimizer_on_sync": True},
+}
+
+FILES = ("summary.json", "rounds.log", "per_client.csv", "acc_matrix_0.csv", "acc_matrix_1.csv")
+
+GOLDEN = {
+    "adam_reset": {
+        "summary.json": "162fdbf4cb5ca18a7bf30f487cdf1c220f1b373413bd1d2a95545742909bdb7c",
+        "rounds.log": "9ef1a9c25fb99751926bab060bdd914f1993c2a045328693cf0cc037bbf56d82",
+        "per_client.csv": "8b92b4629c255d96a522e88044a90a88cf4055aaf9a568d052a00bfcea9bf410",
+        "acc_matrix_0.csv": "ab8db05d59bacb6cb29b7cb3d348901cee5a09a7b10f086303db7086b7910eb5",
+        "acc_matrix_1.csv": "ab8db05d59bacb6cb29b7cb3d348901cee5a09a7b10f086303db7086b7910eb5",
+    },
+    "bottom_k_bi": {
+        "summary.json": "fe6db1ae7d1042d22578e8c6fa7a9dc3f05fb915f3591f107379bd8bbd662fd9",
+        "rounds.log": "7c63faf612df528b950401f8dac5224e72dedb90145a2ec3ee1b059fc6a33c7f",
+        "per_client.csv": "4fa5618dcb9be21824844e488288abbde7e16f628ae97cabcb7bb0469267782f",
+        "acc_matrix_0.csv": "238c678670f4eb16ab3dc6e35214590b57d0738417874634fda508b5cc35cd45",
+        "acc_matrix_1.csv": "238c678670f4eb16ab3dc6e35214590b57d0738417874634fda508b5cc35cd45",
+    },
+    "class_balanced_random": {
+        "summary.json": "bc1e9b5edbaa9da819ffcec1a363daf6b9515d51c6080f1ee77864b4658172d8",
+        "rounds.log": "88677ef7933ab772480b2ec1baf372d289cc3093e463a9a1fae9c8c854aa2b0f",
+        "per_client.csv": "2f5e1c519b6cbd5a5d8dcdddc2c383f9e14fab5d66f467ed46bf95bce3c2bae2",
+        "acc_matrix_0.csv": "89c53c9648511cfa8d4f418149b362da8db7af8ae072d545cf17666f0349e48a",
+        "acc_matrix_1.csv": "89c53c9648511cfa8d4f418149b362da8db7af8ae072d545cf17666f0349e48a",
+    },
+    "class_weighted": {
+        "summary.json": "9bc540181d6ff63d2d059011b6f05d46fb843b15c174adb1e1eec911ee8c8344",
+        "rounds.log": "3ec52f3640615bf8945e21b619ddfae0c9812ef028339154b18c134e2066f1d0",
+        "per_client.csv": "ef09d6fed4d014bbeeed32d7300e189da5b022f29c0cd446acab63d27771182a",
+        "acc_matrix_0.csv": "6a9f66b52b2f4bc8636dad5ecf857c7f72eb7bc1ada57436dbc314adedea6019",
+        "acc_matrix_1.csv": "6a9f66b52b2f4bc8636dad5ecf857c7f72eb7bc1ada57436dbc314adedea6019",
+    },
+    "fedprox": {
+        "summary.json": "7e35b045b6ab899550cd96074bfe88c16d207df94fdd0f1a2a2505838e11f68d",
+        "rounds.log": "702dd9018d2c91c4344b1c87757ea6febaa4352af1ff1af620eb33ce336b9a37",
+        "per_client.csv": "4fa5618dcb9be21824844e488288abbde7e16f628ae97cabcb7bb0469267782f",
+        "acc_matrix_0.csv": "b1e6295c36eb642a3da4771b8993fb83091330ea3688400ec47e73dc41393c39",
+        "acc_matrix_1.csv": "b1e6295c36eb642a3da4771b8993fb83091330ea3688400ec47e73dc41393c39",
+    },
+    "random": {
+        "summary.json": "714d18747c7c406172099e834ebca5cd50e6b5e5e759951dfdb0900951cf1e4d",
+        "rounds.log": "51447eb6846b1b9d3802e2b4a78c18bbac99047d6e2ae5738347d1330babfac4",
+        "per_client.csv": "fdfbd8de7edcedbdb4975f9b8e07cc1cde7a8525007af13354398d5f7eb2dbab",
+        "acc_matrix_0.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
+        "acc_matrix_1.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
+    },
+    "top_k_lc_mask": {
+        "summary.json": "bf40900ab2217680c6edbfd33a61101c1b6c9d9bf71719b88842f8571571e657",
+        "rounds.log": "2b2bde264c7d5bda842a91dc9ed379262be961bcab58be61b521b530ee102af0",
+        "per_client.csv": "8b5decc6fe969f1a2119145f17076c9dd58f16b3b0cef2a0736a191f4abc0495",
+        "acc_matrix_0.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
+        "acc_matrix_1.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
+    },
+}
+
+
+def _hashes(name, out):
+    result = run_experiment(ExperimentConfig(**{**_BASE, **CASES[name]}))
+    emit_report(result, out)
+    assert result.round_log, "the golden configs must fire communication rounds"
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path):
+    assert _hashes(name, tmp_path / name) == GOLDEN[name]

@@ -6,105 +6,4 @@ uncertainty (variance in logit space or confidence-based scores), and
 periodically average parameters through a central server.
 """
 
-from .config import ConfigError, ExperimentConfig, parse_config
-from .federation import (
-    CommSchedule,
-    GlobalState,
-    RoundReport,
-    broadcast,
-    class_weighted_avg,
-    fedavg,
-    should_communicate,
-    temporal_smooth,
-)
-from .memory import MemoryBuffer, StoredSample, class_quota, sample_replay, update_memory
-from .metrics import AccuracyMatrix, avg_last_accuracy, avg_last_forgetting, evaluate_model
-from .model import (
-    ModelConfig,
-    OptimizerState,
-    ParameterVector,
-    fedprox_augment,
-    forward_logits,
-    init_parameters,
-    loss_and_grad,
-    optimizer_step,
-)
-from .runner import RunResult, emit_report, run_experiment
-from .stream import (
-    ClientStream,
-    LabeledExample,
-    MiniBatch,
-    StreamSignal,
-    TaskSpec,
-    assign_classes_to_tasks,
-    load_vector_dataset,
-    partition_to_clients,
-    save_vector_dataset,
-    synth_gaussian_blobs,
-)
-from .uncertainty import (
-    PerturbationSpec,
-    bregman_information,
-    entropy_score,
-    least_confidence,
-    margin_sampling,
-    perturb_features,
-    ratio_confidence,
-    score_sample,
-    stable_lse,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccuracyMatrix",
-    "ClientStream",
-    "CommSchedule",
-    "ConfigError",
-    "ExperimentConfig",
-    "GlobalState",
-    "LabeledExample",
-    "MemoryBuffer",
-    "MiniBatch",
-    "ModelConfig",
-    "OptimizerState",
-    "ParameterVector",
-    "PerturbationSpec",
-    "RoundReport",
-    "RunResult",
-    "StoredSample",
-    "StreamSignal",
-    "TaskSpec",
-    "assign_classes_to_tasks",
-    "avg_last_accuracy",
-    "avg_last_forgetting",
-    "bregman_information",
-    "broadcast",
-    "class_quota",
-    "class_weighted_avg",
-    "emit_report",
-    "entropy_score",
-    "evaluate_model",
-    "fedavg",
-    "fedprox_augment",
-    "forward_logits",
-    "init_parameters",
-    "least_confidence",
-    "load_vector_dataset",
-    "loss_and_grad",
-    "margin_sampling",
-    "optimizer_step",
-    "parse_config",
-    "partition_to_clients",
-    "perturb_features",
-    "ratio_confidence",
-    "run_experiment",
-    "sample_replay",
-    "save_vector_dataset",
-    "score_sample",
-    "should_communicate",
-    "stable_lse",
-    "synth_gaussian_blobs",
-    "temporal_smooth",
-    "update_memory",
-]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .memory import dump_csv
-from .runner import _run_experiment, emit_report, run_experiment
+from .runner import _run_experiment, emit_report, prepare_output_dir, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -19,27 +19,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fedreplay",
         description="Simulate online federated class-incremental learning with replay memory.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument("--out", default=None, help="override the output directory (grid: one subdir per config)")
+    common.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one experiment config")
+    run = sub.add_parser("run", parents=[common], help="run one experiment config")
     run.add_argument("config", help="path to the experiment config file")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--out", default=None, help="override the output directory")
-    run.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
-    run.add_argument("--parallel", action="store_true", help="run client ticks in worker threads")
 
-    grid = sub.add_parser("grid", help="run every config file in a directory")
+    grid = sub.add_parser("grid", parents=[common], help="run every config file in a directory")
     grid.add_argument("config_dir", help="directory of experiment config files")
-    grid.add_argument("--seed", type=int, default=None, help="override every config's seed")
-    grid.add_argument("--out", default=None, help="parent output directory (one subdir per config)")
-    grid.add_argument("--force", action="store_true", help="overwrite non-empty output directories")
-    grid.add_argument("--parallel", action="store_true", help="run client ticks in worker threads")
 
-    dump = sub.add_parser("dump-memory", help="run a config and dump the final memory buffers")
+    dump = sub.add_parser("dump-memory", parents=[common], help="run a config and dump the final memory buffers")
     dump.add_argument("config", help="path to the experiment config file")
-    dump.add_argument("--seed", type=int, default=None, help="override the config seed")
-    dump.add_argument("--out", default=None, help="override the output directory")
-    dump.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
 
     return parser
 
@@ -54,7 +47,7 @@ def _load(path, seed_override):
 
 def _cmd_run(args) -> int:
     config = _load(args.config, args.seed)
-    result = run_experiment(config, parallel=args.parallel)
+    result = run_experiment(config)
     out = args.out if args.out is not None else config.output_dir
     emit_report(result, out, force=args.force)
     print(
@@ -72,7 +65,7 @@ def _cmd_grid(args) -> int:
     parent = Path(args.out) if args.out is not None else Path("out")
     for path in files:
         config = _load(path, args.seed)
-        result = run_experiment(config, parallel=args.parallel)
+        result = run_experiment(config)
         out = parent / path.stem
         emit_report(result, out, force=args.force)
         print(f"{path.stem}: A={result.avg_last_accuracy:.4f} F={result.avg_last_forgetting:.4f}")
@@ -81,11 +74,8 @@ def _cmd_grid(args) -> int:
 
 def _cmd_dump_memory(args) -> int:
     config = _load(args.config, args.seed)
-    result, workers = _run_experiment(config, parallel=False)
-    out = Path(args.out if args.out is not None else config.output_dir)
-    if out.exists() and any(out.iterdir()) and not args.force:
-        raise FileExistsError(f"output directory {out} is not empty (pass --force to overwrite)")
-    out.mkdir(parents=True, exist_ok=True)
+    _, workers = _run_experiment(config)
+    out = prepare_output_dir(args.out if args.out is not None else config.output_dir, args.force)
     for worker in workers:
         dump_csv(worker.buffer, out / f"memory_{worker.client_id}.csv")
     print(

@@ -9,7 +9,7 @@ empty file is valid and yields the documented defaults.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .federation import AGGREGATIONS
 from .memory import POLICIES
@@ -119,50 +119,18 @@ class ExperimentConfig:
         require(self.learning_rate > 0, "learning_rate", "must be > 0")
 
     def echo(self) -> dict:
-        """Stable, JSON-ready view of every resolved field."""
-        return {
-            "clients": self.clients,
-            "tasks": self.tasks,
-            "batch_size": self.batch_size,
-            "test_split": self.test_split,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "data": {
-                "source": self.data_source,
-                "classes": self.classes,
-                "samples_per_class": self.samples_per_class,
-                "class_sizes": list(self.class_sizes) if self.class_sizes else None,
-                "dim": self.dim,
-                "center_spread": self.center_spread,
-                "cluster_sigma": self.cluster_sigma,
-                "task_assignment": self.task_assignment,
-                "path": self.data_path,
-                "format": self.data_format,
-            },
-            "memory": {
-                "capacity": self.memory_capacity,
-                "policy": self.memory_policy,
-                "metric": self.uncertainty_metric,
-            },
-            "perturbation": {
-                "count": self.perturbation_count,
-                "kind": self.perturbation_kind,
-                "sigma": self.noise_sigma,
-                "mask_fraction": self.mask_fraction,
-            },
-            "federation": {
-                "burn_in": self.burn_in,
-                "q": self.q,
-                "aggregation": self.aggregation,
-                "fedprox_mu": self.fedprox_mu,
-            },
-            "model": {
-                "hidden": list(self.hidden_dims),
-                "optimizer": self.optimizer,
-                "learning_rate": self.learning_rate,
-                "reset_optimizer_on_sync": self.reset_optimizer_on_sync,
-            },
-        }
+        """Stable, JSON-ready view of every resolved field, keyed as in the file.
+
+        ``[experiment]`` keys sit at the top level, every other section is
+        one nested dict; sequences become lists, or None when empty.
+        """
+        out: dict = {}
+        for (section, key), (attr, _) in _SCHEMA.items():
+            value = getattr(self, attr)
+            if isinstance(value, (tuple, list)):
+                value = list(value) or None
+            (out if section == "experiment" else out.setdefault(section, {}))[key] = value
+        return out
 
 
 def _parse_int(raw: str, name: str) -> int:

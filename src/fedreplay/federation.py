@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exact import fsum_columns
 from .model import ParameterVector
 
 AGGREGATIONS = ("fedavg", "class_weighted", "fedprox")
@@ -38,10 +39,9 @@ class CommSchedule:
 
 @dataclass
 class GlobalState:
-    """Current and previous global parameters plus the round counter."""
+    """The global parameters of the last round plus the round counter."""
 
     theta_g: ParameterVector
-    theta_g_prev: ParameterVector | None = None
     round: int = 0
 
 
@@ -81,10 +81,7 @@ def _exact_mean(vectors: list[np.ndarray], weights=None) -> np.ndarray:
     else:
         stacked = stacked * np.asarray(weights, dtype=np.float64)[:, None]
         total = math.fsum(weights)
-    dim = stacked.shape[1]
-    out = np.fromiter(
-        (math.fsum(stacked[:, j]) for j in range(dim)), dtype=np.float64, count=dim
-    )
+    out = fsum_columns(stacked)
     out /= total
     return out
 
@@ -131,12 +128,12 @@ def class_weighted_avg(report: RoundReport) -> ParameterVector:
 
 def temporal_smooth(theta_new: ParameterVector, state: GlobalState) -> ParameterVector:
     """Midpoint of the new and previous global parameters; pass-through on round 0."""
-    if state.theta_g_prev is None or state.round == 0:
+    if state.round == 0:
         return theta_new
-    if theta_new.layout != state.theta_g_prev.layout:
+    if theta_new.layout != state.theta_g.layout:
         raise ValueError("parameter vectors do not share one layout")
     return ParameterVector(
-        (theta_new.values + state.theta_g_prev.values) / 2.0, theta_new.layout
+        (theta_new.values + state.theta_g.values) / 2.0, theta_new.layout
     )
 
 

@@ -3,10 +3,10 @@
 The network is a plain MLP (ReLU hidden layers, linear output head) whose
 weights live in one flat array with an explicit layout, so exchanging
 parameters between clients and server is an array copy. Loss and gradient
-reductions over a batch use exactly rounded summation (``math.fsum``),
-which makes them bit-identical under any reordering or duplication of the
-batch samples; per-sample forward/backward passes are computed in
-isolation for the same reason.
+reductions over a batch use exactly rounded summation (``math.fsum`` and
+``exact.fsum_columns``), which makes them bit-identical under any
+reordering or duplication of the batch samples; per-sample
+forward/backward passes are computed in isolation for the same reason.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .exact import fsum_columns
 
 # ((shape, offset), ...) alternating weight matrices and bias vectors.
 Layout = tuple[tuple[tuple[int, ...], int], ...]
@@ -83,9 +85,6 @@ class ParameterVector:
 
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.layout)
-
-    def same_layout(self, other: "ParameterVector") -> bool:
-        return self.layout == other.layout
 
     def values_equal(self, other: "ParameterVector") -> bool:
         return self.layout == other.layout and np.array_equal(self.values, other.values)
@@ -200,11 +199,7 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     for i in range(n):
         losses[i], contribs[i] = _sample_loss_grad(layers, params.layout, feats[i], int(labels[i]))
     loss = math.fsum(losses) / n
-    grad = np.fromiter(
-        (math.fsum(contribs[:, j]) for j in range(contribs.shape[1])),
-        dtype=np.float64,
-        count=contribs.shape[1],
-    )
+    grad = fsum_columns(contribs)
     grad /= n
     return loss, grad
 

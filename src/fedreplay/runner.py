@@ -12,18 +12,15 @@ multiple of q, client parameters are aggregated, smoothed against the
 previous global parameters, and broadcast. At every task boundary each
 client is evaluated on the held-out split of all tasks seen so far.
 
-Randomness is fanned out from the master seed into named sub-streams, so
-results are bit-reproducible regardless of worker parallelism; serial
-execution is the reference semantics.
+Randomness is fanned out from the master seed into named sub-streams, and
+clients tick in a fixed order, so reruns are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,10 +67,8 @@ class RunResult:
     per_client_forgetting: list[float]
     matrices: list[AccuracyMatrix]
     round_log: list[str]
-    wall_clock_seconds: float
     config: dict
     seed: int
-    single_pass_audit: bool
 
 
 class _ClientWorker:
@@ -89,31 +84,20 @@ class _ClientWorker:
         self.buffer = buffer
         self.pert_spec = pert_spec
         self.replay_rng = replay_rng
-        self.global_ref = params.copy()
+        self.global_ref = params
         self.observed: set[int] = set()
 
-    def _score_batch(self, features) -> np.ndarray:
+    def _scores(self, rows) -> np.ndarray:
+        """Uncertainty of each feature vector in ``rows``, in order, under the current model."""
         return np.array(
-            [
-                score_sample(self.params, self.model_config, features[i], self.pert_spec, self.cfg.uncertainty_metric)
-                for i in range(features.shape[0])
-            ]
-        )
-
-    def _rescore(self, stored) -> np.ndarray:
-        return np.array(
-            [
-                score_sample(self.params, self.model_config, s.features, self.pert_spec, self.cfg.uncertainty_metric)
-                for s in stored
-            ]
+            [score_sample(self.params, self.model_config, x, self.pert_spec, self.cfg.uncertainty_metric) for x in rows]
         )
 
     def tick(self, first_task: bool) -> bool:
         """Consume one batch; returns False when the current task is exhausted."""
-        item = self.stream.next_batch()
-        if not isinstance(item, MiniBatch):
+        batch = self.stream.next_batch()
+        if batch is None:
             return False
-        batch = item
 
         train_batch = batch
         if not first_task and self.buffer is not None:
@@ -133,14 +117,15 @@ class _ClientWorker:
 
         if self.buffer is not None and self.buffer.capacity > 0:
             if self.cfg.memory_policy in ("bottom_k", "top_k"):
-                scores = self._score_batch(batch.features)
-                update_memory(self.buffer, batch, scores, rescore=self._rescore)
+                scores = self._scores(batch.features)
+                rescore = lambda stored: self._scores(s.features for s in stored)
+                update_memory(self.buffer, batch, scores, rescore=rescore)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
         return True
 
     def on_broadcast(self, theta_g) -> None:
-        self.global_ref = theta_g.copy()
+        self.global_ref = theta_g
         if self.cfg.reset_optimizer_on_sync:
             self.opt.reset()
         self.observed.clear()
@@ -198,15 +183,14 @@ def _format_reports(reports) -> str:
     return "[" + ";".join(parts) + "]"
 
 
-def run_experiment(config: ExperimentConfig, parallel: bool = False) -> RunResult:
+def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute the full stream for every client and compute the metrics."""
-    result, _ = _run_experiment(config, parallel)
+    result, _ = _run_experiment(config)
     return result
 
 
-def _run_experiment(config: ExperimentConfig, parallel: bool):
+def _run_experiment(config: ExperimentConfig):
     config.validate()
-    start = time.perf_counter()
     seed = config.seed
 
     examples, num_classes, input_dim = _build_dataset(config)
@@ -262,7 +246,7 @@ def _run_experiment(config: ExperimentConfig, parallel: bool):
                 k,
                 config,
                 model_config,
-                theta0.copy(),
+                theta0,
                 opt,
                 stream,
                 buffer,
@@ -271,55 +255,43 @@ def _run_experiment(config: ExperimentConfig, parallel: bool):
             )
         )
 
-    gstate = GlobalState(theta_g=theta0.copy())
+    gstate = GlobalState(theta_g=theta0)
     schedule = CommSchedule(config.burn_in, config.q)
     matrices = [AccuracyMatrix(config.tasks) for _ in range(config.clients)]
     round_log: list[str] = []
 
-    pool = ThreadPoolExecutor(max_workers=config.clients) if parallel else None
-    try:
-        for t_idx, spec in enumerate(tasks):
-            first_task = t_idx == 0
-            active = [True] * config.clients
-            bn = 0
-            while True:
-                if pool is not None:
-                    ticked = list(
-                        pool.map(lambda w_a: w_a[1].tick(first_task) if w_a[0] else False, zip(active, workers))
-                    )
+    for t_idx, spec in enumerate(tasks):
+        first_task = t_idx == 0
+        active = [True] * config.clients
+        bn = 0
+        while True:
+            ticked = [w.tick(first_task) if a else False for a, w in zip(active, workers)]
+            active = [a and t for a, t in zip(active, ticked)]
+            if not any(ticked):
+                break
+            bn += 1
+            if should_communicate(bn, schedule):
+                report = RoundReport(
+                    params=[w.params for w in workers],
+                    class_reports=[set(w.observed) for w in workers],
+                )
+                if config.aggregation == "class_weighted":
+                    theta_new = class_weighted_avg(report)
                 else:
-                    ticked = [w.tick(first_task) if a else False for a, w in zip(active, workers)]
-                active = [a and t for a, t in zip(active, ticked)]
-                if not any(ticked):
-                    break
-                bn += 1
-                if should_communicate(bn, schedule):
-                    report = RoundReport(
-                        params=[w.params.copy() for w in workers],
-                        class_reports=[set(w.observed) for w in workers],
-                    )
-                    if config.aggregation == "class_weighted":
-                        theta_new = class_weighted_avg(report)
-                    else:
-                        theta_new = fedavg(report.params)
-                    smoothed = temporal_smooth(theta_new, gstate)
-                    gstate.theta_g = smoothed
-                    gstate.theta_g_prev = smoothed
-                    gstate.round += 1
-                    broadcast(smoothed, workers)
-                    for w in workers:
-                        w.on_broadcast(smoothed)
-                    round_log.append(
-                        f"round={gstate.round} task={spec.task_id} bn={bn} "
-                        f"reports={_format_reports(report.class_reports)} checksum={_checksum(smoothed)}"
-                    )
-            for k, w in enumerate(workers):
-                accuracies = evaluate_model(w.params, model_config, test_sets[: t_idx + 1])
-                for on_task, acc in enumerate(accuracies, start=1):
-                    matrices[k].record(spec.task_id, on_task, acc)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    theta_new = fedavg(report.params)
+                gstate.theta_g = temporal_smooth(theta_new, gstate)
+                gstate.round += 1
+                broadcast(gstate.theta_g, workers)
+                for w in workers:
+                    w.on_broadcast(gstate.theta_g)
+                round_log.append(
+                    f"round={gstate.round} task={spec.task_id} bn={bn} "
+                    f"reports={_format_reports(report.class_reports)} checksum={_checksum(gstate.theta_g)}"
+                )
+        for k, w in enumerate(workers):
+            accuracies = evaluate_model(w.params, model_config, test_sets[: t_idx + 1])
+            for on_task, acc in enumerate(accuracies, start=1):
+                matrices[k].record(spec.task_id, on_task, acc)
 
     for w in workers:
         counts_arr = w.stream.consumption_counts()
@@ -338,20 +310,24 @@ def _run_experiment(config: ExperimentConfig, parallel: bool):
         per_client_forgetting=[client_forgetting(m, config.tasks) for m in matrices],
         matrices=matrices,
         round_log=round_log,
-        wall_clock_seconds=time.perf_counter() - start,
         config=config.echo(),
         seed=seed,
-        single_pass_audit=True,
     )
     return result, workers
 
 
-def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
-    """Write summary.json, per_client.csv, acc_matrix_<k>.csv and rounds.log."""
+def prepare_output_dir(out_dir, force: bool) -> Path:
+    """Create ``out_dir``; refuse a non-empty one unless ``force`` is set."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise FileExistsError(f"output directory {out} is not empty (pass --force to overwrite)")
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
+    """Write summary.json, per_client.csv, acc_matrix_<k>.csv and rounds.log."""
+    out = prepare_output_dir(out_dir, force)
 
     summary = {
         "avg_last_accuracy": result.avg_last_accuracy,

@@ -3,8 +3,8 @@
 Every source of randomness in an experiment (data synthesis, task
 assignment, splits, batch order, perturbations, replay draws, ...) gets
 its own generator derived from the master seed plus a fixed integer tag
-path. Streams are independent of each other and of worker scheduling,
-which is what makes runs bit-reproducible in serial and parallel mode.
+path. Streams are independent of each other, which is what makes reruns
+bit-reproducible.
 """
 
 from __future__ import annotations

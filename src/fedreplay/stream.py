@@ -2,15 +2,14 @@
 
 A dataset is split into tasks with disjoint class sets, each task's data is
 partitioned disjointly across clients, and every client consumes its share
-as a single-pass sequence of mini-batches. Task boundaries are signalled
-distinctly from the end of the stream, and each stream counts how often
-every underlying example was yielded so the runner can audit the
-single-pass contract.
+as a single-pass sequence of mini-batches. ``next_batch`` returns None at
+every task boundary and at the end of the stream, and ``exhausted`` tells
+the two apart. Each stream counts how often every underlying example was
+yielded so the runner can audit the single-pass contract.
 """
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
@@ -59,11 +58,6 @@ class MiniBatch:
         return self.labels.size
 
 
-class StreamSignal(enum.Enum):
-    TASK_END = "task_end"
-    STREAM_END = "stream_end"
-
-
 def assign_classes_to_tasks(class_sizes: dict[int, int], num_tasks: int, mode: str, rng) -> list[TaskSpec]:
     """Partition class ids into ``num_tasks`` disjoint task class sets.
 
@@ -105,10 +99,9 @@ def partition_to_clients(examples: list[LabeledExample], num_clients: int, rng) 
 class ClientStream:
     """Single-pass mini-batch iterator over one client's task sequence.
 
-    ``bn`` counts the batches consumed in the current task and resets to
-    zero at every task boundary. Each underlying example is yielded exactly
-    once over the stream's lifetime; ``consumption_counts`` exposes the
-    per-example tally for the single-pass audit.
+    Each underlying example is yielded exactly once over the stream's
+    lifetime; ``consumption_counts`` exposes the per-example tally for the
+    single-pass audit.
     """
 
     def __init__(
@@ -121,7 +114,6 @@ class ClientStream:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.client_id = client_id
-        self.bn = 0
         self._task_batches: list[list[MiniBatch]] = []
         self._task_ids: list[int] = []
         self._counts: list[int] = []
@@ -150,31 +142,26 @@ class ClientStream:
         self._task_idx = 0
         self._batch_idx = 0
 
-    @property
-    def num_examples(self) -> int:
-        return len(self._counts)
-
-    def next_batch(self):
-        """Next mini-batch, or TASK_END at a boundary, or STREAM_END when done."""
+    def next_batch(self) -> MiniBatch | None:
+        """Next mini-batch, or None at a task boundary and once the stream is done."""
         if self._task_idx >= len(self._task_batches):
-            return StreamSignal.STREAM_END
+            return None
         batches = self._task_batches[self._task_idx]
         if self._batch_idx < len(batches):
             batch = batches[self._batch_idx]
             self._batch_idx += 1
-            self.bn += 1
             for eid in batch.example_ids:
                 self._counts[eid] += 1
             return batch
         self._task_idx += 1
         self._batch_idx = 0
-        self.bn = 0
-        return StreamSignal.TASK_END
+        return None
 
     def consumption_counts(self) -> np.ndarray:
         return np.array(self._counts)
 
     def exhausted(self) -> bool:
+        """True once every task boundary has been passed."""
         return self._task_idx >= len(self._task_batches)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exact import fsum_columns
 from .model import ModelConfig, ParameterVector, forward_logits
 
 METRICS = ("bi", "lc", "ms", "rc", "en")
@@ -70,10 +71,7 @@ def bregman_information(logits) -> float:
         return 0.0
     p = z.shape[0]
     mean_lse = math.fsum(stable_lse(row) for row in z) / p
-    mean_row = np.fromiter(
-        (math.fsum(z[:, j]) / p for j in range(z.shape[1])), dtype=np.float64, count=z.shape[1]
-    )
-    bi = mean_lse - stable_lse(mean_row)
+    bi = mean_lse - stable_lse(fsum_columns(z) / p)
     if _BI_CLAMP <= bi < 0.0:
         return 0.0
     return bi

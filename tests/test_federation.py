@@ -143,13 +143,13 @@ class TestTemporalSmooth:
         assert np.array_equal(out.values, np.array([6.0]))
 
     def test_midpoint(self):
-        state = GlobalState(theta_g=_pv([0.0]), theta_g_prev=_pv([0.0]), round=1)
+        state = GlobalState(theta_g=_pv([0.0]), round=1)
         out = temporal_smooth(_pv([6.0]), state)
         assert np.array_equal(out.values, np.array([3.0]))
 
     def test_fixed_point(self):
         prev = _pv([1.25, -3.5])
-        state = GlobalState(theta_g=prev, theta_g_prev=prev, round=3)
+        state = GlobalState(theta_g=prev, round=3)
         assert temporal_smooth(prev.copy(), state).values_equal(prev)
 
     def test_output_between_prev_and_new(self):
@@ -157,7 +157,7 @@ class TestTemporalSmooth:
         for _ in range(50):
             prev = rng.normal(size=11)
             new = rng.normal(size=11)
-            state = GlobalState(theta_g=_pv(prev), theta_g_prev=_pv(prev), round=1)
+            state = GlobalState(theta_g=_pv(prev), round=1)
             out = temporal_smooth(_pv(new), state).values
             lo = np.minimum(prev, new)
             hi = np.maximum(prev, new)

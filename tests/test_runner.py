@@ -75,13 +75,6 @@ class TestRunExperiment:
         for ma, mb in zip(a.matrices, b.matrices):
             assert list(ma.rows()) == list(mb.rows())
 
-    def test_serial_parallel_equal(self):
-        a = run_experiment(_small_config())
-        b = run_experiment(_small_config(), parallel=True)
-        assert a.avg_last_accuracy == b.avg_last_accuracy
-        assert a.avg_last_forgetting == b.avg_last_forgetting
-        assert a.round_log == b.round_log
-
     def test_zero_memory_degenerates_to_memoryless(self):
         # with no memory, the admission policy cannot matter
         results = [
@@ -93,9 +86,13 @@ class TestRunExperiment:
             assert r.avg_last_forgetting == results[0].avg_last_forgetting
             assert r.round_log == results[0].round_log
 
-    def test_single_pass_audit_reported(self):
-        result = run_experiment(_small_config())
-        assert result.single_pass_audit is True
+    def test_single_pass_audit_raises_on_unfinished_stream(self, monkeypatch):
+        from fedreplay.stream import ClientStream
+
+        finished = ClientStream.exhausted
+        monkeypatch.setattr(ClientStream, "exhausted", lambda s: s.client_id != 0 and finished(s))
+        with pytest.raises(RuntimeError, match="single-pass audit failed for client 0"):
+            run_experiment(_small_config())
 
     def test_rounds_fire_per_schedule(self):
         # 4 classes, 30/class, 2 tasks, 20% test: 48 train per task, 24 per
@@ -178,7 +175,6 @@ class TestRunExperiment:
             test_split=0.25,
         )
         result = run_experiment(config)
-        assert result.single_pass_audit
         # larger classes stream first under the size-ordered assignment
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
@@ -186,7 +182,7 @@ class TestRunExperiment:
         from fedreplay.runner import _run_experiment
 
         config = _small_config(optimizer="adam", learning_rate=0.01)
-        _, workers = _run_experiment(config, parallel=False)
+        _, workers = _run_experiment(config)
         # rounds fired (burn_in=1, q=2) and moments kept accumulating afterwards
         for w in workers:
             assert w.opt.step > 0

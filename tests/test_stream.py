@@ -6,7 +6,6 @@ import pytest
 from fedreplay.stream import (
     ClientStream,
     LabeledExample,
-    StreamSignal,
     assign_classes_to_tasks,
     load_vector_dataset,
     partition_to_clients,
@@ -77,30 +76,27 @@ class TestClientStream:
     def test_batch_sizes_and_boundaries(self):
         stream = ClientStream(0, [(1, _examples(25))], batch_size=10)
         sizes = []
-        while True:
-            item = stream.next_batch()
-            if item is StreamSignal.TASK_END:
-                break
+        while (item := stream.next_batch()) is not None:
             sizes.append(len(item))
         assert sizes == [10, 10, 5]
-        assert stream.next_batch() is StreamSignal.STREAM_END
-        assert stream.next_batch() is StreamSignal.STREAM_END
+        assert stream.exhausted()
+        assert stream.next_batch() is None
+        assert stream.next_batch() is None
 
     def test_bn_counter_semantics(self):
+        # the runner's per-task counter bn counts the batches between two None returns
         stream = ClientStream(0, [(1, _examples(25)), (2, _examples(5))], batch_size=10)
-        stream.next_batch()
-        stream.next_batch()
-        stream.next_batch()
-        assert stream.bn == 3
-        assert stream.next_batch() is StreamSignal.TASK_END
-        assert stream.bn == 0
-        stream.next_batch()
-        assert stream.bn == 1
+        assert [stream.next_batch().task_id for _ in range(3)] == [1, 1, 1]
+        assert stream.next_batch() is None
+        assert not stream.exhausted()
+        assert stream.next_batch().task_id == 2
+        assert stream.next_batch() is None
+        assert stream.exhausted()
 
     def test_single_pass_counts(self):
         stream = ClientStream(0, [(1, _examples(17)), (2, _examples(8))], batch_size=5)
-        while stream.next_batch() is not StreamSignal.STREAM_END:
-            pass
+        while not stream.exhausted():
+            stream.next_batch()
         assert np.all(stream.consumption_counts() == 1)
         assert stream.exhausted()
 
@@ -113,16 +109,14 @@ class TestClientStream:
         examples = _examples(12)
         a = ClientStream(0, [(1, examples)], 4, order_rngs=[np.random.default_rng(9)])
         b = ClientStream(0, [(1, examples)], 4, order_rngs=[np.random.default_rng(9)])
-        while True:
+        while not a.exhausted():
             ba, bb = a.next_batch(), b.next_batch()
-            if ba is StreamSignal.STREAM_END:
-                assert bb is StreamSignal.STREAM_END
-                break
-            if ba is StreamSignal.TASK_END:
-                assert bb is StreamSignal.TASK_END
+            if ba is None:
+                assert bb is None
                 continue
             assert np.array_equal(ba.features, bb.features)
             assert np.array_equal(ba.labels, bb.labels)
+        assert b.exhausted()
 
 
 class TestSynthGaussianBlobs:

@@ -47,6 +47,10 @@ CASES = {
     "class_weighted": {"aggregation": "class_weighted"},
     "fedprox": {"aggregation": "fedprox", "fedprox_mu": 0.1},
     "adam_reset": {"optimizer": "adam", "learning_rate": 0.05, "reset_optimizer_on_sync": True},
+    "bottom_k_ms": {"uncertainty_metric": "ms"},
+    "top_k_rc": {"memory_policy": "top_k", "uncertainty_metric": "rc"},
+    "bottom_k_en_mask": {"uncertainty_metric": "en", "perturbation_kind": "mask", "mask_fraction": 0.25},
+    "two_hidden_bi": {"hidden_dims": (8, 5)},
 }
 
 FILES = ("summary.json", "rounds.log", "per_client.csv", "acc_matrix_0.csv", "acc_matrix_1.csv")
@@ -65,6 +69,20 @@ GOLDEN = {
         "per_client.csv": "4fa5618dcb9be21824844e488288abbde7e16f628ae97cabcb7bb0469267782f",
         "acc_matrix_0.csv": "238c678670f4eb16ab3dc6e35214590b57d0738417874634fda508b5cc35cd45",
         "acc_matrix_1.csv": "238c678670f4eb16ab3dc6e35214590b57d0738417874634fda508b5cc35cd45",
+    },
+    "bottom_k_ms": {
+        "summary.json": "5d83fdba15dd210c0674dfbd1c73a4d3fe7d9de6543a1f17b25d5abb4fdf709f",
+        "rounds.log": "0d860835d1040a0f0190f405df02eba222de4086cd461334a57390ad617ada45",
+        "per_client.csv": "29e28f7ce3217764fed8b2b8c2d3a375c8040baf21c10e2f1483c0988d7a2625",
+        "acc_matrix_0.csv": "2c9a99e4a340a9cda8224f6191975c6ef18579a13aa66149a0330475ae94171d",
+        "acc_matrix_1.csv": "2c9a99e4a340a9cda8224f6191975c6ef18579a13aa66149a0330475ae94171d",
+    },
+    "bottom_k_en_mask": {
+        "summary.json": "f8ec3593ed9d69046fdd4db26c41dc058d4f88e40547f2b3c913170d55030a24",
+        "rounds.log": "3e54e189e0ac5f54c373b5768c22c5817087ed4b5fb9042e8ed7d70309abe8c4",
+        "per_client.csv": "fdfbd8de7edcedbdb4975f9b8e07cc1cde7a8525007af13354398d5f7eb2dbab",
+        "acc_matrix_0.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
+        "acc_matrix_1.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
     },
     "class_balanced_random": {
         "summary.json": "bc1e9b5edbaa9da819ffcec1a363daf6b9515d51c6080f1ee77864b4658172d8",
@@ -100,6 +118,20 @@ GOLDEN = {
         "per_client.csv": "8b5decc6fe969f1a2119145f17076c9dd58f16b3b0cef2a0736a191f4abc0495",
         "acc_matrix_0.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
         "acc_matrix_1.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
+    },
+    "top_k_rc": {
+        "summary.json": "14397678f9d91d296fe77cebf5bad2ea50dbbc1e3ebc62fc115a853694212d8c",
+        "rounds.log": "1bee6a9ec3360b333999b712ce125a2e4f47c5d3f2088a1c3a59104a24db5be0",
+        "per_client.csv": "8b5decc6fe969f1a2119145f17076c9dd58f16b3b0cef2a0736a191f4abc0495",
+        "acc_matrix_0.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
+        "acc_matrix_1.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
+    },
+    "two_hidden_bi": {
+        "summary.json": "20ddb9160de3b0aabf4209393f52a2a13065e6cdeffd3682a8c02b938c2a5d48",
+        "rounds.log": "c6a002ca446b150e2be2e31fb4211e46b173408ae78006cdd44b38c89644826d",
+        "per_client.csv": "365a10ee3d0b0bb749d4ca4f4d170181b3462a4123873242e04973dd22f0e78a",
+        "acc_matrix_0.csv": "49ce304867b8a04763a182fa2372e44a732f93b463218a8a8aef943ea03f8203",
+        "acc_matrix_1.csv": "49ce304867b8a04763a182fa2372e44a732f93b463218a8a8aef943ea03f8203",
     },
 }
 

@@ -5,8 +5,14 @@ weights live in one flat array with an explicit layout, so exchanging
 parameters between clients and server is an array copy. Loss and gradient
 reductions over a batch use exactly rounded summation (``math.fsum`` and
 ``exact.fsum_columns``), which makes them bit-identical under any
-reordering or duplication of the batch samples; per-sample
-forward/backward passes are computed in isolation for the same reason.
+reordering or duplication of the batch samples.
+
+Per-row work is stacked but stays per-row exact: a (P, d) block is run as
+P vector-matrix products (``x[:, None, :] @ w``, one BLAS gemv per row),
+and the backward pass stacks matrix-vector products and forms outer
+products by broadcasting. Each row therefore gets the same bits as when it
+is computed alone. ``forward_batch`` is a single matrix product instead,
+which is faster but may differ from the per-row result in the last bits.
 """
 
 from __future__ import annotations
@@ -115,8 +121,7 @@ def init_parameters(config: ModelConfig) -> ParameterVector:
     return ParameterVector(np.concatenate(pieces), layout)
 
 
-def _forward_single(layers, x: np.ndarray) -> np.ndarray:
-    a = x
+def _forward(layers, a: np.ndarray) -> np.ndarray:
     for w, b in layers[:-1]:
         a = np.maximum(a @ w + b, 0.0)
     w, b = layers[-1]
@@ -124,66 +129,37 @@ def _forward_single(layers, x: np.ndarray) -> np.ndarray:
 
 
 def forward_logits(params: ParameterVector, config: ModelConfig, features) -> np.ndarray:
-    """Logits for one input vector; no softmax applied."""
+    """Logits, no softmax, for one input (d,) or a block of P inputs (P, d).
+
+    A block's rows are forwarded as stacked vector-matrix products, so row i
+    of the result is bit-identical to ``forward_logits`` of row i alone.
+    """
     x = np.asarray(features, dtype=np.float64)
-    if x.shape != (config.input_dim,):
-        raise ValueError(f"expected features of shape ({config.input_dim},), got {x.shape}")
-    return _forward_single(_layer_views(params), x)
+    if x.shape == (config.input_dim,):
+        return _forward(_layer_views(params), x)
+    if x.ndim == 2 and x.shape[1] == config.input_dim:
+        return _forward(_layer_views(params), np.ascontiguousarray(x)[:, None, :])[:, 0, :]
+    raise ValueError(f"expected features of shape ({config.input_dim},) or (P, {config.input_dim}), got {x.shape}")
 
 
 def forward_batch(params: ParameterVector, config: ModelConfig, features) -> np.ndarray:
-    """Logits for a batch of inputs, shape (n, num_classes)."""
+    """Logits for a batch of inputs, shape (n, num_classes), as one matrix product."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"expected features of shape (n, {config.input_dim}), got {x.shape}")
-    return _forward_single(_layer_views(params), x)
-
-
-def _sample_loss_grad(layers, layout: Layout, x: np.ndarray, y: int):
-    """Cross-entropy loss and flat gradient contribution of one sample."""
-    acts = [x]
-    pre = []
-    a = x
-    for w, b in layers[:-1]:
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    w_out, b_out = layers[-1]
-    logits = a @ w_out + b_out
-
-    m = logits.max()
-    ex = np.exp(logits - m)
-    se = float(ex.sum())
-    loss = m + math.log(se) - logits[y]
-
-    dz = ex / se
-    dz[y] -= 1.0
-
-    grads = [None] * len(layers)
-    grads[-1] = (np.outer(acts[-1], dz), dz)
-    upstream = layers[-1][0] @ dz
-    for li in range(len(layers) - 2, -1, -1):
-        dz = upstream * (pre[li] > 0.0)
-        grads[li] = (np.outer(acts[li], dz), dz)
-        upstream = layers[li][0] @ dz
-
-    flat = np.empty(sum(int(np.prod(shape)) for shape, _ in layout))
-    for (dw, db), i in zip(grads, range(0, len(layout), 2)):
-        (_, w_off), (_, b_off) = layout[i], layout[i + 1]
-        flat[w_off : w_off + dw.size] = dw.ravel()
-        flat[b_off : b_off + db.size] = db
-    return loss, flat
+    return _forward(_layer_views(params), x)
 
 
 def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     """Mean cross-entropy and its gradient over ``batch``.
 
     ``batch`` needs ``features`` (n, input_dim) and integer ``labels`` (n,).
-    Per-sample contributions are reduced with exactly rounded summation so
-    the result does not depend on sample order.
+    Every sample's forward and backward pass is a stack of per-sample
+    mat-vec products, so its contribution does not depend on the others;
+    contributions are reduced with exactly rounded summation so the result
+    does not depend on sample order.
     """
-    feats = np.asarray(batch.features, dtype=np.float64)
+    feats = np.ascontiguousarray(batch.features, dtype=np.float64)
     labels = np.asarray(batch.labels)
     n = labels.size
     if n == 0:
@@ -194,11 +170,39 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
         raise ValueError(f"labels must lie in [0, {config.num_classes})")
 
     layers = _layer_views(params)
-    losses = np.empty(n)
+    # (n, 1, k) activations: each sample is its own (1, k) @ (k, k') gemv.
+    acts = [feats[:, None, :]]
+    pre = []
+    for w, b in layers[:-1]:
+        z = acts[-1] @ w + b
+        pre.append(z[:, 0, :])
+        acts.append(np.maximum(z, 0.0))
+    w_out, b_out = layers[-1]
+    logits = (acts[-1] @ w_out + b_out)[:, 0, :]
+
+    rows = np.arange(n)
+    m = logits.max(axis=1)
+    ex = np.exp(logits - m[:, None])
+    se = ex.sum(axis=1)
+    # math.log per sample, as in scalar code: np.log need not round the same.
+    log_se = np.array([math.log(s) for s in se.tolist()])
+    losses = m + log_se - logits[rows, labels]
+
+    dz = ex / se[:, None]
+    dz[rows, labels] -= 1.0
+
     contribs = np.empty((n, params.values.size))
-    for i in range(n):
-        losses[i], contribs[i] = _sample_loss_grad(layers, params.layout, feats[i], int(labels[i]))
-    loss = math.fsum(losses) / n
+    for li in range(len(layers) - 1, -1, -1):
+        (w_shape, w_off), (_, b_off) = params.layout[2 * li], params.layout[2 * li + 1]
+        # Outer products by broadcasting, written straight into the rows.
+        dw = contribs[:, w_off : w_off + w_shape[0] * w_shape[1]].reshape(n, *w_shape)
+        np.multiply(acts[li][:, 0, :, None], dz[:, None, :], out=dw)
+        contribs[:, b_off : b_off + w_shape[1]] = dz
+        if li:
+            upstream = (layers[li][0] @ dz[:, :, None])[:, :, 0]
+            dz = upstream * (pre[li - 1] > 0.0)
+
+    loss = math.fsum(losses.tolist()) / n
     grad = fsum_columns(contribs)
     grad /= n
     return loss, grad

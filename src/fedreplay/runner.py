@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +58,7 @@ from .model import (
 )
 from .stream import ClientStream, LabeledExample, MiniBatch, partition_to_clients
 from .stream import assign_classes_to_tasks, load_vector_dataset, synth_gaussian_blobs
-from .uncertainty import PerturbationSpec, score_sample
+from .uncertainty import NonFiniteLogits, PerturbationSpec, score_sample
 
 
 @dataclass
@@ -93,12 +95,23 @@ class _ClientWorker:
             [score_sample(self.params, self.model_config, x, self.pert_spec, self.cfg.uncertainty_metric) for x in rows]
         )
 
-    def tick(self, first_task: bool) -> bool:
-        """Consume one batch; returns False when the current task is exhausted."""
+    def tick(self, first_task: bool, bn: int) -> bool:
+        """Consume batch ``bn`` of the task; returns False when the task is exhausted.
+
+        Raises ``RuntimeError`` naming the client, task and ``bn`` when training
+        diverges: a non-finite loss or update, an exact sum that overflows, or
+        non-finite logits met in scoring.
+        """
         batch = self.stream.next_batch()
         if batch is None:
             return False
+        try:
+            self._train_and_offer(batch, first_task)
+        except (FloatingPointError, OverflowError, NonFiniteLogits) as exc:
+            raise RuntimeError(f"client {self.client_id} diverged on task {batch.task_id} at bn={bn}: {exc}") from exc
+        return True
 
+    def _train_and_offer(self, batch: MiniBatch, first_task: bool) -> None:
         train_batch = batch
         if not first_task and self.buffer is not None:
             replay = sample_replay(self.buffer, self.cfg.batch_size, batch.task_id, self.replay_rng) if len(self.buffer) else []
@@ -109,10 +122,14 @@ class _ClientWorker:
                     task_id=batch.task_id,
                 )
 
-        _, grad = loss_and_grad(self.params, self.model_config, train_batch)
+        loss, grad = loss_and_grad(self.params, self.model_config, train_batch)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"training loss is {loss}")
         if self.cfg.aggregation == "fedprox":
             grad = fedprox_augment(grad, self.params.values, self.global_ref.values, self.cfg.fedprox_mu)
         self.params = optimizer_step(self.params, grad, self.opt)
+        if not np.all(np.isfinite(self.params.values)):
+            raise FloatingPointError("updated parameters are not all finite")
         self.observed.update(int(label) for label in batch.labels)
 
         if self.buffer is not None and self.buffer.capacity > 0:
@@ -122,7 +139,6 @@ class _ClientWorker:
                 update_memory(self.buffer, batch, scores, rescore=rescore)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
-        return True
 
     def on_broadcast(self, theta_g) -> None:
         self.global_ref = theta_g
@@ -265,7 +281,7 @@ def _run_experiment(config: ExperimentConfig):
         active = [True] * config.clients
         bn = 0
         while True:
-            ticked = [w.tick(first_task) if a else False for a, w in zip(active, workers)]
+            ticked = [w.tick(first_task, bn + 1) if a else False for a, w in zip(active, workers)]
             active = [a and t for a, t in zip(active, ticked)]
             if not any(ticked):
                 break
@@ -325,8 +341,22 @@ def prepare_output_dir(out_dir, force: bool) -> Path:
     return out
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
-    """Write summary.json, per_client.csv, acc_matrix_<k>.csv and rounds.log."""
+    """Write summary.json, per_client.csv, acc_matrix_<k>.csv and rounds.log.
+
+    Each file appears whole or not at all: it is written to a temp file in
+    ``out_dir`` and renamed into place.
+    """
     out = prepare_output_dir(out_dir, force)
 
     summary = {
@@ -335,16 +365,16 @@ def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
         "seed": result.seed,
         "config": result.config,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
 
     lines = ["client,last_accuracy,last_forgetting"]
     for k, (a, f) in enumerate(zip(result.per_client_accuracy, result.per_client_forgetting)):
         lines.append(f"{k},{a!r},{f!r}")
-    (out / "per_client.csv").write_text("\n".join(lines) + "\n")
+    _write_atomic(out / "per_client.csv", "\n".join(lines) + "\n")
 
     for k, matrix in enumerate(result.matrices):
         rows = ["after_task,on_task,accuracy"]
         rows.extend(f"{t},{i},{acc!r}" for t, i, acc in matrix.rows())
-        (out / f"acc_matrix_{k}.csv").write_text("\n".join(rows) + "\n")
+        _write_atomic(out / f"acc_matrix_{k}.csv", "\n".join(rows) + "\n")
 
-    (out / "rounds.log").write_text("\n".join(result.round_log) + ("\n" if result.round_log else ""))
+    _write_atomic(out / "rounds.log", "\n".join(result.round_log) + ("\n" if result.round_log else ""))

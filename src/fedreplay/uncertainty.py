@@ -1,12 +1,16 @@
 """Uncertainty scores over perturbed predictions of a single sample.
 
-A sample is scored by forwarding P perturbed copies through the model and
-reducing the resulting P x C logit matrix: the variance-style score is the
-Bregman information (mean log-sum-exp of the rows minus log-sum-exp of the
-mean row), the confidence-style scores (least confidence, margin, ratio,
-entropy) act on row-wise softmax probabilities. Reductions over the P axis
-use exactly rounded summation, so all scores are invariant to the order of
-the perturbed copies.
+A sample is scored by forwarding its P perturbed copies through the model
+as one (P, d) block and reducing the resulting P x C logit matrix: the
+variance-style score is the Bregman information (mean log-sum-exp of the
+rows minus log-sum-exp of the mean row), the confidence-style scores
+(least confidence, margin, ratio, entropy) act on row-wise softmax
+probabilities. The block's forward is per-row exact (see ``model``), and
+every reduction works on the whole block with array operations while
+sums over the P axis and over a row use exactly rounded summation
+(``math.fsum`` on Python lists). Scores are therefore the same bits as
+when each copy is forwarded and reduced alone, and invariant to the order
+of the perturbed copies.
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ PERTURBATION_KINDS = ("gaussian", "mask")
 _BI_CLAMP = -1e-12
 
 
+def _lse_rows(z: np.ndarray) -> list[float]:
+    """Per-row max(z) + log(fsum(exp(z - max(z)))) of a finite 2-D array."""
+    m = z.max(axis=1)
+    sums = [math.fsum(row) for row in np.exp(z - m[:, None]).tolist()]
+    return [mi + math.log(si) for mi, si in zip(m.tolist(), sums)]
+
+
 def stable_lse(x) -> float:
     """log(sum(exp(x))) computed as max(x) + log(sum(exp(x - max(x))))."""
     a = np.asarray(x, dtype=np.float64)
@@ -35,8 +46,11 @@ def stable_lse(x) -> float:
         raise ValueError("stable_lse of an empty array")
     if not np.all(np.isfinite(a)):
         raise ValueError("stable_lse requires finite inputs")
-    m = float(a.max())
-    return m + math.log(math.fsum(np.exp(a - m)))
+    return _lse_rows(a.reshape(1, -1))[0]
+
+
+class NonFiniteLogits(ValueError):
+    """A logit set holds inf or NaN, as it does once the model has diverged."""
 
 
 def _as_logit_set(logits) -> np.ndarray:
@@ -44,7 +58,7 @@ def _as_logit_set(logits) -> np.ndarray:
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 2:
         raise ValueError(f"logit set must be (P >= 1, C >= 2), got shape {z.shape}")
     if not np.all(np.isfinite(z)):
-        raise ValueError("logit set entries must be finite")
+        raise NonFiniteLogits("logit set entries must be finite")
     return z
 
 
@@ -70,54 +84,47 @@ def bregman_information(logits) -> float:
     if np.all(z == z[0]):
         return 0.0
     p = z.shape[0]
-    mean_lse = math.fsum(stable_lse(row) for row in z) / p
-    bi = mean_lse - stable_lse(fsum_columns(z) / p)
+    mean_lse = math.fsum(_lse_rows(z)) / p
+    bi = mean_lse - _lse_rows(fsum_columns(z)[None, :] / p)[0]
     if _BI_CLAMP <= bi < 0.0:
         return 0.0
     return bi
 
 
-def _top_two(row: np.ndarray) -> tuple[float, float]:
-    top2 = np.partition(row, -2)[-2:]
-    return float(top2[1]), float(top2[0])
+def _top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and second-largest entry of each row."""
+    top2 = np.partition(p, -2, axis=1)
+    return top2[:, -1], top2[:, -2]
 
 
 def least_confidence(probs) -> float:
     """1 - mean top-class probability over the P rows."""
     p = _as_probability_set(probs)
-    return 1.0 - math.fsum(float(row.max()) for row in p) / p.shape[0]
+    return 1.0 - math.fsum(p.max(axis=1).tolist()) / p.shape[0]
 
 
 def margin_sampling(probs) -> float:
     """1 - mean margin between the two most probable classes."""
     p = _as_probability_set(probs)
-    margins = []
-    for row in p:
-        first, second = _top_two(row)
-        margins.append(first - second)
-    return 1.0 - math.fsum(margins) / p.shape[0]
+    first, second = _top_two(p)
+    return 1.0 - math.fsum((first - second).tolist()) / p.shape[0]
 
 
 def ratio_confidence(probs) -> float:
     """Mean ratio of the runner-up to the top class probability."""
     p = _as_probability_set(probs)
-    total = []
-    for row in p:
-        first, second = _top_two(row)
-        if first == 0.0:
-            raise ValueError("ratio_confidence requires a positive top probability")
-        total.append(second / first)
-    return math.fsum(total) / p.shape[0]
+    first, second = _top_two(p)
+    if np.any(first == 0.0):
+        raise ValueError("ratio_confidence requires a positive top probability")
+    return math.fsum((second / first).tolist()) / p.shape[0]
 
 
 def entropy_score(probs) -> float:
     """Mean Shannon entropy of the P rows, with 0 * log 0 = 0."""
     p = _as_probability_set(probs)
-    rows = []
-    for row in p:
-        nz = row[row > 0.0]
-        rows.append(-math.fsum(nz * np.log(nz)))
-    return math.fsum(rows) / p.shape[0]
+    # log(1) = 0 stands in for log(0), so zero entries add exact zeros.
+    terms = p * np.log(np.where(p > 0.0, p, 1.0))
+    return math.fsum([-math.fsum(row) for row in terms.tolist()]) / p.shape[0]
 
 
 _SCORERS = {
@@ -162,19 +169,16 @@ class PerturbationSpec:
             raise ValueError("mask_fraction must lie in [0, 1)")
 
 
-def perturb_features(x, spec: PerturbationSpec) -> list[np.ndarray]:
-    """Return ``spec.count`` perturbed copies of ``x``."""
+def perturb_features(x, spec: PerturbationSpec) -> np.ndarray:
+    """Return the ``spec.count`` perturbed copies of ``x`` as one (P, d) array."""
     base = np.asarray(x, dtype=np.float64)
     if spec.kind == "gaussian":
-        noise = spec.rng.normal(0.0, spec.sigma, size=(spec.count, base.size))
-        return [base + noise[i] for i in range(spec.count)]
+        return base + spec.rng.normal(0.0, spec.sigma, size=(spec.count, base.size))
+    copies = np.tile(base, (spec.count, 1))
     k = int(round(spec.mask_fraction * base.size))
-    copies = []
-    for _ in range(spec.count):
-        copy = base.copy()
-        if k > 0:
+    if k > 0:
+        for copy in copies:
             copy[spec.rng.choice(base.size, size=k, replace=False)] = 0.0
-        copies.append(copy)
     return copies
 
 
@@ -188,8 +192,7 @@ def score_sample(
     """Uncertainty of one unlabeled sample under the current model."""
     if metric not in METRICS:
         raise ValueError(f"unknown uncertainty metric: {metric!r}")
-    copies = perturb_features(features, spec)
-    logits = np.stack([forward_logits(params, config, c) for c in copies])
+    logits = forward_logits(params, config, perturb_features(features, spec))
     if metric == "bi":
         return bregman_information(logits)
-    return _SCORERS[metric](softmax_rows(logits))
+    return _SCORERS[metric](softmax_rows(_as_logit_set(logits)))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,20 @@ class TestEmitReport:
         emit_report(run_experiment(_small_config()), tmp_path / "b")
         assert (tmp_path / "a/summary.json").read_bytes() == (tmp_path / "b/summary.json").read_bytes()
 
+    def test_failed_write_keeps_previous_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        result = run_experiment(_small_config())
+        out = tmp_path / "run"
+        emit_report(result, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("fedreplay.runner.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(result, out, force=True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestCli:
     def test_run_success(self, tmp_path, capsys):
@@ -309,3 +324,48 @@ class TestCli:
         assert (tmp_path / "gout/b/summary.json").exists()
         out = capsys.readouterr().out
         assert "a:" in out and "b:" in out
+
+
+class TestDivergence:
+    """A diverging run stops with exit 2 and names the client, task and batch counter."""
+
+    def _run(self, tmp_path, capsys, text):
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        with np.errstate(all="ignore"):
+            code = cli_main(["run", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        return capsys.readouterr().err
+
+    def _diverging_text(self, policy):
+        text = _config_text().replace("policy = bottom_k", f"policy = {policy}")
+        return text + "learning_rate = 1e200\n"
+
+    def test_nonfinite_loss(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, self._diverging_text("random"))
+        assert re.search(r"client \d+ diverged on task \d+ at bn=\d+: training loss is nan", err)
+
+    def test_nonfinite_logits_in_scoring(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, self._diverging_text("bottom_k"))
+        assert re.search(r"client \d+ diverged on task \d+ at bn=\d+: logit set entries must be finite", err)
+
+    def test_nonfinite_parameters(self, tmp_path, capsys, monkeypatch):
+        from fedreplay.model import ParameterVector
+
+        monkeypatch.setattr(
+            "fedreplay.runner.optimizer_step",
+            lambda params, grad, state: ParameterVector(np.full(len(params), np.inf), params.layout),
+        )
+        err = self._run(tmp_path, capsys, _config_text())
+        assert "client 0 diverged on task 1 at bn=1: updated parameters are not all finite" in err
+
+    def test_exact_sum_overflow(self, tmp_path, capsys, monkeypatch):
+        import fedreplay.model
+
+        def overflowing(params, config, batch):
+            return fedreplay.model.fsum_columns(np.array([[1e308], [1e308], [-1e308]]))
+
+        monkeypatch.setattr("fedreplay.runner.loss_and_grad", overflowing)
+        err = self._run(tmp_path, capsys, _config_text())
+        assert "client 0 diverged on task 1 at bn=1: intermediate overflow in fsum" in err

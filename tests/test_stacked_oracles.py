@@ -1,0 +1,277 @@
+"""Stacked array code against the per-row loops it replaced, bit for bit.
+
+The forward pass, the backward pass, the scorers and the exact column sum
+work on whole blocks. Each oracle below is the loop they replaced, one
+sample, one perturbed copy or one column at a time. Equality is exact
+(``==`` / ``array_equal``), not approximate.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fedreplay.exact import fsum_columns
+from fedreplay.model import ModelConfig, _layer_views, forward_logits, init_parameters, loss_and_grad
+from fedreplay.stream import MiniBatch
+from fedreplay.uncertainty import (
+    PerturbationSpec,
+    entropy_score,
+    least_confidence,
+    margin_sampling,
+    ratio_confidence,
+    score_sample,
+    softmax_rows,
+)
+
+# --- oracles: the per-row loops --------------------------------------------
+
+
+def _oracle_fsum_columns(x):
+    return np.array([math.fsum(x[:, j]) for j in range(x.shape[1])])
+
+
+def _oracle_sample_loss_grad(layers, layout, x, y):
+    acts = [x]
+    pre = []
+    a = x
+    for w, b in layers[:-1]:
+        z = a @ w + b
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        acts.append(a)
+    w_out, b_out = layers[-1]
+    logits = a @ w_out + b_out
+
+    m = logits.max()
+    ex = np.exp(logits - m)
+    se = float(ex.sum())
+    loss = m + math.log(se) - logits[y]
+
+    dz = ex / se
+    dz[y] -= 1.0
+
+    grads = [None] * len(layers)
+    grads[-1] = (np.outer(acts[-1], dz), dz)
+    upstream = layers[-1][0] @ dz
+    for li in range(len(layers) - 2, -1, -1):
+        dz = upstream * (pre[li] > 0.0)
+        grads[li] = (np.outer(acts[li], dz), dz)
+        upstream = layers[li][0] @ dz
+
+    flat = np.empty(sum(int(np.prod(shape)) for shape, _ in layout))
+    for (dw, db), i in zip(grads, range(0, len(layout), 2)):
+        (_, w_off), (_, b_off) = layout[i], layout[i + 1]
+        flat[w_off : w_off + dw.size] = dw.ravel()
+        flat[b_off : b_off + db.size] = db
+    return loss, flat
+
+
+def _oracle_loss_and_grad(params, feats, labels):
+    layers = _layer_views(params)
+    n = labels.size
+    losses = np.empty(n)
+    contribs = np.empty((n, params.values.size))
+    for i in range(n):
+        losses[i], contribs[i] = _oracle_sample_loss_grad(layers, params.layout, feats[i], int(labels[i]))
+    grad = _oracle_fsum_columns(contribs)
+    grad /= n
+    return math.fsum(losses) / n, grad
+
+
+def _oracle_stable_lse(a):
+    m = float(a.max())
+    return m + math.log(math.fsum(np.exp(a - m)))
+
+
+def _oracle_bi(z):
+    if np.all(z == z[0]):
+        return 0.0
+    p = z.shape[0]
+    mean_lse = math.fsum(_oracle_stable_lse(row) for row in z) / p
+    bi = mean_lse - _oracle_stable_lse(_oracle_fsum_columns(z) / p)
+    if -1e-12 <= bi < 0.0:
+        return 0.0
+    return bi
+
+
+def _oracle_top_two(row):
+    top2 = np.partition(row, -2)[-2:]
+    return float(top2[1]), float(top2[0])
+
+
+def _oracle_lc(p):
+    return 1.0 - math.fsum(float(row.max()) for row in p) / p.shape[0]
+
+
+def _oracle_ms(p):
+    margins = []
+    for row in p:
+        first, second = _oracle_top_two(row)
+        margins.append(first - second)
+    return 1.0 - math.fsum(margins) / p.shape[0]
+
+
+def _oracle_rc(p):
+    total = []
+    for row in p:
+        first, second = _oracle_top_two(row)
+        total.append(second / first)
+    return math.fsum(total) / p.shape[0]
+
+
+def _oracle_en(p):
+    rows = []
+    for row in p:
+        nz = row[row > 0.0]
+        rows.append(-math.fsum(nz * np.log(nz)))
+    return math.fsum(rows) / p.shape[0]
+
+
+_ORACLE_SCORERS = {"lc": _oracle_lc, "ms": _oracle_ms, "rc": _oracle_rc, "en": _oracle_en}
+
+
+def _oracle_perturb(x, spec):
+    base = np.asarray(x, dtype=np.float64)
+    if spec.kind == "gaussian":
+        noise = spec.rng.normal(0.0, spec.sigma, size=(spec.count, base.size))
+        return [base + noise[i] for i in range(spec.count)]
+    k = int(round(spec.mask_fraction * base.size))
+    copies = []
+    for _ in range(spec.count):
+        copy = base.copy()
+        if k > 0:
+            copy[spec.rng.choice(base.size, size=k, replace=False)] = 0.0
+        copies.append(copy)
+    return copies
+
+
+def _oracle_score(params, config, x, spec, metric):
+    logits = np.stack([forward_logits(params, config, c) for c in _oracle_perturb(x, spec)])
+    if metric == "bi":
+        return _oracle_bi(logits)
+    return _ORACLE_SCORERS[metric](softmax_rows(logits))
+
+
+# --- shapes ------------------------------------------------------------------
+
+_hidden = st.one_of(
+    st.just((1,)),
+    st.tuples(st.integers(1, 70)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+def _model(input_dim, hidden_dims, num_classes, init_seed=0, scale=1.0):
+    config = ModelConfig(input_dim, hidden_dims, num_classes, init_seed=init_seed)
+    params = init_parameters(config)
+    params.values *= scale
+    return config, params
+
+
+@st.composite
+def _models(draw):
+    return _model(
+        draw(st.integers(1, 20)),
+        draw(_hidden),
+        draw(st.integers(2, 12)),
+        draw(st.integers(0, 2**16)),
+        # From near-uniform to saturated softmax rows with exact zeros.
+        draw(st.sampled_from([0.01, 1.0, 5.0, 40.0])),
+    )
+
+
+# The smallest shapes: one input, one hidden unit, one row.
+_TINY = _model(1, (1,), 2)
+_TWO_LAYERS = _model(3, (4, 2), 12, scale=5.0)
+
+
+# --- tests -------------------------------------------------------------------
+
+
+@given(_models(), st.integers(1, 16), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+@example(_TINY, 1, 0)
+@example(_TWO_LAYERS, 1, 0)
+def test_block_forward_equals_per_row_calls(model, p, seed):
+    config, params = model
+    x = np.random.default_rng(seed).normal(size=(p, config.input_dim))
+    block = forward_logits(params, config, x)
+    assert block.shape == (p, config.num_classes)
+    rows = np.stack([forward_logits(params, config, row.copy()) for row in x])
+    assert np.array_equal(block, rows)
+
+
+@given(_models(), st.integers(1, 25), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+@example(_TINY, 1, 0)
+@example(_TWO_LAYERS, 1, 0)
+def test_loss_and_grad_equals_per_sample_loop(model, n, seed):
+    config, params = model
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, config.input_dim)) * rng.choice([0.1, 1.0, 10.0])
+    labels = rng.integers(0, config.num_classes, size=n)
+    loss, grad = loss_and_grad(params, config, MiniBatch(feats, labels, task_id=0))
+    want_loss, want_grad = _oracle_loss_and_grad(params, feats, labels)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
+@given(
+    _models(),
+    st.integers(1, 16),
+    st.sampled_from(["bi", "lc", "ms", "rc", "en"]),
+    st.sampled_from(["gaussian", "mask"]),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(_TINY, 1, "bi", "gaussian", 0.0, 0)
+@example(_TINY, 1, "en", "mask", 0.5, 0)
+@example(_TWO_LAYERS, 1, "ms", "gaussian", 0.0, 0)
+def test_score_sample_equals_per_copy_loop(model, p, metric, kind, mask_fraction, seed):
+    config, params = model
+    x = np.random.default_rng(seed).normal(size=config.input_dim)
+
+    def spec():
+        return PerturbationSpec(
+            p, kind, sigma=0.3, mask_fraction=mask_fraction, rng=np.random.default_rng(seed + 1)
+        )
+
+    got_spec, want_spec = spec(), spec()
+    got = score_sample(params, config, x, got_spec, metric)
+    want = _oracle_score(params, config, x, want_spec, metric)
+    assert got == want
+    # The block draw leaves the generator where the per-copy draws did.
+    assert got_spec.rng.bit_generator.state == want_spec.rng.bit_generator.state
+
+
+@given(st.integers(1, 8), st.integers(2, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_confidence_scores_equal_loops_with_zeros_and_ties(p, c, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.choice([0.0, 1.0, 2.0, 0.5], size=(p, c))
+    raw[:, 0] += 1.0  # every row keeps a positive top probability
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    scorers = {"lc": least_confidence, "ms": margin_sampling, "rc": ratio_confidence, "en": entropy_score}
+    for name, fn in scorers.items():
+        assert fn(probs) == _ORACLE_SCORERS[name](probs), name
+
+
+@given(st.integers(0, 30), st.integers(1, 600), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fsum_columns_equals_per_column_fsum(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-20, 20, size=(rows, cols))
+    assert np.array_equal(fsum_columns(x), _oracle_fsum_columns(x))
+
+
+def test_fsum_columns_raises_on_intermediate_overflow():
+    x = np.zeros((3, 300))
+    x[:, 290] = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    with pytest.raises(OverflowError):
+        fsum_columns(x)

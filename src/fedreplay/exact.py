@@ -3,6 +3,32 @@
 Reductions that must not depend on the order of their terms (gradient
 sums over a batch, client and class averages, means over perturbed
 copies) go through here, so the summation algorithm lives in one place.
+
+``fsum_columns`` returns, column for column, the bits of ``math.fsum``:
+the sum rounded once, to nearest with ties to even, and ``+0.0`` for an
+exact zero. Wide inputs take an array path built on TwoSum, the
+error-free transformation that ``math.fsum`` also rests on (Shewchuk
+1997; Rump, Ogita and Oishi 2008):
+
+- The rows are added pairwise in a tree of TwoSums over all columns at
+  once. Every node turns a, b into s = fl(a + b) and e = (a + b) - s
+  exactly, so the column sum equals the root s plus the n - 1 errors.
+- The errors are added by the same tree, giving their rounded sum t and
+  n - 2 second-order errors e2. The exact sum is s + t + sum(e2).
+- A column keeps r = fl(s + t) when that is provably the correctly
+  rounded sum: when every e2 is zero (then s + t is the exact sum and
+  one addition rounds it), or when |d| + 2 sum|e2| is below half the
+  spacing of the floats just under |r|, where d = (s + t) - r is the
+  TwoSum error of the final addition.
+- The path runs only on columns whose n entries are at most 2**1000 / n
+  in magnitude, where no partial sum can overflow, neither here nor in
+  ``math.fsum``.
+
+Every other column goes to ``math.fsum``: those a proof did not cover,
+those with inf, NaN or larger entries (so ``OverflowError`` on an
+intermediate overflow, ``ValueError`` on inf - inf and NaN results are
+``math.fsum``'s own), and all columns of an input too narrow for the
+array path's fixed cost to pay off.
 """
 
 from __future__ import annotations
@@ -11,20 +37,79 @@ import math
 
 import numpy as np
 
-# Columns turned into Python lists at a time: bounds the extra memory of
-# ``tolist`` to a block instead of a copy of the whole matrix.
-_BLOCK_COLUMNS = 64
+# Fewer columns than this are summed by math.fsum one column at a time:
+# the crossover with the array path's fixed cost, measured at 20 rows
+# (a gradient step on batch plus replay in the shipped configs).
+ARRAY_MIN_COLUMNS = 80
+
+# A column whose n entries are at most this / n in magnitude has no
+# partial sum, and no TwoSum intermediate, beyond the float range.
+_SAFE_COLUMN_TOTAL = 2.0**1000
+
+
+def _fsum_each(x: np.ndarray, cols) -> list[float]:
+    """``math.fsum`` of the columns ``cols`` of ``x``, in column order."""
+    return [math.fsum(col) for col in x[:, cols].T.tolist()]
+
+
+def _two_sum_tree(w: np.ndarray, tmp: np.ndarray) -> None:
+    """Add the rows of ``w`` in place by a pairwise tree of TwoSums.
+
+    Afterwards ``w[-1]`` holds the rounded column sums and ``w[:-1]`` the
+    rounding errors of every node; the exact column sums of ``w`` are
+    unchanged. ``tmp`` is scratch of at least ``2 * (len(w) // 2)`` rows.
+    """
+    lo, k = 0, w.shape[0]
+    while k > 1:
+        h = k // 2
+        a, b = w[lo : lo + h], w[lo + h : lo + 2 * h]
+        s, bb = tmp[:h], tmp[h : 2 * h]
+        np.add(a, b, out=s)
+        np.subtract(s, a, out=bb)
+        b -= bb  # b - bb
+        np.subtract(s, bb, out=bb)
+        a -= bb  # a - (s - bb)
+        a += b  # the error e, kept in a's row
+        b[...] = s
+        # An odd row out stays last; the sums and it form the next level.
+        lo += h
+        k -= h
 
 
 def fsum_columns(x: np.ndarray) -> np.ndarray:
     """Exactly rounded sum of each column of the 2-D array ``x``.
 
-    Like ``math.fsum``, raises ``OverflowError`` when a column's partial
-    sums leave the float range.
+    Bitwise equal to ``math.fsum`` over each column, including its
+    ``OverflowError`` when a column's partial sums leave the float range.
     """
-    cols = x.shape[1]
-    out = np.empty(cols)
-    for j in range(0, cols, _BLOCK_COLUMNS):
-        block = x[:, j : j + _BLOCK_COLUMNS].T.tolist()
-        out[j : j + len(block)] = [math.fsum(col) for col in block]
-    return out
+    x = np.asarray(x, dtype=np.float64)
+    n, m = x.shape
+    if n == 0 or m < ARRAY_MIN_COLUMNS:
+        return np.array(_fsum_each(x, slice(None)), dtype=np.float64)
+
+    safe = np.abs(x).max(axis=0) <= _SAFE_COLUMN_TOTAL / n  # False for inf and NaN
+    # One block for the rows and the scratch: as separate arrays they were
+    # handed back to the OS and faulted in afresh on every call.
+    work = np.empty((n + 2 * (n // 2), m))
+    w, tmp = work[:n], work[n:]
+    np.copyto(w, x if safe.all() else np.where(safe, x, 0.0))
+    _two_sum_tree(w, tmp)  # w[-1] = s, w[:-1] = errors
+    _two_sum_tree(w[:-1], tmp)  # w[-2] = t, w[:-2] = second-order errors
+    s, t, e2 = w[-1], (w[-2] if n > 1 else 0.0), w[:-2]
+    # A TwoSum error is never -0.0, so neither is t, and an exact zero
+    # comes out +0.0 as in math.fsum.
+    r = s + t
+    proven = ~e2.any(axis=0)
+    if not proven.all():
+        # |exact - r| <= |d| + sum|e2|, with d = s + t - r from TwoSum; the
+        # factor 2 covers the rounding of the computed sum|e2|.
+        bb = r - s
+        d = (s - (r - bb)) + (t - bb)
+        ar = np.abs(r)
+        half_gap = (ar - np.nextafter(ar, 0.0)) * 0.5
+        proven |= np.abs(d) + 2.0 * np.abs(e2).sum(axis=0) < half_gap
+    proven &= safe
+    slow = np.flatnonzero(~proven)
+    if slow.size:
+        r[slow] = _fsum_each(x, slow)
+    return r

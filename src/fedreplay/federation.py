@@ -7,9 +7,9 @@ reporting each class and then averages the per-class models, so every
 class present in the round contributes equally. Freshly aggregated
 parameters are smoothed with the previous round's global parameters.
 
-Coordinate reductions use exactly rounded summation, so both averages are
-invariant to client order (and class order) bit for bit, and identical
-class reports collapse exactly to the plain average.
+Coordinate sums go through ``exact.fsum_columns`` and are exactly rounded,
+so both averages are invariant to client order (and class order) bit for
+bit, and identical class reports collapse exactly to the plain average.
 """
 
 from __future__ import annotations

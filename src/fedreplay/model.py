@@ -2,10 +2,10 @@
 
 The network is a plain MLP (ReLU hidden layers, linear output head) whose
 weights live in one flat array with an explicit layout, so exchanging
-parameters between clients and server is an array copy. Loss and gradient
-reductions over a batch use exactly rounded summation (``math.fsum`` and
-``exact.fsum_columns``), which makes them bit-identical under any
-reordering or duplication of the batch samples.
+parameters between clients and server is an array copy. The batch loss is
+summed by ``math.fsum`` and the gradient by ``exact.fsum_columns``, both
+exactly rounded, which makes them bit-identical under any reordering or
+duplication of the batch samples.
 
 Per-row work is stacked but stays per-row exact: a (P, d) block is run as
 P vector-matrix products (``x[:, None, :] @ w``, one BLAS gemv per row),

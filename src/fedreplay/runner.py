@@ -100,13 +100,15 @@ class _ClientWorker:
 
         Raises ``RuntimeError`` naming the client, task and ``bn`` when training
         diverges: a non-finite loss or update, an exact sum that overflows, or
-        non-finite logits met in scoring.
+        non-finite logits met in scoring. Those checks name the failure, so
+        numpy's overflow and invalid-value warnings on the way are silenced.
         """
         batch = self.stream.next_batch()
         if batch is None:
             return False
         try:
-            self._train_and_offer(batch, first_task)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._train_and_offer(batch, first_task)
         except (FloatingPointError, OverflowError, NonFiniteLogits) as exc:
             raise RuntimeError(f"client {self.client_id} diverged on task {batch.task_id} at bn={bn}: {exc}") from exc
         return True
@@ -235,6 +237,8 @@ def _run_experiment(config: ExperimentConfig):
     for spec, train in zip(tasks, train_per_task):
         parts = partition_to_clients(train, config.clients, seeds.substream(seed, seeds.CLIENT_PARTITION, spec.task_id))
         for k in range(config.clients):
+            if not parts[k]:
+                raise RuntimeError(f"client {k} has no training examples for task {spec.task_id}")
             per_client_tasks[k].append((spec.task_id, parts[k]))
 
     workers = []

@@ -66,6 +66,8 @@ def _as_probability_set(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
         raise ValueError(f"probability set must be (P >= 1, C >= 2), got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):

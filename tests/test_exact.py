@@ -1,13 +1,18 @@
 """Exact column sums: bitwise equal to ``math.fsum`` over each column."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedreplay.exact import fsum_columns
+import fedreplay.exact
+import fedreplay.model
+from fedreplay.config import ExperimentConfig
+from fedreplay.exact import ARRAY_MIN_COLUMNS, fsum_columns
+from fedreplay.runner import run_experiment
 
 
 def test_matches_fsum_per_column_where_plain_sums_round():
@@ -99,6 +104,13 @@ def _col_near_max(rng, n):
     return _signs(rng, n) * np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(1016, 1024, n))
 
 
+def _col_near_max_cancel(rng, n):
+    """Large terms first, their negations after: a running sum overflows, pairwise sums need not."""
+    h = n // 2
+    v = np.ldexp(rng.uniform(1.0, 2.0, h), 1023)
+    return np.concatenate([v, -v, rng.normal(size=n - 2 * h)])
+
+
 def _with(value):
     def col(rng, n):
         c = _col_normal(rng, n)
@@ -127,14 +139,15 @@ FINITE_KINDS = {
 
 SPECIAL_KINDS = {
     "near_max": _col_near_max,
+    "near_max_cancel": _col_near_max_cancel,
     "inf": _with(math.inf),
     "-inf": _with(-math.inf),
     "nan": _with(math.nan),
 }
 
 _ROWS = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 20, 21, 33])
-# Narrow and wide matrices: the column count decides which path a sum takes.
-_COLS = st.one_of(st.integers(1, 12), st.integers(13, 160))
+# Both sides of the width at which sums leave math.fsum for the array path.
+_COLS = st.one_of(st.integers(1, ARRAY_MIN_COLUMNS - 1), st.integers(ARRAY_MIN_COLUMNS, 2 * ARRAY_MIN_COLUMNS))
 
 
 def _matrix(rows, cols, kinds, seed):
@@ -201,6 +214,7 @@ def test_overflow_inf_and_nan_match_fsum(rows, cols, kinds, inf_minus_inf, seed)
     [
         [1e308, 1e308, -1e308],
         [1e308, -1e308, 1e308],
+        [1e308, 1e308, -1e308, -1e308],
         [math.inf, 1e308, 1e308],
         [math.inf, -math.inf],
         [-math.inf, -math.inf, 1.0],
@@ -220,3 +234,32 @@ def test_special_columns_match_fsum(column, width):
     if width > 1:
         x[:, 0] = 1.0  # an ordinary column in front of the special ones
     _assert_same_as_fsum(x)
+
+
+def test_gradient_columns_rarely_fall_back_to_fsum(monkeypatch):
+    """Real gradient contributions pass the gate: a gate that silently sends
+    every column to ``math.fsum`` keeps the bits and loses the speed."""
+    contributions = []
+
+    def capture(x):
+        contributions.append(x.copy())
+        return fsum_columns(x)
+
+    monkeypatch.setattr(fedreplay.model, "fsum_columns", capture)
+    # The bottom_k_bi case of test_golden: 4 -> 8 -> 6, so 94 parameter columns.
+    run_experiment(
+        ExperimentConfig(
+            clients=2, tasks=3, batch_size=3, test_split=0.2, seed=0, classes=6, samples_per_class=30,
+            dim=4, center_spread=2.0, cluster_sigma=1.0, memory_capacity=16, memory_policy="bottom_k",
+            uncertainty_metric="bi", perturbation_count=3, burn_in=1, q=2, hidden_dims=(8,), learning_rate=0.5,
+        )
+    )
+    calls = []
+    counting = SimpleNamespace(fsum=lambda col: calls.append(None) or math.fsum(col))
+    monkeypatch.setattr(fedreplay.exact, "math", counting)
+    columns = 0
+    for x in contributions:
+        assert x.shape[1] >= ARRAY_MIN_COLUMNS
+        fsum_columns(x)
+        columns += x.shape[1]
+    assert columns > 0 and len(calls) < 0.1 * columns

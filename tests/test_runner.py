@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedreplay
 from fedreplay.cli import main as cli_main
 from fedreplay.config import ExperimentConfig
 from fedreplay.runner import emit_report, run_experiment
@@ -298,6 +303,15 @@ class TestCli:
         assert cli_main(["run", str(config_path), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_empty_client_partition_exit_code(self, tmp_path, capsys):
+        # 2 classes x 3 samples per task, 1 held out: 5 training examples for 7 clients.
+        text = _config_text().replace("clients = 2", "clients = 7").replace("samples_per_class = 30", "samples_per_class = 3")
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: client 5 has no training examples for task 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path):
         config_path = tmp_path / "exp.ini"
         config_path.write_text(_config_text(seed=3))
@@ -349,6 +363,18 @@ class TestDivergence:
     def test_nonfinite_logits_in_scoring(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, self._diverging_text("bottom_k"))
         assert re.search(r"client \d+ diverged on task \d+ at bn=\d+: logit set entries must be finite", err)
+
+    @pytest.mark.parametrize("policy", ["random", "bottom_k"])
+    def test_stderr_holds_the_error_line_alone(self, tmp_path, capfd, policy):
+        # A child process, so numpy's warnings would reach stderr unfiltered.
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(self._diverging_text(policy))
+        src = str(Path(fedreplay.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "fedreplay.cli", "run", str(config_path), "--out", str(tmp_path / "out")]
+        assert subprocess.run(argv, env=env).returncode == 2
+        err = capfd.readouterr().err
+        assert re.fullmatch(r"error: client \d+ diverged on task \d+ at bn=\d+: [^\n]+\n", err), err
 
     def test_nonfinite_parameters(self, tmp_path, capsys, monkeypatch):
         from fedreplay.model import ParameterVector

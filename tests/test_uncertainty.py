@@ -125,6 +125,13 @@ class TestConfidenceScores:
         with pytest.raises(ValueError):
             entropy_score([[1.2, -0.2]])  # outside [0, 1]
 
+    @pytest.mark.parametrize("scorer", [least_confidence, margin_sampling, ratio_confidence, entropy_score])
+    def test_nonfinite_probability_sets_rejected(self, scorer):
+        # NaN passes every range and sum check, so it is rejected by name.
+        for probs in ([[math.nan, math.nan]], [[1.0, 0.0], [math.nan, 0.5]], [[math.inf, 0.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                scorer(probs)
+
     @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_ranges(self, p, c, seed):

@@ -7,6 +7,7 @@ sample, one perturbed copy or one column at a time. Equality is exact
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fedreplay.model import ModelConfig, _layer_views, forward_logits, init_para
 from fedreplay.stream import MiniBatch
 from fedreplay.uncertainty import (
     PerturbationSpec,
+    bregman_information,
     entropy_score,
     least_confidence,
     margin_sampling,
@@ -275,3 +277,60 @@ def test_fsum_columns_raises_on_intermediate_overflow():
         math.fsum([1e308, 1e308, -1e308])
     with pytest.raises(OverflowError):
         fsum_columns(x)
+
+
+# --- Bregman information against the per-row oracle, byte for byte --------
+
+
+def _bytes(x):
+    return struct.pack("<d", x)
+
+
+_LOGIT_SCALES = [1e-9, 1e-3, 1.0, 30.0, 700.0, 1e6]
+
+
+def _logit_set(rng, p, c, scale, ties):
+    if ties:
+        return rng.integers(-3, 4, size=(p, c)).astype(np.float64) * scale
+    return rng.normal(size=(p, c)) * scale
+
+
+@given(st.integers(2, 12), st.sampled_from(_LOGIT_SCALES), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_bregman_information_one_row_equals_oracle(c, scale, ties, seed):
+    z = _logit_set(np.random.default_rng(seed), 1, c, scale, ties)
+    assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z)) == _bytes(0.0)
+
+
+@given(
+    st.integers(1, 16),
+    st.integers(2, 12),
+    st.sampled_from(_LOGIT_SCALES),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(2, 2, 1.0, True, 0)
+def test_bregman_information_equals_oracle(p, c, scale, ties, seed):
+    z = _logit_set(np.random.default_rng(seed), p, c, scale, ties)
+    assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))
+
+
+@given(
+    st.integers(2, 16),
+    st.integers(2, 12),
+    st.sampled_from(_LOGIT_SCALES),
+    st.sampled_from([math.inf, -math.inf]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(2, 2, 1.0, math.inf, 0)
+def test_bregman_information_rows_one_ulp_apart(p, c, scale, toward, seed):
+    """Rows equal but for one entry one ulp away: the edge of the early return."""
+    rng = np.random.default_rng(seed)
+    equal = np.tile(rng.normal(size=c) * scale, (p, 1))
+    assert _bytes(bregman_information(equal)) == _bytes(_oracle_bi(equal)) == _bytes(0.0)
+    z = equal.copy()
+    i, j = rng.integers(p), rng.integers(c)
+    z[i, j] = np.nextafter(z[i, j], toward)
+    assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))

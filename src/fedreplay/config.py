@@ -9,6 +9,7 @@ empty file is valid and yields the documented defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .federation import AGGREGATIONS
@@ -69,6 +70,10 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(f"invalid value for {name}: {why}")
 
+        # inf and nan parse as numbers but no float setting means anything with them.
+        for (_, key), (attr, parse) in _SCHEMA.items():
+            if parse is _parse_float:
+                require(math.isfinite(getattr(self, attr)), key, "must be finite")
         require(self.clients >= 1, "clients", "must be >= 1")
         require(self.tasks >= 2, "tasks", "must be >= 2 (forgetting is undefined otherwise)")
         require(self.batch_size >= 1, "batch_size", "must be >= 1")

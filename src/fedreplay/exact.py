@@ -1,8 +1,8 @@
 """Exactly rounded reductions over arrays.
 
-Reductions that must not depend on the order of their terms (gradient
-sums over a batch, client and class averages, means over perturbed
-copies) go through here, so the summation algorithm lives in one place.
+Column sums that must not depend on the order of their terms (gradient
+sums over a batch, client and class averages) go through here, so the
+summation algorithm lives in one place.
 
 ``fsum_columns`` returns, column for column, the bits of ``math.fsum``:
 the sum rounded once, to nearest with ties to even, and ``+0.0`` for an

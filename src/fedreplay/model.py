@@ -13,12 +13,19 @@ and the backward pass stacks matrix-vector products and forms outer
 products by broadcasting. Each row therefore gets the same bits as when it
 is computed alone. ``forward_batch`` is a single matrix product instead,
 which is faster but may differ from the per-row result in the last bits.
+
+A ``ParameterVector`` is immutable, and its per-layer (weight, bias)
+views into the flat array are built on first use and cached with it.
+Every optimizer step and every broadcast makes a new vector, so the
+views are built once per step and reused by all the forward passes that
+score samples under those parameters, and by ``loss_and_grad``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,18 +80,33 @@ def layout_of(config: ModelConfig) -> Layout:
 
 @dataclass(eq=False)
 class ParameterVector:
-    """Flat model weights plus the layout needed to interpret them."""
+    """Flat model weights plus the layout needed to interpret them.
+
+    Immutable: an optimizer step, an average or a broadcast makes a new
+    vector, so the per-layer views built from ``values`` on first use stay
+    valid for the vector's lifetime and are shared by every forward pass
+    and gradient taken at these parameters. A field cannot be bound to
+    another object once set; an in-place update of ``values`` (which the
+    views alias) rebinds the same array and is allowed.
+    """
 
     values: np.ndarray
     layout: Layout
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        expected = sum(int(np.prod(shape)) for shape, _ in self.layout)
-        if self.values.ndim != 1 or self.values.size != expected:
-            raise ValueError(
-                f"parameter vector has {self.values.size} values, layout expects {expected}"
-            )
+        values = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", values)
+        expected = sum(math.prod(shape) for shape, _ in self.layout)
+        if values.ndim != 1 or values.size != expected:
+            raise ValueError(f"parameter vector has {values.size} values, layout expects {expected}")
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__ and self.__dict__[name] is not value:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -95,17 +117,22 @@ class ParameterVector:
     def values_equal(self, other: "ParameterVector") -> bool:
         return self.layout == other.layout and np.array_equal(self.values, other.values)
 
+    @cached_property
+    def layer_views(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(weight, bias) views into ``values``, one pair per layer, built once."""
+        views = []
+        flat = self.values
+        for i in range(0, len(self.layout), 2):
+            (w_shape, w_off), (b_shape, b_off) = self.layout[i], self.layout[i + 1]
+            w = flat[w_off : w_off + w_shape[0] * w_shape[1]].reshape(w_shape)
+            b = flat[b_off : b_off + b_shape[0]]
+            views.append((w, b))
+        return tuple(views)
 
-def _layer_views(params: ParameterVector) -> list[tuple[np.ndarray, np.ndarray]]:
+
+def _layer_views(params: ParameterVector) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(weight, bias) views into the flat array, one pair per layer."""
-    views = []
-    flat = params.values
-    for i in range(0, len(params.layout), 2):
-        (w_shape, w_off), (b_shape, b_off) = params.layout[i], params.layout[i + 1]
-        w = flat[w_off : w_off + w_shape[0] * w_shape[1]].reshape(w_shape)
-        b = flat[b_off : b_off + b_shape[0]]
-        views.append((w, b))
-    return views
+    return params.layer_views
 
 
 def init_parameters(config: ModelConfig) -> ParameterVector:
@@ -123,9 +150,13 @@ def init_parameters(config: ModelConfig) -> ParameterVector:
 
 def _forward(layers, a: np.ndarray) -> np.ndarray:
     for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
     w, b = layers[-1]
-    return a @ w + b
+    a = a @ w
+    a += b
+    return a
 
 
 def forward_logits(params: ParameterVector, config: ModelConfig, features) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from fedreplay.config import ConfigError, ExperimentConfig, parse_config
+from fedreplay.cli import main as cli_main
+from fedreplay.config import _SCHEMA, ConfigError, ExperimentConfig, _parse_float, parse_config
 
 
 def _write(tmp_path, text):
@@ -122,3 +123,27 @@ class TestValidation:
     def test_capacity_zero_allowed(self, tmp_path):
         config = parse_config(_write(tmp_path, "[memory]\ncapacity = 0\n"))
         assert config.memory_capacity == 0
+
+
+_FLOAT_KEYS = sorted((section, key) for (section, key), (_, parse) in _SCHEMA.items() if parse is _parse_float)
+
+
+class TestNonFiniteFloats:
+    def test_every_float_key_is_covered(self):
+        assert {key for _, key in _FLOAT_KEYS} == {
+            "test_split",
+            "center_spread",
+            "cluster_sigma",
+            "sigma",
+            "mask_fraction",
+            "fedprox_mu",
+            "learning_rate",
+        }
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("section,key", _FLOAT_KEYS)
+    def test_rejected_through_cli_naming_the_key(self, tmp_path, capsys, section, key, raw):
+        path = _write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: invalid value for {key}: must be finite\n"
+        assert not (tmp_path / "out").exists()

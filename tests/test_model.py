@@ -1,6 +1,7 @@
 """Model core: init, forward, loss/gradient, FedProx term, optimizers."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fedreplay.model import (
     ModelConfig,
     OptimizerState,
     ParameterVector,
+    _layer_views,
     fedprox_augment,
     forward_batch,
     forward_logits,
@@ -282,3 +284,37 @@ class TestOptimizerStep:
         params = init_parameters(config)
         with pytest.raises(ValueError):
             optimizer_step(params, np.zeros(len(params) + 1), OptimizerState.sgd(0.1))
+
+
+class TestParameterVector:
+    def test_views_alias_values_and_are_built_once(self):
+        config = ModelConfig(input_dim=3, hidden_dims=(4, 2), num_classes=5, init_seed=1)
+        params = init_parameters(config)
+        views = _layer_views(params)
+        assert _layer_views(params) is views
+        assert [(w.shape, b.shape) for w, b in views] == [((3, 4), (4,)), ((4, 2), (2,)), ((2, 5), (5,))]
+        for (w, b), ((_, w_off), (_, b_off)) in zip(views, zip(params.layout[::2], params.layout[1::2])):
+            assert np.shares_memory(w, params.values) and np.shares_memory(b, params.values)
+            assert np.array_equal(w.ravel(), params.values[w_off : w_off + w.size])
+            assert np.array_equal(b, params.values[b_off : b_off + b.size])
+        params.values[0] = 7.5
+        assert views[0][0][0, 0] == 7.5
+
+    def test_fields_cannot_be_reassigned(self):
+        params = init_parameters(ModelConfig(input_dim=2, hidden_dims=(3,), num_classes=2))
+        with pytest.raises(FrozenInstanceError):
+            params.values = np.zeros(len(params))
+        with pytest.raises(FrozenInstanceError):
+            params.layout = ()
+        with pytest.raises(FrozenInstanceError):
+            del params.values
+        values = params.values
+        params.values *= 2.0  # an in-place update rebinds the same array
+        assert params.values is values
+
+    def test_size_check_sums_every_layout_entry(self):
+        layout = (((2, 3), 0), ((3,), 6), ((3, 1), 9), ((1,), 12))
+        assert len(ParameterVector(np.zeros(13), layout)) == 13
+        for size in (12, 14, 7):
+            with pytest.raises(ValueError, match="layout expects 13"):
+                ParameterVector(np.zeros(size), layout)

@@ -12,13 +12,12 @@ sums over the P axis and over a row use exactly rounded summation
 when each copy is forwarded and reduced alone, and invariant to the order
 of the perturbed copies.
 
-Scoring runs once per sample, on a block of about 12 x 8 logits, so its
-cost is the fixed cost of each numpy call. BI appends the mean row to
-the logit rows and takes all P + 1 log-sum-exps in one max/exp pass;
-the input checks use array methods (``.all()``, ``.min()``) rather than
-the ``np.all``/``np.any`` wrappers. Exponentials stay ``np.exp`` and
-logarithms ``math.log``: ``math.exp`` and ``np.log`` differ from them in
-the last bit on some inputs, which would change the scores.
+Scoring runs once per sample on a block of about 12 x 8 logits, so its
+cost is mostly the fixed cost of each numpy call, and the code keeps
+their number low: BI appends the mean row to the logit rows and takes
+all P + 1 log-sum-exps in one max/exp pass. Exponentials stay ``np.exp``
+and logarithms ``math.log``: ``math.exp`` and ``np.log`` differ from them
+in the last bit on some inputs, which would change the scores.
 """
 
 from __future__ import annotations

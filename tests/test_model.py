@@ -313,7 +313,8 @@ class TestParameterVector:
         assert params.values is values
 
     def test_size_check_sums_every_layout_entry(self):
-        layout = (((2, 3), 0), ((3,), 6), ((3, 1), 9), ((1,), 12))
+        # The last entry (bias at 9) does not end the array (weight at 10..12).
+        layout = (((2, 3), 0), ((3,), 6), ((3, 1), 10), ((1,), 9))
         assert len(ParameterVector(np.zeros(13), layout)) == 13
         for size in (12, 14, 7):
             with pytest.raises(ValueError, match="layout expects 13"):

@@ -26,6 +26,7 @@ from fedreplay.uncertainty import (
     ratio_confidence,
     score_sample,
     softmax_rows,
+    stable_lse,
 )
 
 # --- oracles: the per-row loops --------------------------------------------
@@ -334,3 +335,17 @@ def test_bregman_information_rows_one_ulp_apart(p, c, scale, toward, seed):
     i, j = rng.integers(p), rng.integers(c)
     z[i, j] = np.nextafter(z[i, j], toward)
     assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))
+
+
+def test_log_sum_exp_rounds_with_math_log():
+    """Rows whose exp-sums are inputs where np.log and math.log round apart."""
+    a = -np.random.default_rng(0).uniform(0.0, 5.0, size=20_000)
+    sums = 1.0 + np.exp(a)  # the exp-sum of the row [0, a], exact for two terms
+    hard = a[np.log(sums) != np.array([math.log(s) for s in sums.tolist()])]
+    if not hard.size:
+        pytest.skip("np.log and math.log agree on every sampled input here")
+    for ai in hard[:50].tolist():
+        row = np.array([0.0, ai])
+        assert _bytes(stable_lse(row)) == _bytes(_oracle_stable_lse(row))
+        z = np.array([[0.0, ai], [ai, 0.0], [0.5 * ai, 0.0]])
+        assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))

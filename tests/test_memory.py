@@ -156,6 +156,74 @@ class TestBruteForceOracle:
             self._run("top_k", seed + 100)
 
 
+class _RandomReference:
+    """The two random policies on plain lists of ``(label, arrival)`` pairs.
+
+    Draws in the buffer's order: ``random`` chooses over the stored rows in
+    class order followed by the new rows in class order; class-balanced
+    random chooses for the touched classes first, then for the untouched
+    classes over quota, each in ascending class order.
+    """
+
+    def __init__(self, capacity, policy, seed):
+        self.capacity = capacity
+        self.policy = policy
+        self.rng = np.random.default_rng(seed)
+        self.per_class = {}
+        self.seen = set()
+        self.arrival = 0
+
+    def rows(self):
+        return [s for c in sorted(self.per_class) for s in self.per_class[c]]
+
+    def _keep(self, candidates, quota):
+        if len(candidates) <= quota:
+            return candidates
+        idx = self.rng.choice(len(candidates), size=quota, replace=False)
+        return sorted((candidates[i] for i in idx), key=lambda s: s[1])
+
+    def offer(self, labels):
+        incoming = {}
+        for label in labels:
+            incoming.setdefault(int(label), []).append((int(label), self.arrival))
+            self.arrival += 1
+        self.seen.update(incoming)
+        if self.capacity == 0:
+            return
+        if self.policy == "random":
+            pool = self._keep(self.rows() + [s for c in sorted(incoming) for s in incoming[c]], self.capacity)
+            self.per_class = {}
+            for s in pool:
+                self.per_class.setdefault(s[0], []).append(s)
+            return
+        quota = class_quota(self.capacity, self.seen)
+        for c in sorted(incoming):
+            self.per_class[c] = self._keep(self.per_class.get(c, []) + incoming[c], quota[c])
+        for c in sorted(self.per_class):
+            if c not in incoming:
+                self.per_class[c] = self._keep(self.per_class[c], quota[c])
+        self.per_class = {c: v for c, v in self.per_class.items() if v}
+
+
+class TestRandomPoliciesOracle:
+    """Seeded offer streams; the buffer's rows and draws must match the list reference."""
+
+    @pytest.mark.parametrize("policy", ["random", "class_balanced_random"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_match_reference(self, policy, seed):
+        rng = np.random.default_rng(500 + seed)
+        capacity = int(rng.integers(0, 25))
+        buf = MemoryBuffer(capacity, policy, rng=np.random.default_rng(seed))
+        ref = _RandomReference(capacity, policy, seed)
+        for _ in range(150):
+            # new classes keep appearing, so quotas shrink and untouched classes get trimmed
+            labels = rng.integers(0, int(rng.integers(1, 9)), size=int(rng.integers(1, 7)))
+            update_memory(buf, _batch(labels, task_id=int(rng.integers(1, 4))), np.zeros(labels.size))
+            ref.offer(labels)
+            assert [(s.label, s.arrival) for s in buf.samples()] == ref.rows()
+        assert buf.rng.random() == ref.rng.random()
+
+
 class TestSampleReplay:
     def _filled(self, tasks, per_task=5):
         buf = MemoryBuffer(1000, "bottom_k")

@@ -1,6 +1,10 @@
 """Fixed-capacity replay buffer with class-balanced, score-driven admission.
 
-Admission merges the stored samples of each incoming class with the new
+The buffer holds its samples as parallel arrays, one row per sample:
+``features`` (n, d), ``labels``, ``task_ids``, ``scores`` and ``arrivals``
+(the consecutive offer index), rows ordered by class and then by arrival.
+
+Admission merges the stored rows of each incoming class with the new
 candidates and keeps the per-class quota with the lowest scores (bottom-k),
 the highest scores (top-k), or a uniform subset (class-balanced random).
 The plain random policy ignores classes and keeps a uniform subset of the
@@ -8,41 +12,28 @@ whole buffer under the global capacity. Ties on equal scores are broken by
 earlier arrival; quotas are recomputed whenever new classes appear and
 classes over quota are trimmed by the same criterion.
 
-Replay draws uniformly without replacement from everything stored for past
-tasks; samples of the current task are never eligible.
+Replay draws row indices uniformly without replacement from the rows of
+past tasks; rows of the current task are never eligible.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 POLICIES = ("bottom_k", "top_k", "random", "class_balanced_random")
 
 
-@dataclass
-class StoredSample:
-    """One buffered example with its admission-time uncertainty score.
-
-    ``arrival`` is the global offer index used to break score ties
-    deterministically (earlier arrival wins).
-    """
+class StoredRow(NamedTuple):
+    """One stored sample, as ``MemoryBuffer.samples`` lists it."""
 
     features: np.ndarray
     label: int
     task_id: int
     score: float
-    arrival: int = 0
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.score = float(self.score)
-        if not np.isfinite(self.score):
-            raise ValueError("sample score must be finite")
-        if self.label < 0:
-            raise ValueError("label must be >= 0")
+    arrival: int
 
 
 def class_quota(capacity: int, classes_seen) -> dict[int, int]:
@@ -59,7 +50,7 @@ def class_quota(capacity: int, classes_seen) -> dict[int, int]:
 
 
 class MemoryBuffer:
-    """Per-class partitioned store of at most ``capacity`` samples."""
+    """At most ``capacity`` samples as parallel arrays, ordered by class then arrival."""
 
     def __init__(self, capacity: int, policy: str, rng: np.random.Generator | None = None):
         if capacity < 0:
@@ -71,33 +62,35 @@ class MemoryBuffer:
         self.capacity = capacity
         self.policy = policy
         self.rng = rng
-        self.per_class: dict[int, list[StoredSample]] = {}
+        self.features = np.empty((0, 0))
+        self.labels = np.empty(0, dtype=np.int64)
+        self.task_ids = np.empty(0, dtype=np.int64)
+        self.scores = np.empty(0)
+        self.arrivals = np.empty(0, dtype=np.int64)
         self.classes_seen: set[int] = set()
         self._next_arrival = 0
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.per_class.values())
+        return self.labels.size
 
-    def samples(self) -> list[StoredSample]:
-        """All stored samples, classes in ascending id order."""
-        return [s for c in sorted(self.per_class) for s in self.per_class[c]]
+    def samples(self) -> list[StoredRow]:
+        """All stored rows in buffer order."""
+        columns = (self.labels.tolist(), self.task_ids.tolist(), self.scores.tolist(), self.arrivals.tolist())
+        return [StoredRow(x, *rest) for x, *rest in zip(self.features, *columns)]
 
-    def class_counts(self) -> dict[int, int]:
-        return {c: len(v) for c, v in self.per_class.items() if v}
-
-    def _keep(self, candidates: list[StoredSample], quota: int) -> list[StoredSample]:
+    def _keep(self, idx: np.ndarray, pool: dict, quota: int) -> np.ndarray:
+        """The ``quota`` rows of ``idx`` (one class, ascending arrival) the policy retains, in order."""
+        if len(idx) <= quota:
+            return idx
         if quota <= 0:
-            return []
-        if len(candidates) <= quota:
-            return list(candidates)
+            return idx[:0]
         if self.policy == "bottom_k":
-            chosen = sorted(candidates, key=lambda s: (s.score, s.arrival))[:quota]
+            chosen = idx[np.lexsort((pool["arrivals"][idx], pool["scores"][idx]))[:quota]]
         elif self.policy == "top_k":
-            chosen = sorted(candidates, key=lambda s: (-s.score, s.arrival))[:quota]
+            chosen = idx[np.lexsort((pool["arrivals"][idx], -pool["scores"][idx]))[:quota]]
         else:
-            idx = self.rng.choice(len(candidates), size=quota, replace=False)
-            chosen = [candidates[i] for i in idx]
-        return sorted(chosen, key=lambda s: s.arrival)
+            chosen = idx[self.rng.choice(len(idx), size=quota, replace=False)]
+        return np.sort(chosen)
 
 
 def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
@@ -105,72 +98,71 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
 
     ``scores`` must align with ``batch`` samples and come from the metric
     configured for the experiment, evaluated on the current model. When
-    ``rescore`` is given it is called with the stored samples of each
-    touched class and must return fresh scores for them, so retention
-    compares the whole merged candidate set under the current model;
-    without it stored samples keep their admission-time scores.
+    ``rescore`` is given it is called with the stored (k, d) feature rows
+    of each touched class, in arrival order, and must return k fresh finite
+    scores for them, so retention compares the whole merged candidate set
+    under the current model; without it stored samples keep their
+    admission-time scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(batch.labels)
-    feats = np.asarray(batch.features, dtype=np.float64)
+    labels = np.asarray(batch.labels, dtype=np.int64)
     if scores.shape != labels.shape:
         raise ValueError("scores must align one-to-one with the batch samples")
+    if not np.isfinite(scores).all():
+        raise ValueError("sample score must be finite")
+    if labels.size and labels.min() < 0:
+        raise ValueError("label must be >= 0")
 
-    incoming: dict[int, list[StoredSample]] = {}
-    for i in range(labels.size):
-        s = StoredSample(
-            features=feats[i],
-            label=int(labels[i]),
-            task_id=batch.task_id,
-            score=float(scores[i]),
-            arrival=buffer._next_arrival,
-        )
-        buffer._next_arrival += 1
-        incoming.setdefault(s.label, []).append(s)
-
+    incoming = sorted(set(labels.tolist()))
     buffer.classes_seen.update(incoming)
+    first = buffer._next_arrival
+    buffer._next_arrival += labels.size
     if buffer.capacity == 0:
         return
 
+    # new rows join after the stored ones, grouped by class in arrival order
+    order = np.argsort(labels, kind="stable")
+    new = {
+        "features": np.asarray(batch.features, dtype=np.float64)[order],
+        "labels": labels[order],
+        "task_ids": np.full(labels.size, batch.task_id, dtype=np.int64),
+        "scores": scores[order],
+        "arrivals": first + order,
+    }
+    pool = {name: np.concatenate([getattr(buffer, name), rows]) for name, rows in new.items()} if len(buffer) else new
     if buffer.policy == "random":
-        pool = buffer.samples() + [s for c in sorted(incoming) for s in incoming[c]]
-        if len(pool) > buffer.capacity:
-            idx = buffer.rng.choice(len(pool), size=buffer.capacity, replace=False)
-            pool = sorted((pool[i] for i in idx), key=lambda s: s.arrival)
-        buffer.per_class = {}
-        for s in pool:
-            buffer.per_class.setdefault(s.label, []).append(s)
-        return
-
-    quota = class_quota(buffer.capacity, buffer.classes_seen)
-    for c in sorted(incoming):
-        stored = buffer.per_class.get(c, [])
-        if rescore is not None and stored:
-            fresh = np.asarray(rescore(stored), dtype=np.float64)
-            if fresh.shape != (len(stored),):
-                raise ValueError("rescore must return one score per stored sample")
-            for s, f in zip(stored, fresh):
-                s.score = float(f)
-        buffer.per_class[c] = buffer._keep(stored + incoming[c], quota[c])
-    # new classes can only shrink quotas, so trim the untouched ones too
-    for c in sorted(buffer.per_class):
-        if c not in incoming and len(buffer.per_class[c]) > quota[c]:
-            buffer.per_class[c] = buffer._keep(buffer.per_class[c], quota[c])
-    for c in [c for c, v in buffer.per_class.items() if not v]:
-        del buffer.per_class[c]
+        keep = [buffer._keep(np.arange(pool["labels"].size), pool, buffer.capacity)]
+    else:
+        quota = class_quota(buffer.capacity, buffer.classes_seen)
+        keep = []
+        for c in incoming:
+            idx = np.flatnonzero(pool["labels"] == c)
+            stored = idx[idx < len(buffer)]
+            if rescore is not None and stored.size:
+                fresh = np.asarray(rescore(pool["features"][stored]), dtype=np.float64)
+                if fresh.shape != stored.shape:
+                    raise ValueError("rescore must return one score per stored sample")
+                if not np.isfinite(fresh).all():
+                    raise ValueError("rescored sample scores must be finite")
+                pool["scores"][stored] = fresh
+            keep.append(buffer._keep(idx, pool, quota[c]))
+        # new classes can only shrink quotas, so trim the untouched ones too
+        for c in sorted(set(buffer.labels.tolist()) - set(incoming)):
+            keep.append(buffer._keep(np.flatnonzero(pool["labels"] == c), pool, quota[c]))
+    keep = np.concatenate(keep)
+    keep = keep[np.lexsort((pool["arrivals"][keep], pool["labels"][keep]))]
+    for name, rows in pool.items():
+        setattr(buffer, name, rows[keep])
 
 
-def sample_replay(
-    buffer: MemoryBuffer, replay_size: int, current_task: int, rng: np.random.Generator
-) -> list[StoredSample]:
-    """Uniform draw without replacement from samples of past tasks only."""
+def sample_replay(buffer: MemoryBuffer, replay_size: int, current_task: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices of a uniform draw without replacement from the rows of past tasks."""
     if replay_size < 1:
         raise ValueError("replay_size must be >= 1")
-    eligible = [s for s in buffer.samples() if s.task_id != current_task]
+    eligible = np.flatnonzero(buffer.task_ids != current_task)
     if len(eligible) <= replay_size:
         return eligible
-    idx = rng.choice(len(eligible), size=replay_size, replace=False)
-    return [eligible[i] for i in idx]
+    return eligible[rng.choice(len(eligible), size=replay_size, replace=False)]
 
 
 def dump_csv(buffer: MemoryBuffer, path) -> None:
@@ -179,6 +171,4 @@ def dump_csv(buffer: MemoryBuffer, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["class_id", "task_id", "score", "features"])
         for s in buffer.samples():
-            writer.writerow(
-                [s.label, s.task_id, repr(s.score), " ".join(repr(float(v)) for v in s.features)]
-            )
+            writer.writerow([s.label, s.task_id, repr(s.score), " ".join(repr(v) for v in s.features.tolist())])

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +55,7 @@ from .model import (
     loss_and_grad,
     optimizer_step,
 )
-from .stream import ClientStream, LabeledExample, MiniBatch, partition_to_clients
+from .stream import ClientStream, MiniBatch, partition_to_clients
 from .stream import assign_classes_to_tasks, load_vector_dataset, synth_gaussian_blobs
 from .uncertainty import NonFiniteLogits, PerturbationSpec, score_sample
 
@@ -90,7 +89,7 @@ class _ClientWorker:
         self.observed: set[int] = set()
 
     def _scores(self, rows) -> np.ndarray:
-        """Uncertainty of each feature vector in ``rows``, in order, under the current model."""
+        """Uncertainty of each row of ``rows`` (n, d), in order, under the current model."""
         return np.array(
             [score_sample(self.params, self.model_config, x, self.pert_spec, self.cfg.uncertainty_metric) for x in rows]
         )
@@ -116,11 +115,11 @@ class _ClientWorker:
     def _train_and_offer(self, batch: MiniBatch, first_task: bool) -> None:
         train_batch = batch
         if not first_task and self.buffer is not None:
-            replay = sample_replay(self.buffer, self.cfg.batch_size, batch.task_id, self.replay_rng) if len(self.buffer) else []
-            if replay:
+            replay = sample_replay(self.buffer, self.cfg.batch_size, batch.task_id, self.replay_rng)
+            if len(replay):
                 train_batch = MiniBatch(
-                    features=np.vstack([batch.features, np.stack([s.features for s in replay])]),
-                    labels=np.concatenate([batch.labels, np.array([s.label for s in replay])]),
+                    features=np.vstack([batch.features, self.buffer.features[replay]]),
+                    labels=np.concatenate([batch.labels, self.buffer.labels[replay]]),
                     task_id=batch.task_id,
                 )
 
@@ -136,9 +135,7 @@ class _ClientWorker:
 
         if self.buffer is not None and self.buffer.capacity > 0:
             if self.cfg.memory_policy in ("bottom_k", "top_k"):
-                scores = self._scores(batch.features)
-                rescore = lambda stored: self._scores(s.features for s in stored)
-                update_memory(self.buffer, batch, scores, rescore=rescore)
+                update_memory(self.buffer, batch, self._scores(batch.features), rescore=self._scores)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
 
@@ -150,9 +147,10 @@ class _ClientWorker:
 
 
 def _build_dataset(config: ExperimentConfig):
+    """``(features, labels, num_classes)``, labels remapped to 0..num_classes-1 by ascending original id."""
     if config.data_source == "synthetic":
         sizes = list(config.class_sizes) if config.class_sizes else config.samples_per_class
-        examples = synth_gaussian_blobs(
+        features, labels = synth_gaussian_blobs(
             config.classes,
             sizes,
             config.dim,
@@ -161,32 +159,23 @@ def _build_dataset(config: ExperimentConfig):
             seeds.substream(config.seed, seeds.DATA),
         )
     else:
-        examples = load_vector_dataset(config.data_path, config.data_format)
-        if not examples:
+        features, labels = load_vector_dataset(config.data_path, config.data_format)
+        if not labels.size:
             raise RuntimeError(f"dataset {config.data_path} is empty")
-    class_ids = sorted({e.label for e in examples})
+    class_ids, labels = np.unique(labels, return_inverse=True)
     if len(class_ids) < 2:
         raise RuntimeError("dataset must contain at least two classes")
-    # model logits index classes contiguously, ascending by original id
-    remap = {c: i for i, c in enumerate(class_ids)}
-    if any(remap[c] != c for c in class_ids):
-        examples = [LabeledExample(e.features, remap[e.label]) for e in examples]
-    return examples, len(class_ids), examples[0].features.size
+    return features, labels, len(class_ids)
 
 
-def _split_task(examples, test_split, rng):
-    n = len(examples)
+def _split_task(indices, test_split, rng):
+    """``(train, test)`` index arrays: a seeded permutation, the test share first."""
+    n = len(indices)
     if n < 2:
         raise RuntimeError("each task needs at least two examples for a train/test split")
     perm = rng.permutation(n)
     n_test = max(1, min(int(round(test_split * n)), n - 1))
-    test = [examples[i] for i in perm[:n_test]]
-    train = [examples[i] for i in perm[n_test:]]
-    return train, test
-
-
-def _as_arrays(examples):
-    return np.stack([e.features for e in examples]), np.array([e.label for e in examples])
+    return indices[perm[n_test:]], indices[perm[:n_test]]
 
 
 def _checksum(params) -> str:
@@ -211,41 +200,35 @@ def _run_experiment(config: ExperimentConfig):
     config.validate()
     seed = config.seed
 
-    examples, num_classes, input_dim = _build_dataset(config)
-    counts = Counter(e.label for e in examples)
+    features, labels, num_classes = _build_dataset(config)
+    class_sizes = dict(enumerate(np.bincount(labels).tolist()))
     tasks = assign_classes_to_tasks(
-        dict(counts), config.tasks, config.task_assignment, seeds.substream(seed, seeds.TASK_ASSIGNMENT)
+        class_sizes, config.tasks, config.task_assignment, seeds.substream(seed, seeds.TASK_ASSIGNMENT)
     )
 
     test_sets = []
-    train_per_task = []
+    per_client_tasks = [[] for _ in range(config.clients)]
     for spec in tasks:
-        task_examples = [e for e in examples if e.label in spec.classes]
-        train, test = _split_task(task_examples, config.test_split, seeds.substream(seed, seeds.TEST_SPLIT, spec.task_id))
-        train_per_task.append(train)
-        test_sets.append(_as_arrays(test))
+        task_rows = np.flatnonzero(np.isin(labels, list(spec.classes)))
+        train, test = _split_task(task_rows, config.test_split, seeds.substream(seed, seeds.TEST_SPLIT, spec.task_id))
+        test_sets.append((features[test], labels[test]))
+        parts = partition_to_clients(train, config.clients, seeds.substream(seed, seeds.CLIENT_PARTITION, spec.task_id))
+        for k, part in enumerate(parts):
+            if not part.size:
+                raise RuntimeError(f"client {k} has no training examples for task {spec.task_id}")
+            per_client_tasks[k].append((spec.task_id, features[part], labels[part]))
 
     model_config = ModelConfig(
-        input_dim=input_dim,
+        input_dim=features.shape[1],
         hidden_dims=config.hidden_dims,
         num_classes=num_classes,
         init_seed=seeds.derive_seed(seed, seeds.MODEL_INIT),
     )
     theta0 = init_parameters(model_config)
 
-    per_client_tasks = [[] for _ in range(config.clients)]
-    for spec, train in zip(tasks, train_per_task):
-        parts = partition_to_clients(train, config.clients, seeds.substream(seed, seeds.CLIENT_PARTITION, spec.task_id))
-        for k in range(config.clients):
-            if not parts[k]:
-                raise RuntimeError(f"client {k} has no training examples for task {spec.task_id}")
-            per_client_tasks[k].append((spec.task_id, parts[k]))
-
     workers = []
     for k in range(config.clients):
-        order_rngs = [
-            seeds.substream(seed, seeds.BATCH_ORDER, k, task_id) for task_id, _ in per_client_tasks[k]
-        ]
+        order_rngs = [seeds.substream(seed, seeds.BATCH_ORDER, k, spec.task_id) for spec in tasks]
         stream = ClientStream(k, per_client_tasks[k], config.batch_size, order_rngs)
         if config.optimizer == "sgd":
             opt = OptimizerState.sgd(config.learning_rate)

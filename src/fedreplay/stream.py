@@ -1,15 +1,18 @@
 """Class-incremental task streams and dataset plumbing.
 
-A dataset is split into tasks with disjoint class sets, each task's data is
-partitioned disjointly across clients, and every client consumes its share
-as a single-pass sequence of mini-batches. ``next_batch`` returns None at
-every task boundary and at the end of the stream, and ``exhausted`` tells
-the two apart. Each stream counts how often every underlying example was
-yielded so the runner can audit the single-pass contract.
+A dataset is a pair of parallel arrays: ``features`` (n, d) float64 and
+``labels`` (n,) int64. It is split into tasks with disjoint class sets,
+each task's rows are partitioned disjointly across clients as index
+arrays, and every client consumes its share as a single-pass sequence of
+mini-batches. ``next_batch`` returns None at every task boundary and at
+the end of the stream, and ``exhausted`` tells the two apart. Each stream
+counts how often every underlying example was yielded so the runner can
+audit the single-pass contract.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,17 +23,10 @@ ASSIGNMENT_MODES = ("shuffle", "size_descending")
 DATASET_FORMATS = ("csv", "bin")
 
 _BIN_HEADER = struct.Struct("<II")
-_BIN_LABEL = struct.Struct("<I")
 
 
-@dataclass
-class LabeledExample:
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.label = int(self.label)
+def _bin_record(dim: int) -> np.dtype:
+    return np.dtype([("label", "<u4"), ("features", "<f4", (dim,))])
 
 
 @dataclass(frozen=True)
@@ -87,58 +83,42 @@ def assign_classes_to_tasks(class_sizes: dict[int, int], num_tasks: int, mode: s
     return specs
 
 
-def partition_to_clients(examples: list[LabeledExample], num_clients: int, rng) -> list[list[LabeledExample]]:
-    """Seeded shuffle then round-robin split into ``num_clients`` disjoint lists."""
+def partition_to_clients(indices: np.ndarray, num_clients: int, rng) -> list[np.ndarray]:
+    """Seeded shuffle of ``indices``, then a round-robin split into ``num_clients`` disjoint arrays."""
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
-    order = rng.permutation(len(examples))
-    shuffled = [examples[i] for i in order]
+    shuffled = indices[rng.permutation(len(indices))]
     return [shuffled[k::num_clients] for k in range(num_clients)]
 
 
 class ClientStream:
     """Single-pass mini-batch iterator over one client's task sequence.
 
-    Each underlying example is yielded exactly once over the stream's
-    lifetime; ``consumption_counts`` exposes the per-example tally for the
-    single-pass audit.
+    ``per_task`` lists ``(task_id, features, labels)`` per task in stream
+    order. Each underlying example is yielded exactly once over the
+    stream's lifetime; ``consumption_counts`` exposes the per-example tally
+    for the single-pass audit.
     """
 
-    def __init__(
-        self,
-        client_id: int,
-        per_task_examples: list[tuple[int, list[LabeledExample]]],
-        batch_size: int,
-        order_rngs=None,
-    ):
+    def __init__(self, client_id: int, per_task, batch_size: int, order_rngs=None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.client_id = client_id
         self._task_batches: list[list[MiniBatch]] = []
-        self._task_ids: list[int] = []
-        self._counts: list[int] = []
         next_id = 0
-        for t_idx, (task_id, examples) in enumerate(per_task_examples):
-            ids = list(range(next_id, next_id + len(examples)))
-            next_id += len(examples)
-            self._counts.extend([0] * len(examples))
+        for t_idx, (task_id, features, labels) in enumerate(per_task):
+            ids = np.arange(next_id, next_id + len(labels))
+            next_id += len(labels)
             if order_rngs is not None:
-                perm = order_rngs[t_idx].permutation(len(examples))
-                examples = [examples[i] for i in perm]
-                ids = [ids[i] for i in perm]
-            batches = []
-            for start in range(0, len(examples), batch_size):
-                chunk = examples[start : start + batch_size]
-                batches.append(
-                    MiniBatch(
-                        features=np.stack([e.features for e in chunk]),
-                        labels=np.array([e.label for e in chunk]),
-                        task_id=task_id,
-                        example_ids=np.array(ids[start : start + batch_size]),
-                    )
-                )
-            self._task_batches.append(batches)
-            self._task_ids.append(task_id)
+                perm = order_rngs[t_idx].permutation(len(labels))
+                features, labels, ids = features[perm], labels[perm], ids[perm]
+            self._task_batches.append(
+                [
+                    MiniBatch(features[i : i + batch_size], labels[i : i + batch_size], task_id, ids[i : i + batch_size])
+                    for i in range(0, len(labels), batch_size)
+                ]
+            )
+        self._counts = np.zeros(next_id, dtype=np.int64)
         self._task_idx = 0
         self._batch_idx = 0
 
@@ -150,15 +130,14 @@ class ClientStream:
         if self._batch_idx < len(batches):
             batch = batches[self._batch_idx]
             self._batch_idx += 1
-            for eid in batch.example_ids:
-                self._counts[eid] += 1
+            self._counts[batch.example_ids] += 1
             return batch
         self._task_idx += 1
         self._batch_idx = 0
         return None
 
     def consumption_counts(self) -> np.ndarray:
-        return np.array(self._counts)
+        return self._counts.copy()
 
     def exhausted(self) -> bool:
         """True once every task boundary has been passed."""
@@ -172,8 +151,8 @@ def synth_gaussian_blobs(
     class_center_spread: float,
     cluster_sigma: float,
     rng,
-) -> list[LabeledExample]:
-    """Isotropic Gaussian clusters, one per class, centers drawn once."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic Gaussian clusters, one per class, centers drawn once; rows grouped by class."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if num_classes < 1:
@@ -184,19 +163,19 @@ def synth_gaussian_blobs(
     if len(sizes) != num_classes or any(n < 1 for n in sizes):
         raise ValueError("need one positive sample count per class")
     centers = rng.normal(0.0, class_center_spread, size=(num_classes, dim))
-    examples = []
-    for c in range(num_classes):
-        points = centers[c] + rng.normal(0.0, cluster_sigma, size=(sizes[c], dim))
-        examples.extend(LabeledExample(points[i], c) for i in range(sizes[c]))
-    return examples
+    features = np.concatenate(
+        [centers[c] + rng.normal(0.0, cluster_sigma, size=(sizes[c], dim)) for c in range(num_classes)]
+    )
+    return features, np.repeat(np.arange(num_classes), sizes)
 
 
-def load_vector_dataset(path, fmt: str) -> list[LabeledExample]:
-    """Read labeled feature vectors from ``path``.
+def load_vector_dataset(path, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read labeled feature vectors from ``path`` as ``(features, labels)``.
 
     csv: one example per line, ``label,f1,...,fd``, no header.
     bin: little-endian header (u32 count, u32 dim) then per record a u32
     label followed by dim f32 features.
+    Every feature must be finite; the error names the path and the row.
     """
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown dataset format: {fmt!r}")
@@ -205,9 +184,9 @@ def load_vector_dataset(path, fmt: str) -> list[LabeledExample]:
     return _load_bin(path)
 
 
-def _load_csv(path) -> list[LabeledExample]:
-    examples = []
-    dim = None
+def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    rows = []
+    labels = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -216,59 +195,61 @@ def _load_csv(path) -> list[LabeledExample]:
             fields = line.split(",")
             try:
                 label = int(fields[0])
-                features = np.array([float(f) for f in fields[1:]])
+                features = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row {lineno}: {exc}") from None
-            if features.size == 0:
+            if not features:
                 raise ValueError(f"{path}: row {lineno} has no features")
-            if dim is None:
-                dim = features.size
-            elif features.size != dim:
+            if rows and len(features) != len(rows[0]):
                 raise ValueError(
-                    f"{path}: row {lineno} has {features.size} features, expected {dim}"
+                    f"{path}: row {lineno} has {len(features)} features, expected {len(rows[0])}"
                 )
-            examples.append(LabeledExample(features, label))
-    return examples
+            if not all(map(math.isfinite, features)):
+                raise ValueError(f"{path}: row {lineno} has a non-finite feature")
+            rows.append(features)
+            labels.append(label)
+    if not rows:
+        return np.empty((0, 0)), np.empty(0, dtype=np.int64)
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
-def _load_bin(path) -> list[LabeledExample]:
+def _load_bin(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) == 0:
-        return []
+        return np.empty((0, 0)), np.empty(0, dtype=np.int64)
     if len(data) < _BIN_HEADER.size:
         raise ValueError(f"{path}: truncated header")
     count, dim = _BIN_HEADER.unpack_from(data, 0)
-    record = _BIN_LABEL.size + 4 * dim
+    record = 4 + 4 * dim
     if len(data) != _BIN_HEADER.size + count * record:
         raise ValueError(
             f"{path}: expected {count} records of {record} bytes, file size does not match"
         )
-    examples = []
-    offset = _BIN_HEADER.size
-    for i in range(count):
-        (label,) = _BIN_LABEL.unpack_from(data, offset)
-        offset += _BIN_LABEL.size
-        features = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(np.float64)
-        offset += 4 * dim
-        examples.append(LabeledExample(features, label))
-    return examples
+    records = np.frombuffer(data, dtype=_bin_record(dim), count=count, offset=_BIN_HEADER.size)
+    features = records["features"].astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 1} has a non-finite feature")
+    return features, records["label"].astype(np.int64)
 
 
-def save_vector_dataset(path, examples: list[LabeledExample], fmt: str) -> None:
-    """Write examples in one of the formats read by ``load_vector_dataset``."""
+def save_vector_dataset(path, features, labels, fmt: str) -> None:
+    """Write ``(features, labels)`` in one of the formats read by ``load_vector_dataset``."""
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown dataset format: {fmt!r}")
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     if fmt == "csv":
         with open(path, "w") as fh:
-            for e in examples:
-                fh.write(",".join([str(e.label)] + [repr(float(v)) for v in e.features]) + "\n")
+            for label, row in zip(labels.tolist(), features.tolist()):
+                fh.write(",".join([str(label)] + [repr(v) for v in row]) + "\n")
         return
-    dim = examples[0].features.size if examples else 0
+    if labels.size and labels.min() < 0:
+        raise ValueError("bin labels must be >= 0")
+    records = np.empty(labels.size, dtype=_bin_record(features.shape[1]))
+    records["label"] = labels
+    records["features"] = features
     with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(len(examples), dim))
-        for e in examples:
-            if e.features.size != dim:
-                raise ValueError("all examples must share one feature length")
-            fh.write(_BIN_LABEL.pack(e.label))
-            fh.write(e.features.astype("<f4").tobytes())
+        fh.write(_BIN_HEADER.pack(labels.size, features.shape[1]))
+        fh.write(records.tobytes())

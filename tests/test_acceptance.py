@@ -249,7 +249,7 @@ def test_criterion_4_memory_invariants():
             capacity_ok = capacity_ok and len(buffer) <= capacity
             quota = class_quota(capacity, set(history))
             saturated = [
-                len(buffer.per_class.get(c, []))
+                int(np.count_nonzero(buffer.labels == c))
                 for c in history
                 if offered_per_class[c] >= quota[c]
             ]
@@ -258,13 +258,14 @@ def test_criterion_4_memory_invariants():
             if step % 7 == 0 and len(buffer):
                 current = int(rng.integers(1, 5))
                 replay = sample_replay(buffer, 10, current_task=current, rng=rng)
-                exclusion_ok = exclusion_ok and all(s.task_id != current for s in replay)
-                eligible = sum(1 for s in buffer.samples() if s.task_id != current)
+                exclusion_ok = exclusion_ok and bool(np.all(buffer.task_ids[replay] != current))
+                exclusion_ok = exclusion_ok and len(set(replay.tolist())) == len(replay)
+                eligible = int(np.count_nonzero(buffer.task_ids != current))
                 exclusion_ok = exclusion_ok and len(replay) == min(10, eligible)
             if step % 2000 == 1999:
                 expected = _oracle_content(history, capacity, policy)
                 got = {
-                    c: sorted((s.score, s.arrival) for s in buffer.per_class.get(c, []))
+                    c: sorted(zip(buffer.scores[buffer.labels == c].tolist(), buffer.arrivals[buffer.labels == c].tolist()))
                     for c in history
                 }
                 oracle_ok = oracle_ok and all(got[c] == expected[c] for c in history)
@@ -281,8 +282,7 @@ def test_criterion_4_memory_invariants():
     trials = 10_000
     hits = np.zeros(100)
     for _ in range(trials):
-        for s in sample_replay(buffer, 10, current_task=2, rng=rng):
-            hits[s.arrival] += 1
+        np.add.at(hits, buffer.arrivals[sample_replay(buffer, 10, current_task=2, rng=rng)], 1)
     se = math.sqrt(0.1 * 0.9 / trials)
     uniform_ok = bool(np.all(np.abs(hits / trials - 0.1) <= 3 * se))
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedreplay.memory import (
     MemoryBuffer,
-    StoredSample,
     class_quota,
     dump_csv,
     sample_replay,
@@ -23,7 +22,13 @@ def _batch(labels, task_id=1, dim=2):
 
 
 def _scores(buffer, label):
-    return sorted(s.score for s in buffer.per_class.get(label, []))
+    return sorted(buffer.scores[buffer.labels == label].tolist())
+
+
+def _class_rows(buffer, label):
+    """Sorted ``(score, arrival)`` pairs of the stored rows of one class."""
+    mask = buffer.labels == label
+    return sorted(zip(buffer.scores[mask].tolist(), buffer.arrivals[mask].tolist()))
 
 
 class TestClassQuota:
@@ -70,8 +75,8 @@ class TestUpdateMemory:
     def test_tie_break_earlier_arrival(self):
         buf = MemoryBuffer(1, "bottom_k")
         update_memory(buf, _batch([0, 0]), [0.5, 0.5])
-        (kept,) = buf.per_class[0]
-        assert kept.arrival == 0
+        assert buf.labels.tolist() == [0]
+        assert buf.arrivals.tolist() == [0]
 
     def test_misaligned_scores_rejected(self):
         buf = MemoryBuffer(4, "bottom_k")
@@ -81,7 +86,7 @@ class TestUpdateMemory:
     def test_new_class_shrinks_quota_and_trims(self):
         buf = MemoryBuffer(4, "bottom_k")
         update_memory(buf, _batch([0, 0, 0, 0]), [0.1, 0.2, 0.3, 0.4])
-        assert len(buf.per_class[0]) == 4
+        assert buf.labels.tolist() == [0, 0, 0, 0]
         update_memory(buf, _batch([1, 1]), [0.5, 0.6])
         # quotas are now {0: 2, 1: 2}; class 0 trimmed to its two lowest scores
         assert _scores(buf, 0) == [0.1, 0.2]
@@ -94,6 +99,34 @@ class TestUpdateMemory:
         # fresh model ranks the stored samples the other way around
         update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.9, 0.05])
         assert _scores(buf, 0) == [0.05, 0.15]
+
+    def test_rescore_receives_stored_rows_in_arrival_order(self):
+        buf = MemoryBuffer(4, "bottom_k")
+        update_memory(buf, _batch([1, 0, 1]), [0.3, 0.1, 0.2])
+        seen = []
+        update_memory(buf, _batch([1]), [0.5], rescore=lambda stored: seen.append(stored.copy()) or [0.4, 0.6])
+        # class 1 holds arrivals 0 and 2, whose features are rows 0 and 2 of the first batch
+        (stored,) = seen
+        assert np.array_equal(stored, _batch([1, 0, 1]).features[[0, 2]])
+        # the fresh scores belong to those rows in that order: 0.4 to arrival 0, 0.6 to arrival 2
+        assert _class_rows(buf, 1) == [(0.4, 0), (0.5, 3)]
+
+    def test_non_finite_rescore_rejected(self):
+        buf = MemoryBuffer(2, "bottom_k")
+        update_memory(buf, _batch([0, 0]), [0.1, 0.2])
+        with pytest.raises(ValueError, match="rescored sample scores must be finite"):
+            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [float("nan"), 0.05])
+        with pytest.raises(ValueError, match="rescored sample scores must be finite"):
+            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.3, float("-inf")])
+        assert _class_rows(buf, 0) == [(0.1, 0), (0.2, 1)]
+
+    def test_non_finite_score_and_negative_label_rejected(self):
+        buf = MemoryBuffer(4, "bottom_k")
+        with pytest.raises(ValueError, match="score must be finite"):
+            update_memory(buf, _batch([0, 1]), [0.1, float("nan")])
+        with pytest.raises(ValueError, match="label must be >= 0"):
+            update_memory(buf, _batch([-1]), [0.0])
+        assert len(buf) == 0
 
     def test_zero_capacity_stores_nothing(self):
         buf = MemoryBuffer(0, "bottom_k")
@@ -112,7 +145,7 @@ class TestUpdateMemory:
         buf = MemoryBuffer(9, "class_balanced_random", rng=np.random.default_rng(0))
         for step in range(30):
             update_memory(buf, _batch([0, 1, 2]), [0.0, 0.0, 0.0])
-            counts = list(buf.class_counts().values())
+            counts = np.unique(buf.labels, return_counts=True)[1]
             assert max(counts) - min(counts) <= 1
         assert len(buf) == 9
 
@@ -144,8 +177,7 @@ class TestBruteForceOracle:
                 expected = sorted(offered)[: quota[c]]
             else:
                 expected = sorted(offered, key=lambda t: (-t[0], t[1]))[: quota[c]]
-            got = sorted((s.score, s.arrival) for s in buf.per_class.get(c, []))
-            assert got == sorted(expected), f"class {c} mismatch under {policy}"
+            assert _class_rows(buf, c) == sorted(expected), f"class {c} mismatch under {policy}"
 
     def test_bottom_k(self):
         for seed in range(5):
@@ -234,7 +266,7 @@ class TestSampleReplay:
 
     def test_only_current_task_gives_empty(self):
         buf = self._filled([2])
-        assert sample_replay(buf, 3, current_task=2, rng=np.random.default_rng(0)) == []
+        assert sample_replay(buf, 3, current_task=2, rng=np.random.default_rng(0)).size == 0
 
     def test_exhaustion_returns_all(self):
         buf = self._filled([1], per_task=3)
@@ -247,7 +279,8 @@ class TestSampleReplay:
         for _ in range(50):
             out = sample_replay(buf, 4, current_task=2, rng=rng)
             assert len(out) == 4
-            assert all(s.task_id != 2 for s in out)
+            assert len(set(out.tolist())) == 4
+            assert np.all(buf.task_ids[out] != 2)
 
     def test_replay_size_validated(self):
         buf = self._filled([1])
@@ -268,8 +301,7 @@ class TestSampleReplay:
         trials = 10_000
         hits = np.zeros(100)
         for _ in range(trials):
-            for s in sample_replay(buf, 10, current_task=9, rng=rng):
-                hits[s.arrival] += 1
+            np.add.at(hits, buf.arrivals[sample_replay(buf, 10, current_task=9, rng=rng)], 1)
         freq = hits / trials
         se = np.sqrt(0.1 * 0.9 / trials)
         assert np.all(np.abs(freq - 0.1) <= 3 * se)
@@ -279,7 +311,8 @@ class TestSampleReplay:
         buf_b = self._filled([1, 2])
         out_a = sample_replay(buf_a, 3, current_task=3, rng=np.random.default_rng(5))
         out_b = sample_replay(buf_b, 3, current_task=3, rng=np.random.default_rng(5))
-        assert [(s.score, s.arrival) for s in out_a] == [(s.score, s.arrival) for s in out_b]
+        assert buf_a.scores[out_a].tolist() == buf_b.scores[out_b].tolist()
+        assert buf_a.arrivals[out_a].tolist() == buf_b.arrivals[out_b].tolist()
 
 
 def test_class_balanced_random_deterministic_given_seed():
@@ -290,17 +323,8 @@ def test_class_balanced_random_deterministic_given_seed():
         return buf
 
     a, b = build(), build()
-    keys_a = [(s.label, s.arrival) for s in a.samples()]
-    keys_b = [(s.label, s.arrival) for s in b.samples()]
-    assert keys_a == keys_b
-
-
-class TestStoredSample:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            StoredSample(np.zeros(2), label=-1, task_id=1, score=0.0)
-        with pytest.raises(ValueError):
-            StoredSample(np.zeros(2), label=0, task_id=1, score=float("nan"))
+    assert a.labels.tolist() == b.labels.tolist()
+    assert a.arrivals.tolist() == b.arrivals.tolist()
 
 
 def test_dump_csv_roundtrips_fields(tmp_path):

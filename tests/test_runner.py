@@ -141,15 +141,12 @@ class TestRunExperiment:
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
     def test_file_dataset_source(self, tmp_path):
-        from fedreplay.stream import LabeledExample, save_vector_dataset
+        from fedreplay.stream import save_vector_dataset
 
         rng = np.random.default_rng(0)
-        examples = []
-        for label in range(4):
-            for _ in range(20):
-                examples.append(LabeledExample(rng.normal(size=3) + 5 * label, label))
+        labels = np.repeat(np.arange(4), 20)
         path = tmp_path / "data.csv"
-        save_vector_dataset(path, examples, "csv")
+        save_vector_dataset(path, rng.normal(size=(80, 3)) + 5 * labels[:, None], labels, "csv")
         config = _small_config()
         config.data_source = "file"
         config.data_path = str(path)
@@ -158,15 +155,12 @@ class TestRunExperiment:
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
     def test_file_dataset_noncontiguous_labels_remapped(self, tmp_path):
-        from fedreplay.stream import LabeledExample, save_vector_dataset
+        from fedreplay.stream import save_vector_dataset
 
         rng = np.random.default_rng(1)
-        examples = []
-        for label in (10, 25, 40, 55):
-            for _ in range(20):
-                examples.append(LabeledExample(rng.normal(size=3) + label, label))
+        labels = np.repeat([10, 25, 40, 55], 20)
         path = tmp_path / "data.bin"
-        save_vector_dataset(path, examples, "bin")
+        save_vector_dataset(path, rng.normal(size=(80, 3)) + labels[:, None], labels, "bin")
         config = _small_config()
         config.data_source = "file"
         config.data_path = str(path)
@@ -310,6 +304,21 @@ class TestCli:
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: client 5 has no training examples for task 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_dataset_feature_exit_code(self, tmp_path, capsys, fmt):
+        from fedreplay.stream import save_vector_dataset
+
+        features = np.random.default_rng(0).normal(size=(40, 4))
+        features[7, 2] = np.nan
+        data = tmp_path / f"data.{fmt}"
+        save_vector_dataset(data, features, np.repeat(np.arange(4), 10), fmt)
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = {fmt}")
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {data}: row 8 has a non-finite feature\n"
         assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):

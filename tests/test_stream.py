@@ -5,7 +5,6 @@ import pytest
 
 from fedreplay.stream import (
     ClientStream,
-    LabeledExample,
     assign_classes_to_tasks,
     load_vector_dataset,
     partition_to_clients,
@@ -14,8 +13,9 @@ from fedreplay.stream import (
 )
 
 
-def _examples(n, dim=3, label=0):
-    return [LabeledExample(np.full(dim, float(i)), label) for i in range(n)]
+def _task(task_id, n, dim=3, label=0):
+    """``(task_id, features, labels)`` with row i filled with float(i)."""
+    return task_id, np.repeat(np.arange(n, dtype=float)[:, None], dim, axis=1), np.full(n, label)
 
 
 class TestAssignClassesToTasks:
@@ -55,26 +55,25 @@ class TestAssignClassesToTasks:
 
 class TestPartitionToClients:
     def test_even_split(self):
-        parts = partition_to_clients(_examples(10), 5, np.random.default_rng(0))
+        parts = partition_to_clients(np.arange(10), 5, np.random.default_rng(0))
         assert [len(p) for p in parts] == [2, 2, 2, 2, 2]
 
     def test_round_robin_remainder(self):
-        parts = partition_to_clients(_examples(11), 5, np.random.default_rng(0))
+        parts = partition_to_clients(np.arange(11), 5, np.random.default_rng(0))
         assert sorted((len(p) for p in parts), reverse=True) == [3, 2, 2, 2, 2]
         assert len(parts[0]) == 3
 
     def test_multiset_partition(self):
-        examples = _examples(23)
-        parts = partition_to_clients(examples, 4, np.random.default_rng(1))
-        seen = sorted(float(e.features[0]) for p in parts for e in p)
-        assert seen == sorted(float(e.features[0]) for e in examples)
-        ids = [id(e) for p in parts for e in p]
-        assert len(set(ids)) == len(ids)
+        indices = np.arange(100, 123)
+        parts = partition_to_clients(indices, 4, np.random.default_rng(1))
+        seen = [int(i) for p in parts for i in p]
+        assert sorted(seen) == indices.tolist()
+        assert len(set(seen)) == len(seen)
 
 
 class TestClientStream:
     def test_batch_sizes_and_boundaries(self):
-        stream = ClientStream(0, [(1, _examples(25))], batch_size=10)
+        stream = ClientStream(0, [_task(1, 25)], batch_size=10)
         sizes = []
         while (item := stream.next_batch()) is not None:
             sizes.append(len(item))
@@ -85,7 +84,7 @@ class TestClientStream:
 
     def test_bn_counter_semantics(self):
         # the runner's per-task counter bn counts the batches between two None returns
-        stream = ClientStream(0, [(1, _examples(25)), (2, _examples(5))], batch_size=10)
+        stream = ClientStream(0, [_task(1, 25), _task(2, 5)], batch_size=10)
         assert [stream.next_batch().task_id for _ in range(3)] == [1, 1, 1]
         assert stream.next_batch() is None
         assert not stream.exhausted()
@@ -94,21 +93,21 @@ class TestClientStream:
         assert stream.exhausted()
 
     def test_single_pass_counts(self):
-        stream = ClientStream(0, [(1, _examples(17)), (2, _examples(8))], batch_size=5)
+        stream = ClientStream(0, [_task(1, 17), _task(2, 8)], batch_size=5)
+        assert stream.consumption_counts().tolist() == [0] * 25
         while not stream.exhausted():
             stream.next_batch()
-        assert np.all(stream.consumption_counts() == 1)
+        assert stream.consumption_counts().tolist() == [1] * 25
         assert stream.exhausted()
 
     def test_task_batches_carry_task_id(self):
-        stream = ClientStream(0, [(4, _examples(3))], batch_size=2)
+        stream = ClientStream(0, [_task(4, 3)], batch_size=2)
         batch = stream.next_batch()
         assert batch.task_id == 4
 
     def test_shuffle_reproducible(self):
-        examples = _examples(12)
-        a = ClientStream(0, [(1, examples)], 4, order_rngs=[np.random.default_rng(9)])
-        b = ClientStream(0, [(1, examples)], 4, order_rngs=[np.random.default_rng(9)])
+        a = ClientStream(0, [_task(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
+        b = ClientStream(0, [_task(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
         while not a.exhausted():
             ba, bb = a.next_batch(), b.next_batch()
             if ba is None:
@@ -122,12 +121,9 @@ class TestClientStream:
 class TestSynthGaussianBlobs:
     def test_degenerate_cluster_collapses_to_center(self):
         rng = np.random.default_rng(0)
-        examples = synth_gaussian_blobs(3, 10, 4, class_center_spread=2.0, cluster_sigma=0.0, rng=rng)
-        by_class = {}
-        for e in examples:
-            by_class.setdefault(e.label, []).append(e.features)
-        for feats in by_class.values():
-            stacked = np.stack(feats)
+        features, labels = synth_gaussian_blobs(3, 10, 4, class_center_spread=2.0, cluster_sigma=0.0, rng=rng)
+        for c in range(3):
+            stacked = features[labels == c]
             assert np.all(np.abs(stacked - stacked[0]) < 1e-6)
 
     def test_sample_mean_near_center(self):
@@ -136,56 +132,57 @@ class TestSynthGaussianBlobs:
         rng = np.random.default_rng(123)
         centers = rng.normal(0.0, 2.0, size=(2, 6))
         rng2 = np.random.default_rng(123)
-        examples = synth_gaussian_blobs(2, n, 6, class_center_spread=2.0, cluster_sigma=sigma, rng=rng2)
+        features, labels = synth_gaussian_blobs(2, n, 6, class_center_spread=2.0, cluster_sigma=sigma, rng=rng2)
         for c in range(2):
-            feats = np.stack([e.features for e in examples if e.label == c])
+            feats = features[labels == c]
             assert np.all(np.abs(feats.mean(axis=0) - centers[c]) < 4 * sigma / np.sqrt(n))
 
     def test_deterministic(self):
-        a = synth_gaussian_blobs(2, 5, 3, 1.0, 0.5, np.random.default_rng(7))
-        b = synth_gaussian_blobs(2, 5, 3, 1.0, 0.5, np.random.default_rng(7))
-        for ea, eb in zip(a, b):
-            assert ea.label == eb.label and np.array_equal(ea.features, eb.features)
+        fa, la = synth_gaussian_blobs(2, 5, 3, 1.0, 0.5, np.random.default_rng(7))
+        fb, lb = synth_gaussian_blobs(2, 5, 3, 1.0, 0.5, np.random.default_rng(7))
+        assert fa.shape == (10, 3)
+        assert np.array_equal(la, lb) and np.array_equal(fa, fb)
 
     def test_per_class_sizes(self):
-        examples = synth_gaussian_blobs(3, [4, 2, 6], 2, 1.0, 1.0, np.random.default_rng(0))
-        counts = {}
-        for e in examples:
-            counts[e.label] = counts.get(e.label, 0) + 1
-        assert counts == {0: 4, 1: 2, 2: 6}
+        features, labels = synth_gaussian_blobs(3, [4, 2, 6], 2, 1.0, 1.0, np.random.default_rng(0))
+        assert labels.tolist() == [0] * 4 + [1] * 2 + [2] * 6
+        assert features.shape == (12, 2)
 
 
 class TestDatasetIO:
     def test_csv_direct_parse(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,0.5,-0.25\n")
-        (example,) = load_vector_dataset(path, "csv")
-        assert example.label == 1
-        assert np.array_equal(example.features, np.array([0.5, -0.25]))
+        features, labels = load_vector_dataset(path, "csv")
+        assert labels.tolist() == [1]
+        assert np.array_equal(features, np.array([[0.5, -0.25]]))
 
     def test_empty_files(self, tmp_path):
         csv_path = tmp_path / "e.csv"
         csv_path.write_text("")
-        assert load_vector_dataset(csv_path, "csv") == []
         bin_path = tmp_path / "e.bin"
         bin_path.write_bytes(b"")
-        assert load_vector_dataset(bin_path, "bin") == []
+        for path, fmt in ((csv_path, "csv"), (bin_path, "bin")):
+            features, labels = load_vector_dataset(path, fmt)
+            assert features.shape[0] == 0 and labels.size == 0
 
     def test_csv_bin_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        examples = [LabeledExample(rng.normal(size=4), int(rng.integers(0, 3))) for _ in range(20)]
+        features = rng.normal(size=(20, 4))
+        labels = rng.integers(0, 3, size=20)
         csv1 = tmp_path / "a.csv"
         binp = tmp_path / "a.bin"
         csv2 = tmp_path / "b.csv"
-        save_vector_dataset(csv1, examples, "csv")
-        save_vector_dataset(binp, load_vector_dataset(csv1, "csv"), "bin")
-        save_vector_dataset(csv2, load_vector_dataset(binp, "bin"), "csv")
-        out = load_vector_dataset(csv2, "csv")
-        assert len(out) == len(examples)
-        for a, b in zip(examples, out):
-            assert a.label == b.label
-            # one trip through 32-bit floats loses at most f32 precision
-            assert np.allclose(a.features, b.features, rtol=1e-6, atol=1e-7)
+        save_vector_dataset(csv1, features, labels, "csv")
+        save_vector_dataset(binp, *load_vector_dataset(csv1, "csv"), "bin")
+        save_vector_dataset(csv2, *load_vector_dataset(binp, "bin"), "csv")
+        out_features, out_labels = load_vector_dataset(csv2, "csv")
+        assert out_features.dtype == np.float64 and out_labels.dtype == np.int64
+        assert np.array_equal(out_labels, labels)
+        # one trip through 32-bit floats loses at most f32 precision
+        assert np.allclose(out_features, features, rtol=1e-6, atol=1e-7)
+        # the bin loader reads the f32 values exactly
+        assert np.array_equal(load_vector_dataset(binp, "bin")[0], features.astype(np.float32).astype(np.float64))
 
     def test_malformed_row_names_index(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -200,13 +197,32 @@ class TestDatasetIO:
             load_vector_dataset(path, "csv")
 
     def test_truncated_binary_rejected(self, tmp_path):
-        examples = [LabeledExample(np.ones(3), 0) for _ in range(4)]
         path = tmp_path / "t.bin"
-        save_vector_dataset(path, examples, "bin")
+        save_vector_dataset(path, np.ones((4, 3)), np.zeros(4), "bin")
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(ValueError):
             load_vector_dataset(path, "bin")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_feature_names_path_and_row(self, tmp_path, value):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"0,1.0,2.0\n\n1,3.0,{value}\n")
+        with pytest.raises(ValueError, match=f"{path}: row 3 has a non-finite feature"):
+            load_vector_dataset(path, "csv")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_bin_non_finite_feature_names_path_and_row(self, tmp_path, value):
+        features = np.ones((4, 3))
+        features[2, 1] = value
+        path = tmp_path / "nf.bin"
+        save_vector_dataset(path, features, np.zeros(4), "bin")
+        with pytest.raises(ValueError, match=f"{path}: row 3 has a non-finite feature"):
+            load_vector_dataset(path, "bin")
+
+    def test_bin_negative_label_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="bin labels must be >= 0"):
+            save_vector_dataset(tmp_path / "n.bin", np.ones((2, 3)), np.array([0, -1]), "bin")
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

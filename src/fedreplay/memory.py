@@ -79,18 +79,16 @@ class MemoryBuffer:
         return [StoredRow(x, *rest) for x, *rest in zip(self.features, *columns)]
 
     def _keep(self, idx: np.ndarray, pool: dict, quota: int) -> np.ndarray:
-        """The ``quota`` rows of ``idx`` (one class, ascending arrival) the policy retains, in order."""
+        """The ``quota`` rows of ``idx`` (one class, or the whole pool, in pool order) the policy retains."""
         if len(idx) <= quota:
             return idx
         if quota <= 0:
             return idx[:0]
         if self.policy == "bottom_k":
-            chosen = idx[np.lexsort((pool["arrivals"][idx], pool["scores"][idx]))[:quota]]
-        elif self.policy == "top_k":
-            chosen = idx[np.lexsort((pool["arrivals"][idx], -pool["scores"][idx]))[:quota]]
-        else:
-            chosen = idx[self.rng.choice(len(idx), size=quota, replace=False)]
-        return np.sort(chosen)
+            return idx[np.lexsort((pool["arrivals"][idx], pool["scores"][idx]))[:quota]]
+        if self.policy == "top_k":
+            return idx[np.lexsort((pool["arrivals"][idx], -pool["scores"][idx]))[:quota]]
+        return idx[self.rng.choice(len(idx), size=quota, replace=False)]
 
 
 def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:

@@ -216,7 +216,7 @@ def _run_experiment(config: ExperimentConfig):
         for k, part in enumerate(parts):
             if not part.size:
                 raise RuntimeError(f"client {k} has no training examples for task {spec.task_id}")
-            per_client_tasks[k].append((spec.task_id, features[part], labels[part]))
+            per_client_tasks[k].append((spec.task_id, part))
 
     model_config = ModelConfig(
         input_dim=features.shape[1],
@@ -229,7 +229,7 @@ def _run_experiment(config: ExperimentConfig):
     workers = []
     for k in range(config.clients):
         order_rngs = [seeds.substream(seed, seeds.BATCH_ORDER, k, spec.task_id) for spec in tasks]
-        stream = ClientStream(k, per_client_tasks[k], config.batch_size, order_rngs)
+        stream = ClientStream(k, features, labels, per_client_tasks[k], config.batch_size, order_rngs)
         if config.optimizer == "sgd":
             opt = OptimizerState.sgd(config.learning_rate)
         else:

@@ -94,30 +94,30 @@ def partition_to_clients(indices: np.ndarray, num_clients: int, rng) -> list[np.
 class ClientStream:
     """Single-pass mini-batch iterator over one client's task sequence.
 
-    ``per_task`` lists ``(task_id, features, labels)`` per task in stream
-    order. Each underlying example is yielded exactly once over the
-    stream's lifetime; ``consumption_counts`` exposes the per-example tally
-    for the single-pass audit.
+    ``per_task`` lists ``(task_id, rows)`` per task in stream order, where
+    ``rows`` indexes this client's examples in ``features`` and ``labels``.
+    Each underlying example is yielded exactly once over the stream's
+    lifetime; ``consumption_counts`` exposes the per-example tally for the
+    single-pass audit.
     """
 
-    def __init__(self, client_id: int, per_task, batch_size: int, order_rngs=None):
+    def __init__(self, client_id: int, features, labels, per_task, batch_size: int, order_rngs=None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.client_id = client_id
         self._task_batches: list[list[MiniBatch]] = []
         next_id = 0
-        for t_idx, (task_id, features, labels) in enumerate(per_task):
-            ids = np.arange(next_id, next_id + len(labels))
-            next_id += len(labels)
+        for t_idx, (task_id, rows) in enumerate(per_task):
+            ids = np.arange(next_id, next_id + len(rows))
+            next_id += len(rows)
             if order_rngs is not None:
-                perm = order_rngs[t_idx].permutation(len(labels))
-                features, labels, ids = features[perm], labels[perm], ids[perm]
-            self._task_batches.append(
-                [
-                    MiniBatch(features[i : i + batch_size], labels[i : i + batch_size], task_id, ids[i : i + batch_size])
-                    for i in range(0, len(labels), batch_size)
-                ]
-            )
+                perm = order_rngs[t_idx].permutation(len(rows))
+                rows, ids = rows[perm], ids[perm]
+            batches = []
+            for i in range(0, len(rows), batch_size):
+                chunk = rows[i : i + batch_size]
+                batches.append(MiniBatch(features[chunk], labels[chunk], task_id, ids[i : i + batch_size]))
+            self._task_batches.append(batches)
         self._counts = np.zeros(next_id, dtype=np.int64)
         self._task_idx = 0
         self._batch_idx = 0
@@ -226,6 +226,8 @@ def _load_bin(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{path}: expected {count} records of {record} bytes, file size does not match"
         )
+    if count == 0:
+        return np.empty((0, 0)), np.empty(0, dtype=np.int64)
     records = np.frombuffer(data, dtype=_bin_record(dim), count=count, offset=_BIN_HEADER.size)
     features = records["features"].astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -247,9 +249,7 @@ def save_vector_dataset(path, features, labels, fmt: str) -> None:
         return
     if labels.size and labels.min() < 0:
         raise ValueError("bin labels must be >= 0")
-    records = np.empty(labels.size, dtype=_bin_record(features.shape[1]))
-    records["label"] = labels
-    records["features"] = features
+    records = np.rec.fromarrays([labels, features], dtype=_bin_record(features.shape[1]))
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(labels.size, features.shape[1]))
         fh.write(records.tobytes())

@@ -73,10 +73,11 @@ class TestUpdateMemory:
         assert _scores(buf, 0) == [0.7, 0.9]
 
     def test_tie_break_earlier_arrival(self):
-        buf = MemoryBuffer(1, "bottom_k")
-        update_memory(buf, _batch([0, 0]), [0.5, 0.5])
-        assert buf.labels.tolist() == [0]
-        assert buf.arrivals.tolist() == [0]
+        for policy in ("bottom_k", "top_k"):
+            buf = MemoryBuffer(1, policy)
+            update_memory(buf, _batch([0, 0]), [0.5, 0.5])
+            assert buf.labels.tolist() == [0]
+            assert buf.arrivals.tolist() == [0]
 
     def test_misaligned_scores_rejected(self):
         buf = MemoryBuffer(4, "bottom_k")
@@ -104,7 +105,12 @@ class TestUpdateMemory:
         buf = MemoryBuffer(4, "bottom_k")
         update_memory(buf, _batch([1, 0, 1]), [0.3, 0.1, 0.2])
         seen = []
-        update_memory(buf, _batch([1]), [0.5], rescore=lambda stored: seen.append(stored.copy()) or [0.4, 0.6])
+
+        def rescore(stored):
+            seen.append(stored.copy())
+            return [0.4, 0.6]
+
+        update_memory(buf, _batch([1]), [0.5], rescore=rescore)
         # class 1 holds arrivals 0 and 2, whose features are rows 0 and 2 of the first batch
         (stored,) = seen
         assert np.array_equal(stored, _batch([1, 0, 1]).features[[0, 2]])

@@ -1,5 +1,7 @@
 """Streams: task assignment, client partitioning, iteration, dataset I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,13 @@ from fedreplay.stream import (
 )
 
 
-def _task(task_id, n, dim=3, label=0):
-    """``(task_id, features, labels)`` with row i filled with float(i)."""
-    return task_id, np.repeat(np.arange(n, dtype=float)[:, None], dim, axis=1), np.full(n, label)
+def _stream(tasks, batch_size, order_rngs=None, dim=3):
+    """A stream over ``(task_id, n)`` tasks of consecutive dataset rows; row i is filled with float(i)."""
+    total = sum(n for _, n in tasks)
+    features = np.repeat(np.arange(total, dtype=float)[:, None], dim, axis=1)
+    bounds = np.cumsum([0] + [n for _, n in tasks])
+    per_task = [(task_id, np.arange(lo, hi)) for (task_id, _), lo, hi in zip(tasks, bounds, bounds[1:])]
+    return ClientStream(0, features, np.zeros(total, dtype=int), per_task, batch_size, order_rngs)
 
 
 class TestAssignClassesToTasks:
@@ -73,18 +79,22 @@ class TestPartitionToClients:
 
 class TestClientStream:
     def test_batch_sizes_and_boundaries(self):
-        stream = ClientStream(0, [_task(1, 25)], batch_size=10)
+        stream = _stream([(1, 25)], batch_size=10)
         sizes = []
+        rows = []
         while (item := stream.next_batch()) is not None:
             sizes.append(len(item))
+            rows.extend(item.features[:, 0].tolist())
         assert sizes == [10, 10, 5]
+        # without an order rng the task's rows stream in the given order
+        assert rows == list(range(25))
         assert stream.exhausted()
         assert stream.next_batch() is None
         assert stream.next_batch() is None
 
     def test_bn_counter_semantics(self):
         # the runner's per-task counter bn counts the batches between two None returns
-        stream = ClientStream(0, [_task(1, 25), _task(2, 5)], batch_size=10)
+        stream = _stream([(1, 25), (2, 5)], batch_size=10)
         assert [stream.next_batch().task_id for _ in range(3)] == [1, 1, 1]
         assert stream.next_batch() is None
         assert not stream.exhausted()
@@ -93,7 +103,7 @@ class TestClientStream:
         assert stream.exhausted()
 
     def test_single_pass_counts(self):
-        stream = ClientStream(0, [_task(1, 17), _task(2, 8)], batch_size=5)
+        stream = _stream([(1, 17), (2, 8)], batch_size=5)
         assert stream.consumption_counts().tolist() == [0] * 25
         while not stream.exhausted():
             stream.next_batch()
@@ -101,13 +111,14 @@ class TestClientStream:
         assert stream.exhausted()
 
     def test_task_batches_carry_task_id(self):
-        stream = ClientStream(0, [_task(4, 3)], batch_size=2)
+        stream = _stream([(4, 3)], batch_size=2)
         batch = stream.next_batch()
         assert batch.task_id == 4
 
     def test_shuffle_reproducible(self):
-        a = ClientStream(0, [_task(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
-        b = ClientStream(0, [_task(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
+        a = _stream([(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
+        b = _stream([(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
+        rows = []
         while not a.exhausted():
             ba, bb = a.next_batch(), b.next_batch()
             if ba is None:
@@ -115,7 +126,10 @@ class TestClientStream:
                 continue
             assert np.array_equal(ba.features, bb.features)
             assert np.array_equal(ba.labels, bb.labels)
+            rows.extend(ba.features[:, 0].tolist())
         assert b.exhausted()
+        # the batches follow the order rng's permutation of the task's rows
+        assert rows == np.random.default_rng(9).permutation(12).tolist()
 
 
 class TestSynthGaussianBlobs:
@@ -162,7 +176,10 @@ class TestDatasetIO:
         csv_path.write_text("")
         bin_path = tmp_path / "e.bin"
         bin_path.write_bytes(b"")
-        for path, fmt in ((csv_path, "csv"), (bin_path, "bin")):
+        # a header that declares no records, whatever its dim
+        header_only = tmp_path / "h.bin"
+        header_only.write_bytes(struct.pack("<II", 0, 2**31))
+        for path, fmt in ((csv_path, "csv"), (bin_path, "bin"), (header_only, "bin")):
             features, labels = load_vector_dataset(path, fmt)
             assert features.shape[0] == 0 and labels.size == 0
 

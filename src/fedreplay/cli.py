@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .memory import dump_csv
-from .runner import _run_experiment, emit_report, prepare_output_dir, run_experiment
+from .runner import _run_experiment, check_output_dir, emit_report, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,8 +47,9 @@ def _load(path, seed_override):
 
 def _cmd_run(args) -> int:
     config = _load(args.config, args.seed)
-    result = run_experiment(config)
     out = args.out if args.out is not None else config.output_dir
+    check_output_dir(out, args.force)
+    result = run_experiment(config)
     emit_report(result, out, force=args.force)
     print(
         f"A={result.avg_last_accuracy:.4f} F={result.avg_last_forgetting:.4f} "
@@ -63,19 +64,26 @@ def _cmd_grid(args) -> int:
     if not files:
         raise ConfigError(f"no .ini or .cfg config files in {config_dir}")
     parent = Path(args.out) if args.out is not None else Path("out")
+    # every target is checked before the first run, without parsing the configs
+    first_of_stem = {}
+    for path in files:
+        other = first_of_stem.setdefault(path.stem, path)
+        if other != path:
+            raise ConfigError(f"config files {other} and {path} would both write to {parent / path.stem}")
+        check_output_dir(parent / path.stem, args.force)
     for path in files:
         config = _load(path, args.seed)
         result = run_experiment(config)
-        out = parent / path.stem
-        emit_report(result, out, force=args.force)
+        emit_report(result, parent / path.stem, force=args.force)
         print(f"{path.stem}: A={result.avg_last_accuracy:.4f} F={result.avg_last_forgetting:.4f}")
     return 0
 
 
 def _cmd_dump_memory(args) -> int:
     config = _load(args.config, args.seed)
+    out = check_output_dir(args.out if args.out is not None else config.output_dir, args.force)
     _, workers = _run_experiment(config)
-    out = prepare_output_dir(args.out if args.out is not None else config.output_dir, args.force)
+    out.mkdir(parents=True, exist_ok=True)
     for worker in workers:
         dump_csv(worker.buffer, out / f"memory_{worker.client_id}.csv")
     print(

@@ -20,6 +20,10 @@ from .uncertainty import METRICS, PERTURBATION_KINDS
 DATA_SOURCES = ("synthetic", "file")
 OPTIMIZERS = ("sgd", "adam")
 
+# Bound on center_spread, cluster_sigma and sigma: a larger finite scale
+# overflows the first forward pass, which then reads as a diverged run.
+MAX_DATA_SCALE = 1e100
+
 
 class ConfigError(Exception):
     """Raised for unreadable, unparsable, or invalid configuration."""
@@ -74,6 +78,8 @@ class ExperimentConfig:
         for (_, key), (attr, parse) in _SCHEMA.items():
             if parse is _parse_float:
                 require(math.isfinite(getattr(self, attr)), key, "must be finite")
+            if key in ("center_spread", "cluster_sigma", "sigma"):
+                require(getattr(self, attr) <= MAX_DATA_SCALE, key, f"must be <= 1e{math.log10(MAX_DATA_SCALE):.0f}")
         require(self.clients >= 1, "clients", "must be >= 1")
         require(self.tasks >= 2, "tasks", "must be >= 2 (forgetting is undefined otherwise)")
         require(self.batch_size >= 1, "batch_size", "must be >= 1")

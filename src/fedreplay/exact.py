@@ -6,9 +6,9 @@ summation algorithm lives in one place.
 
 ``fsum_columns`` returns, column for column, the bits of ``math.fsum``:
 the sum rounded once, to nearest with ties to even, and ``+0.0`` for an
-exact zero. Wide inputs take an array path built on TwoSum, the
-error-free transformation that ``math.fsum`` also rests on (Shewchuk
-1997; Rump, Ogita and Oishi 2008):
+exact zero. It takes an array path built on TwoSum, the error-free
+transformation that ``math.fsum`` also rests on (Shewchuk 1997; Rump,
+Ogita and Oishi 2008):
 
 - The rows are added pairwise in a tree of TwoSums over all columns at
   once. Every node turns a, b into s = fl(a + b) and e = (a + b) - s
@@ -25,10 +25,9 @@ error-free transformation that ``math.fsum`` also rests on (Shewchuk
   ``math.fsum``.
 
 Every other column goes to ``math.fsum``: those a proof did not cover,
-those with inf, NaN or larger entries (so ``OverflowError`` on an
+and those with inf, NaN or larger entries (so ``OverflowError`` on an
 intermediate overflow, ``ValueError`` on inf - inf and NaN results are
-``math.fsum``'s own), and all columns of an input too narrow for the
-array path's fixed cost to pay off.
+``math.fsum``'s own).
 """
 
 from __future__ import annotations
@@ -37,19 +36,9 @@ import math
 
 import numpy as np
 
-# Fewer columns than this are summed by math.fsum one column at a time:
-# the crossover with the array path's fixed cost, measured at 20 rows
-# (a gradient step on batch plus replay in the shipped configs).
-ARRAY_MIN_COLUMNS = 80
-
 # A column whose n entries are at most this / n in magnitude has no
 # partial sum, and no TwoSum intermediate, beyond the float range.
 _SAFE_COLUMN_TOTAL = 2.0**1000
-
-
-def _fsum_each(x: np.ndarray, cols) -> list[float]:
-    """``math.fsum`` of the columns ``cols`` of ``x``, in column order."""
-    return [math.fsum(col) for col in x[:, cols].T.tolist()]
 
 
 def _two_sum_tree(w: np.ndarray, tmp: np.ndarray) -> None:
@@ -84,8 +73,8 @@ def fsum_columns(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n, m = x.shape
-    if n == 0 or m < ARRAY_MIN_COLUMNS:
-        return np.array(_fsum_each(x, slice(None)), dtype=np.float64)
+    if n == 0:
+        return np.zeros(m)
 
     safe = np.abs(x).max(axis=0) <= _SAFE_COLUMN_TOTAL / n  # False for inf and NaN
     # One block for the rows and the scratch: as separate arrays they were
@@ -111,5 +100,5 @@ def fsum_columns(x: np.ndarray) -> np.ndarray:
     proven &= safe
     slow = np.flatnonzero(~proven)
     if slow.size:
-        r[slow] = _fsum_each(x, slow)
+        r[slow] = [math.fsum(col) for col in x[:, slow].T.tolist()]
     return r

@@ -5,8 +5,9 @@ The buffer holds its samples as parallel arrays, one row per sample:
 (the consecutive offer index), rows ordered by class and then by arrival.
 
 Admission merges the stored rows of each incoming class with the new
-candidates and keeps the per-class quota with the lowest scores (bottom-k),
-the highest scores (top-k), or a uniform subset (class-balanced random).
+candidates (optionally rescoring all those stored rows as one block) and
+keeps the per-class quota with the lowest scores (bottom-k), the highest
+scores (top-k), or a uniform subset (class-balanced random).
 The plain random policy ignores classes and keeps a uniform subset of the
 whole buffer under the global capacity. Ties on equal scores are broken by
 earlier arrival; quotas are recomputed whenever new classes appear and
@@ -96,11 +97,11 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
 
     ``scores`` must align with ``batch`` samples and come from the metric
     configured for the experiment, evaluated on the current model. When
-    ``rescore`` is given it is called with the stored (k, d) feature rows
-    of each touched class, in arrival order, and must return k fresh finite
-    scores for them, so retention compares the whole merged candidate set
-    under the current model; without it stored samples keep their
-    admission-time scores.
+    ``rescore`` is given it is called once, with the stored (k, d) feature
+    rows of every touched class in buffer order (by class, then arrival),
+    and must return k fresh finite scores for them, so retention compares
+    the whole merged candidate set under the current model; without it
+    stored samples keep their admission-time scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(batch.labels, dtype=np.int64)
@@ -131,22 +132,19 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
     if buffer.policy == "random":
         keep = [buffer._keep(np.arange(pool["labels"].size), pool, buffer.capacity)]
     else:
+        # stored rows of the touched classes, in buffer order: by class, then arrival
+        stored = np.flatnonzero((buffer.labels[:, None] == np.array(incoming)).any(axis=1))
+        if rescore is not None and stored.size:
+            fresh = np.asarray(rescore(pool["features"][stored]), dtype=np.float64)
+            if fresh.shape != stored.shape:
+                raise ValueError("rescore must return one score per stored sample")
+            if not np.isfinite(fresh).all():
+                raise ValueError("rescored sample scores must be finite")
+            pool["scores"][stored] = fresh
+        # new classes can only shrink quotas, so the untouched classes are trimmed too
+        untouched = sorted(set(buffer.labels.tolist()) - set(incoming))
         quota = class_quota(buffer.capacity, buffer.classes_seen)
-        keep = []
-        for c in incoming:
-            idx = np.flatnonzero(pool["labels"] == c)
-            stored = idx[idx < len(buffer)]
-            if rescore is not None and stored.size:
-                fresh = np.asarray(rescore(pool["features"][stored]), dtype=np.float64)
-                if fresh.shape != stored.shape:
-                    raise ValueError("rescore must return one score per stored sample")
-                if not np.isfinite(fresh).all():
-                    raise ValueError("rescored sample scores must be finite")
-                pool["scores"][stored] = fresh
-            keep.append(buffer._keep(idx, pool, quota[c]))
-        # new classes can only shrink quotas, so trim the untouched ones too
-        for c in sorted(set(buffer.labels.tolist()) - set(incoming)):
-            keep.append(buffer._keep(np.flatnonzero(pool["labels"] == c), pool, quota[c]))
+        keep = [buffer._keep(np.flatnonzero(pool["labels"] == c), pool, quota[c]) for c in incoming + untouched]
     keep = np.concatenate(keep)
     keep = keep[np.lexsort((pool["arrivals"][keep], pool["labels"][keep]))]
     for name, rows in pool.items():

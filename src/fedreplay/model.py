@@ -46,7 +46,6 @@ class ModelConfig:
     input_dim: int
     hidden_dims: tuple[int, ...] = (64,)
     num_classes: int = 2
-    activation: str = "relu"
     init_seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class ModelConfig:
             raise ValueError("num_classes must be >= 2")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden_dims entries must be >= 1")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:

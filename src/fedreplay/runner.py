@@ -5,7 +5,8 @@ client trains on the incoming batch alone; afterwards it trains on the
 batch joined with a replay draw from its memory (one gradient step per
 tick). After training, the batch is scored under the updated model and
 offered to the memory, with the stored candidates of the touched classes
-rescored fresh so retention compares the whole merged set.
+rescored fresh, as one block per offer, so retention compares the whole
+merged set.
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
@@ -319,12 +320,11 @@ def _run_experiment(config: ExperimentConfig):
     return result, workers
 
 
-def prepare_output_dir(out_dir, force: bool) -> Path:
-    """Create ``out_dir``; refuse a non-empty one unless ``force`` is set."""
+def check_output_dir(out_dir, force: bool) -> Path:
+    """``out_dir`` as a path; refuse a non-empty one unless ``force`` is set. Creates nothing."""
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()) and not force:
+    if not force and out.exists() and any(out.iterdir()):
         raise FileExistsError(f"output directory {out} is not empty (pass --force to overwrite)")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -344,7 +344,8 @@ def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
     Each file appears whole or not at all: it is written to a temp file in
     ``out_dir`` and renamed into place.
     """
-    out = prepare_output_dir(out_dir, force)
+    out = check_output_dir(out_dir, force)
+    out.mkdir(parents=True, exist_ok=True)
 
     summary = {
         "avg_last_accuracy": result.avg_last_accuracy,

@@ -45,16 +45,6 @@ def _lse_rows(z: np.ndarray) -> list[float]:
     return [mi + math.log(math.fsum(row)) for mi, row in zip(m.tolist(), shifted)]
 
 
-def stable_lse(x) -> float:
-    """log(sum(exp(x))) computed as max(x) + log(sum(exp(x - max(x))))."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("stable_lse of an empty array")
-    if not np.isfinite(a).all():
-        raise ValueError("stable_lse requires finite inputs")
-    return _lse_rows(a.reshape(1, -1))[0]
-
-
 class NonFiniteLogits(ValueError):
     """A logit set holds inf or NaN, as it does once the model has diverged."""
 

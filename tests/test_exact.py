@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fedreplay.exact
 import fedreplay.model
 from fedreplay.config import ExperimentConfig
-from fedreplay.exact import ARRAY_MIN_COLUMNS, fsum_columns
+from fedreplay.exact import fsum_columns
 from fedreplay.runner import run_experiment
 
 
@@ -146,8 +146,8 @@ SPECIAL_KINDS = {
 }
 
 _ROWS = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 20, 21, 33])
-# Both sides of the width at which sums leave math.fsum for the array path.
-_COLS = st.one_of(st.integers(1, ARRAY_MIN_COLUMNS - 1), st.integers(ARRAY_MIN_COLUMNS, 2 * ARRAY_MIN_COLUMNS))
+# Widths 1-160, all on the array path: narrow inputs and gradient-sized ones.
+_COLS = st.one_of(st.integers(1, 79), st.integers(80, 160))
 
 
 def _matrix(rows, cols, kinds, seed):
@@ -259,7 +259,6 @@ def test_gradient_columns_rarely_fall_back_to_fsum(monkeypatch):
     monkeypatch.setattr(fedreplay.exact, "math", counting)
     columns = 0
     for x in contributions:
-        assert x.shape[1] >= ARRAY_MIN_COLUMNS
         fsum_columns(x)
         columns += x.shape[1]
     assert columns > 0 and len(calls) < 0.1 * columns

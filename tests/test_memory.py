@@ -117,6 +117,24 @@ class TestUpdateMemory:
         # the fresh scores belong to those rows in that order: 0.4 to arrival 0, 0.6 to arrival 2
         assert _class_rows(buf, 1) == [(0.4, 0), (0.5, 3)]
 
+    def test_one_rescore_call_per_offer(self):
+        buf = MemoryBuffer(9, "bottom_k")
+        first = _batch([2, 1, 0, 2, 0, 1])
+        update_memory(buf, first, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        seen = []
+
+        def rescore(stored):
+            seen.append(stored.copy())
+            return np.arange(len(stored), dtype=float)
+
+        update_memory(buf, _batch([2, 0]), [0.7, 0.8], rescore=rescore)
+        # class 0 holds arrivals 2 and 4, class 2 arrivals 0 and 3; class 1 is untouched
+        (stored,) = seen
+        assert np.array_equal(stored, first.features[[2, 4, 0, 3]])
+        assert _class_rows(buf, 0) == [(0.0, 2), (0.8, 7), (1.0, 4)]
+        assert _class_rows(buf, 1) == [(0.2, 1), (0.6, 5)]
+        assert _class_rows(buf, 2) == [(0.7, 6), (2.0, 0), (3.0, 3)]
+
     def test_non_finite_rescore_rejected(self):
         buf = MemoryBuffer(2, "bottom_k")
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])

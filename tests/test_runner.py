@@ -349,6 +349,68 @@ class TestCli:
         assert "a:" in out and "b:" in out
 
 
+class TestCliChecksBeforeRunning:
+    """Refusals that need no experiment are made before the first run, creating nothing."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fedreplay.cli, "run_experiment", lambda config: calls.append(config))
+        monkeypatch.setattr(fedreplay.cli, "_run_experiment", lambda config: calls.append(config))
+        return calls
+
+    def _non_empty(self, path):
+        path.mkdir(parents=True)
+        (path / "block.txt").write_text("x")
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "dump-memory"])
+    def test_non_empty_output_dir(self, tmp_path, capsys, runs, command):
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(_config_text())
+        out = self._non_empty(tmp_path / "out")
+        assert cli_main([command, str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output directory {out} is not empty (pass --force to overwrite)\n"
+        assert runs == []
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["exp.ini", "out", "out/block.txt"]
+
+    def test_grid_non_empty_output_dir_after_the_first(self, tmp_path, capsys, runs):
+        grid_dir = tmp_path / "grid"
+        grid_dir.mkdir()
+        (grid_dir / "a.ini").write_text(_config_text())
+        (grid_dir / "b.ini").write_text(_config_text())
+        blocked = self._non_empty(tmp_path / "gout" / "b")
+        assert cli_main(["grid", str(grid_dir), "--out", str(tmp_path / "gout")]) == 2
+        assert capsys.readouterr().err == f"error: output directory {blocked} is not empty (pass --force to overwrite)\n"
+        assert runs == []
+        assert sorted(p.name for p in (tmp_path / "gout").iterdir()) == ["b"]
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_grid_duplicate_stems(self, tmp_path, capsys, runs, force):
+        grid_dir = tmp_path / "grid"
+        grid_dir.mkdir()
+        (grid_dir / "a.ini").write_text(_config_text())
+        (grid_dir / "a.cfg").write_text(_config_text())
+        out = tmp_path / "gout"
+        assert cli_main(["grid", str(grid_dir), "--out", str(out)] + ["--force"] * force) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config files {grid_dir / 'a.cfg'} and {grid_dir / 'a.ini'} would both write to {out / 'a'}\n"
+        )
+        assert runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key", [("data", "center_spread"), ("data", "cluster_sigma"), ("perturbation", "sigma")]
+    )
+    def test_overflowing_data_scale(self, tmp_path, capsys, runs, section, key):
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(_config_text().replace(f"[{section}]", f"[{section}]\n{key} = 1e300"))
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: invalid value for {key}: must be <= 1e100\n"
+        assert runs == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestDivergence:
     """A diverging run stops with exit 2 and names the client, task and batch counter."""
 

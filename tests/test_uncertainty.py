@@ -1,4 +1,4 @@
-"""Uncertainty scores: log-sum-exp, logit-variance score, confidence scores."""
+"""Uncertainty scores: logit-variance score, confidence scores."""
 
 import math
 
@@ -18,40 +18,12 @@ from fedreplay.uncertainty import (
     ratio_confidence,
     score_sample,
     softmax_rows,
-    stable_lse,
 )
 
 
 def _random_probs(rng, p, c):
     raw = rng.uniform(0.01, 1.0, size=(p, c))
     return raw / raw.sum(axis=1, keepdims=True)
-
-
-class TestStableLse:
-    def test_symmetric_pair(self):
-        assert stable_lse([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_no_overflow_for_large_inputs(self):
-        assert stable_lse([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2), abs=1e-9)
-
-    def test_direct_value(self):
-        assert stable_lse([1.0, 0.0]) == pytest.approx(math.log(math.e + 1.0), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stable_lse([])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            stable_lse([1.0, float("inf")])
-
-    @given(
-        st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-        st.floats(-50, 50),
-    )
-    def test_shift_identity(self, xs, c):
-        x = np.array(xs)
-        assert stable_lse(x + c) == pytest.approx(stable_lse(x) + c, abs=1e-12)
 
 
 class TestBregmanInformation:

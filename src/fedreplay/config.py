@@ -129,6 +129,16 @@ class ExperimentConfig:
         require(self.optimizer in OPTIMIZERS, "optimizer", f"must be one of {OPTIMIZERS}")
         require(self.learning_rate > 0, "learning_rate", "must be > 0")
 
+    def check_bi_copies(self, dim: int) -> None:
+        """Refuse BI retention whose perturbed copies of a ``dim``-feature input would all score 0."""
+        scored = self.memory_capacity > 0 and self.memory_policy in ("bottom_k", "top_k")
+        if not scored or self.uncertainty_metric != "bi":
+            return
+        if self.perturbation_count < 2:
+            raise ConfigError("invalid value for count: BI needs at least 2 perturbed copies")
+        if self.perturbation_kind == "mask" and round(self.mask_fraction * dim) == 0:
+            raise ConfigError(f"invalid value for mask_fraction: masks 0 of {dim} features, so BI copies are identical")
+
     def echo(self) -> dict:
         """Stable, JSON-ready view of every resolved field, keyed as in the file.
 

@@ -1,11 +1,15 @@
 """Communication scheduling and parameter aggregation.
 
 Clients join communication rounds only after a per-task burn-in and then
-every q-th batch. Aggregation is either a plain (optionally weighted)
-coordinate mean or a class-weighted mean that first averages the clients
-reporting each class and then averages the per-class models, so every
-class present in the round contributes equally. Freshly aggregated
-parameters are smoothed with the previous round's global parameters.
+every q-th batch. Aggregation is either a plain coordinate mean or a
+class-weighted mean that first averages the clients reporting each class
+and then averages the per-class models, so every class present in the
+round contributes equally. Freshly aggregated parameters are smoothed
+with the previous round's global parameters.
+
+These functions hold no round state: the runner owns the global
+parameters and the round log, and its ``broadcast`` hands each client a
+copy of the smoothed vector.
 
 Coordinate sums go through ``exact.fsum_columns`` and are exactly rounded,
 so both averages are invariant to client order (and class order) bit for
@@ -14,7 +18,6 @@ bit, and identical class reports collapse exactly to the plain average.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,26 +26,6 @@ from .exact import fsum_columns
 from .model import ParameterVector
 
 AGGREGATIONS = ("fedavg", "class_weighted", "fedprox")
-
-
-@dataclass(frozen=True)
-class CommSchedule:
-    burn_in: int
-    q: int
-
-    def __post_init__(self):
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-
-
-@dataclass
-class GlobalState:
-    """The global parameters of the last round plus the round counter."""
-
-    theta_g: ParameterVector
-    round: int = 0
 
 
 @dataclass
@@ -67,39 +50,23 @@ def _check_layouts(params: list[ParameterVector]) -> None:
             raise ValueError("parameter vectors do not share one layout")
 
 
-def should_communicate(bn: int, schedule: CommSchedule) -> bool:
+def should_communicate(bn: int, burn_in: int, q: int) -> bool:
     """True once the per-task batch counter passed burn-in and hits a q multiple."""
-    if bn < 0:
-        raise ValueError("bn must be >= 0")
-    return bn > schedule.burn_in and bn % schedule.q == 0
+    return bn > burn_in and bn % q == 0
 
 
-def _exact_mean(vectors: list[np.ndarray], weights=None) -> np.ndarray:
-    stacked = np.stack(vectors)
-    if weights is None:
-        total = float(len(vectors))
-    else:
-        stacked = stacked * np.asarray(weights, dtype=np.float64)[:, None]
-        total = math.fsum(weights)
-    out = fsum_columns(stacked)
-    out /= total
+def _exact_mean(vectors: list[np.ndarray]) -> np.ndarray:
+    out = fsum_columns(np.stack(vectors))
+    out /= len(vectors)
     return out
 
 
-def fedavg(params: list[ParameterVector], weights=None) -> ParameterVector:
-    """Coordinate-wise (weighted) mean of the client parameter vectors."""
+def fedavg(params: list[ParameterVector]) -> ParameterVector:
+    """Coordinate-wise mean of the client parameter vectors."""
     if not params:
         raise ValueError("fedavg needs at least one parameter vector")
     _check_layouts(params)
-    if weights is not None:
-        weights = [float(w) for w in weights]
-        if len(weights) != len(params):
-            raise ValueError("one weight per parameter vector required")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        if math.fsum(weights) <= 0:
-            raise ValueError("weights must not sum to zero")
-    return ParameterVector(_exact_mean([p.values for p in params], weights), params[0].layout)
+    return ParameterVector(_exact_mean([p.values for p in params]), params[0].layout)
 
 
 def class_weighted_avg(report: RoundReport) -> ParameterVector:
@@ -126,20 +93,10 @@ def class_weighted_avg(report: RoundReport) -> ParameterVector:
     return ParameterVector(_exact_mean(class_models), report.params[0].layout)
 
 
-def temporal_smooth(theta_new: ParameterVector, state: GlobalState) -> ParameterVector:
-    """Midpoint of the new and previous global parameters; pass-through on round 0."""
-    if state.round == 0:
+def temporal_smooth(theta_new: ParameterVector, theta_prev: ParameterVector | None) -> ParameterVector:
+    """Midpoint of the new and previous global parameters; pass-through when there is no previous."""
+    if theta_prev is None:
         return theta_new
-    if theta_new.layout != state.theta_g.layout:
+    if theta_new.layout != theta_prev.layout:
         raise ValueError("parameter vectors do not share one layout")
-    return ParameterVector(
-        (theta_new.values + state.theta_g.values) / 2.0, theta_new.layout
-    )
-
-
-def broadcast(theta_g: ParameterVector, clients) -> None:
-    """Overwrite every client's local parameters with a copy of ``theta_g``."""
-    for client in clients:
-        if client.params.layout != theta_g.layout:
-            raise ValueError("parameter vectors do not share one layout")
-        client.params = theta_g.copy()
+    return ParameterVector((theta_new.values + theta_prev.values) / 2.0, theta_new.layout)

@@ -14,9 +14,9 @@ products by broadcasting. Each row therefore gets the same bits as when it
 is computed alone. ``forward_batch`` is a single matrix product instead,
 which is faster but may differ from the per-row result in the last bits.
 
-A ``ParameterVector`` is immutable, and its per-layer (weight, bias)
-views into the flat array are built on first use and cached with it.
-Every optimizer step and every broadcast makes a new vector, so the
+A ``ParameterVector`` is frozen, and its per-layer (weight, bias) views
+are built on first use and cached with it. Every optimizer step and every
+broadcast (the runner owns the round's vectors) makes a new vector, so the
 views are built once per step and reused by all the forward passes that
 score samples under those parameters, and by ``loss_and_grad``.
 """
@@ -24,7 +24,7 @@ score samples under those parameters, and by ``loss_and_grad``.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,16 +75,14 @@ def layout_of(config: ModelConfig) -> Layout:
     return tuple(layout)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ParameterVector:
     """Flat model weights plus the layout needed to interpret them.
 
-    Immutable: an optimizer step, an average or a broadcast makes a new
+    Frozen: an optimizer step, an average or a broadcast makes a new
     vector, so the per-layer views built from ``values`` on first use stay
     valid for the vector's lifetime and are shared by every forward pass
-    and gradient taken at these parameters. A field cannot be bound to
-    another object once set; an in-place update of ``values`` (which the
-    views alias) rebinds the same array and is allowed.
+    and gradient taken at these parameters.
     """
 
     values: np.ndarray
@@ -96,14 +94,6 @@ class ParameterVector:
         expected = sum(math.prod(shape) for shape, _ in self.layout)
         if values.ndim != 1 or values.size != expected:
             raise ValueError(f"parameter vector has {values.size} values, layout expects {expected}")
-
-    def __setattr__(self, name, value):
-        if name in self.__dict__ and self.__dict__[name] is not value:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -125,11 +115,6 @@ class ParameterVector:
             b = flat[b_off : b_off + b_shape[0]]
             views.append((w, b))
         return tuple(views)
-
-
-def _layer_views(params: ParameterVector) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(weight, bias) views into the flat array, one pair per layer."""
-    return params.layer_views
 
 
 def init_parameters(config: ModelConfig) -> ParameterVector:
@@ -164,9 +149,9 @@ def forward_logits(params: ParameterVector, config: ModelConfig, features) -> np
     """
     x = np.asarray(features, dtype=np.float64)
     if x.shape == (config.input_dim,):
-        return _forward(_layer_views(params), x)
+        return _forward(params.layer_views, x)
     if x.ndim == 2 and x.shape[1] == config.input_dim:
-        return _forward(_layer_views(params), np.ascontiguousarray(x)[:, None, :])[:, 0, :]
+        return _forward(params.layer_views, np.ascontiguousarray(x)[:, None, :])[:, 0, :]
     raise ValueError(f"expected features of shape ({config.input_dim},) or (P, {config.input_dim}), got {x.shape}")
 
 
@@ -175,7 +160,7 @@ def forward_batch(params: ParameterVector, config: ModelConfig, features) -> np.
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"expected features of shape (n, {config.input_dim}), got {x.shape}")
-    return _forward(_layer_views(params), x)
+    return _forward(params.layer_views, x)
 
 
 def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
@@ -197,7 +182,7 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     if labels.min() < 0 or labels.max() >= config.num_classes:
         raise ValueError(f"labels must lie in [0, {config.num_classes})")
 
-    layers = _layer_views(params)
+    layers = params.layer_views
     # (n, 1, k) activations: each sample is its own (1, k) @ (k, k') gemv.
     acts = [feats[:, None, :]]
     pre = []
@@ -254,9 +239,6 @@ class OptimizerState:
 
     kind: str
     learning_rate: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step: int = 0
@@ -298,9 +280,9 @@ def optimizer_step(params: ParameterVector, grad, state: OptimizerState) -> Para
         new = params.values - state.learning_rate * g
     else:
         state.step += 1
-        state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-        state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-        m_hat = state.m / (1.0 - state.beta1**state.step)
-        v_hat = state.v / (1.0 - state.beta2**state.step)
-        new = params.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+        state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+        v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
+        new = params.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return ParameterVector(new, params.layout)

@@ -10,8 +10,10 @@ merged set.
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
-previous global parameters, and broadcast. At every task boundary each
-client is evaluated on the held-out split of all tasks seen so far.
+previous global parameters ``theta_g``, and broadcast. The loop owns
+``theta_g`` and the round log (one line per round); each client owns the
+rest. At every task boundary each client is evaluated on the held-out
+split of all tasks seen so far.
 
 Randomness is fanned out from the master seed into named sub-streams, and
 clients tick in a fixed order, so reruns are bit-reproducible.
@@ -23,23 +25,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import seeds
 from .config import ExperimentConfig
-from .federation import (
-    CommSchedule,
-    GlobalState,
-    RoundReport,
-    broadcast,
-    class_weighted_avg,
-    fedavg,
-    should_communicate,
-    temporal_smooth,
-)
+from .federation import RoundReport, class_weighted_avg, fedavg, should_communicate, temporal_smooth
 from .memory import MemoryBuffer, sample_replay, update_memory
 from .metrics import (
     AccuracyMatrix,
@@ -51,6 +44,7 @@ from .metrics import (
 from .model import (
     ModelConfig,
     OptimizerState,
+    ParameterVector,
     fedprox_augment,
     init_parameters,
     loss_and_grad,
@@ -73,21 +67,20 @@ class RunResult:
     seed: int
 
 
+@dataclass
 class _ClientWorker:
     """Client-local state: parameters, optimizer, memory, stream, rngs."""
 
-    def __init__(self, client_id, config, model_config, params, opt, stream, buffer, pert_spec, replay_rng):
-        self.client_id = client_id
-        self.cfg = config
-        self.model_config = model_config
-        self.params = params
-        self.opt = opt
-        self.stream = stream
-        self.buffer = buffer
-        self.pert_spec = pert_spec
-        self.replay_rng = replay_rng
-        self.global_ref = params
-        self.observed: set[int] = set()
+    client_id: int
+    cfg: ExperimentConfig
+    model_config: ModelConfig
+    params: ParameterVector
+    opt: OptimizerState
+    stream: ClientStream
+    buffer: MemoryBuffer
+    pert_spec: PerturbationSpec
+    replay_rng: np.random.Generator
+    observed: set[int] = field(default_factory=set)
 
     def _scores(self, rows) -> np.ndarray:
         """Uncertainty of each row of ``rows`` (n, d), in order, under the current model."""
@@ -95,8 +88,8 @@ class _ClientWorker:
             [score_sample(self.params, self.model_config, x, self.pert_spec, self.cfg.uncertainty_metric) for x in rows]
         )
 
-    def tick(self, first_task: bool, bn: int) -> bool:
-        """Consume batch ``bn`` of the task; returns False when the task is exhausted.
+    def tick(self, first_task: bool, bn: int, theta_g: ParameterVector) -> bool:
+        """Consume batch ``bn`` of the task, ``theta_g`` anchoring FedProx; False once the task is exhausted.
 
         Raises ``RuntimeError`` naming the client, task and ``bn`` when training
         diverges: a non-finite loss or update, an exact sum that overflows, or
@@ -108,14 +101,14 @@ class _ClientWorker:
             return False
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                self._train_and_offer(batch, first_task)
+                self._train_and_offer(batch, first_task, theta_g)
         except (FloatingPointError, OverflowError, NonFiniteLogits) as exc:
             raise RuntimeError(f"client {self.client_id} diverged on task {batch.task_id} at bn={bn}: {exc}") from exc
         return True
 
-    def _train_and_offer(self, batch: MiniBatch, first_task: bool) -> None:
+    def _train_and_offer(self, batch: MiniBatch, first_task: bool, theta_g: ParameterVector) -> None:
         train_batch = batch
-        if not first_task and self.buffer is not None:
+        if not first_task:
             replay = sample_replay(self.buffer, self.cfg.batch_size, batch.task_id, self.replay_rng)
             if len(replay):
                 train_batch = MiniBatch(
@@ -128,23 +121,26 @@ class _ClientWorker:
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss is {loss}")
         if self.cfg.aggregation == "fedprox":
-            grad = fedprox_augment(grad, self.params.values, self.global_ref.values, self.cfg.fedprox_mu)
+            grad = fedprox_augment(grad, self.params.values, theta_g.values, self.cfg.fedprox_mu)
         self.params = optimizer_step(self.params, grad, self.opt)
         if not np.all(np.isfinite(self.params.values)):
             raise FloatingPointError("updated parameters are not all finite")
         self.observed.update(int(label) for label in batch.labels)
 
-        if self.buffer is not None and self.buffer.capacity > 0:
+        if self.buffer.capacity > 0:
             if self.cfg.memory_policy in ("bottom_k", "top_k"):
                 update_memory(self.buffer, batch, self._scores(batch.features), rescore=self._scores)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
 
-    def on_broadcast(self, theta_g) -> None:
-        self.global_ref = theta_g
-        if self.cfg.reset_optimizer_on_sync:
-            self.opt.reset()
-        self.observed.clear()
+
+def broadcast(theta_g: ParameterVector, workers) -> None:
+    """Start the next round: each worker gets a copy of ``theta_g``, clears ``observed``, maybe resets ``opt``."""
+    for w in workers:
+        w.params = theta_g.copy()
+        w.observed.clear()
+        if w.cfg.reset_optimizer_on_sync:
+            w.opt.reset()
 
 
 def _build_dataset(config: ExperimentConfig):
@@ -202,6 +198,7 @@ def _run_experiment(config: ExperimentConfig):
     seed = config.seed
 
     features, labels, num_classes = _build_dataset(config)
+    config.check_bi_copies(features.shape[1])
     class_sizes = dict(enumerate(np.bincount(labels).tolist()))
     tasks = assign_classes_to_tasks(
         class_sizes, config.tasks, config.task_assignment, seeds.substream(seed, seeds.TASK_ASSIGNMENT)
@@ -259,8 +256,7 @@ def _run_experiment(config: ExperimentConfig):
             )
         )
 
-    gstate = GlobalState(theta_g=theta0)
-    schedule = CommSchedule(config.burn_in, config.q)
+    theta_g = theta0
     matrices = [AccuracyMatrix(config.tasks) for _ in range(config.clients)]
     round_log: list[str] = []
 
@@ -269,12 +265,12 @@ def _run_experiment(config: ExperimentConfig):
         active = [True] * config.clients
         bn = 0
         while True:
-            ticked = [w.tick(first_task, bn + 1) if a else False for a, w in zip(active, workers)]
+            ticked = [w.tick(first_task, bn + 1, theta_g) if a else False for a, w in zip(active, workers)]
             active = [a and t for a, t in zip(active, ticked)]
             if not any(ticked):
                 break
             bn += 1
-            if should_communicate(bn, schedule):
+            if should_communicate(bn, config.burn_in, config.q):
                 report = RoundReport(
                     params=[w.params for w in workers],
                     class_reports=[set(w.observed) for w in workers],
@@ -283,14 +279,11 @@ def _run_experiment(config: ExperimentConfig):
                     theta_new = class_weighted_avg(report)
                 else:
                     theta_new = fedavg(report.params)
-                gstate.theta_g = temporal_smooth(theta_new, gstate)
-                gstate.round += 1
-                broadcast(gstate.theta_g, workers)
-                for w in workers:
-                    w.on_broadcast(gstate.theta_g)
+                theta_g = temporal_smooth(theta_new, theta_g if round_log else None)
+                broadcast(theta_g, workers)
                 round_log.append(
-                    f"round={gstate.round} task={spec.task_id} bn={bn} "
-                    f"reports={_format_reports(report.class_reports)} checksum={_checksum(gstate.theta_g)}"
+                    f"round={len(round_log) + 1} task={spec.task_id} bn={bn} "
+                    f"reports={_format_reports(report.class_reports)} checksum={_checksum(theta_g)}"
                 )
         for k, w in enumerate(workers):
             accuracies = evaluate_model(w.params, model_config, test_sets[: t_idx + 1])
@@ -321,8 +314,12 @@ def _run_experiment(config: ExperimentConfig):
 
 
 def check_output_dir(out_dir, force: bool) -> Path:
-    """``out_dir`` as a path; refuse a non-empty one unless ``force`` is set. Creates nothing."""
+    """``out_dir`` as a path; refuse a file at or above it, or a non-empty dir unless ``force``. Creates nothing."""
     out = Path(out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        where = "" if existing == out else f"lies under {existing}, which "
+        raise NotADirectoryError(f"output path {out} {where}is not a directory")
     if not force and out.exists() and any(out.iterdir()):
         raise FileExistsError(f"output directory {out} is not empty (pass --force to overwrite)")
     return out

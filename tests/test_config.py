@@ -1,5 +1,6 @@
 """Config file parsing, defaults, and validation."""
 
+import numpy as np
 import pytest
 
 from fedreplay.cli import main as cli_main
@@ -123,6 +124,73 @@ class TestValidation:
     def test_capacity_zero_allowed(self, tmp_path):
         config = parse_config(_write(tmp_path, "[memory]\ncapacity = 0\n"))
         assert config.memory_capacity == 0
+
+    def test_negative_burn_in(self, tmp_path):
+        with pytest.raises(ConfigError, match="invalid value for burn_in: must be >= 0"):
+            parse_config(_write(tmp_path, "[federation]\nburn_in = -1\n"))
+
+    def test_zero_q(self, tmp_path):
+        with pytest.raises(ConfigError, match="invalid value for q: must be >= 1"):
+            parse_config(_write(tmp_path, "[federation]\nq = 0\n"))
+
+
+_SMALL = """
+[experiment]
+clients = 2
+tasks = 2
+batch_size = 5
+
+[data]
+classes = 4
+samples_per_class = 10
+dim = 4
+
+[memory]
+capacity = 8
+policy = bottom_k
+metric = bi
+
+[perturbation]
+"""
+
+
+class TestIdenticalBICopies:
+    """BI over copies that are all the same scores every sample 0, so such a config is refused."""
+
+    def _refused(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        assert cli_main(["run", str(_write(tmp_path, text)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: invalid value for {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["bottom_k", "top_k"])
+    def test_single_copy(self, tmp_path, capsys, policy):
+        text = _SMALL.replace("bottom_k", policy) + "count = 1\n"
+        self._refused(tmp_path, capsys, text, "count: BI needs at least 2 perturbed copies")
+
+    def test_mask_of_no_feature(self, tmp_path, capsys):
+        text = _SMALL + "kind = mask\nmask_fraction = 0.1\n"
+        self._refused(tmp_path, capsys, text, "mask_fraction: masks 0 of 4 features, so BI copies are identical")
+
+    def test_mask_of_no_feature_in_file_data(self, tmp_path, capsys):
+        from fedreplay.stream import save_vector_dataset
+
+        data = tmp_path / "data.csv"
+        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 3)), np.repeat(np.arange(4), 10), "csv")
+        text = _SMALL.replace("[data]", f"[data]\nsource = file\npath = {data}") + "kind = mask\nmask_fraction = 0.1\n"
+        self._refused(tmp_path, capsys, text, "mask_fraction: masks 0 of 3 features, so BI copies are identical")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"uncertainty_metric": "lc"},
+            {"memory_policy": "random"},
+            {"memory_capacity": 0},
+            {"perturbation_count": 2, "perturbation_kind": "mask", "mask_fraction": 0.25},
+        ],
+    )
+    def test_copies_not_needed_or_distinct(self, overrides):
+        ExperimentConfig(**{"perturbation_count": 1, **overrides}).check_bi_copies(4)
 
 
 _FLOAT_KEYS = sorted((section, key) for (section, key), (_, parse) in _SCHEMA.items() if parse is _parse_float)

@@ -14,7 +14,8 @@ import pytest
 import fedreplay
 from fedreplay.cli import main as cli_main
 from fedreplay.config import ExperimentConfig
-from fedreplay.runner import emit_report, run_experiment
+from fedreplay.model import ModelConfig, OptimizerState, init_parameters, optimizer_step
+from fedreplay.runner import _ClientWorker, broadcast, emit_report, run_experiment
 
 
 def _small_config(**overrides):
@@ -188,27 +189,45 @@ class TestRunExperiment:
             assert w.opt.step > 0
             assert np.any(w.opt.m != 0.0)
 
-    def test_on_broadcast_respects_reset_flag(self):
-        from fedreplay.model import ModelConfig, OptimizerState, init_parameters, optimizer_step
-        from fedreplay.runner import _ClientWorker
 
+class TestBroadcast:
+    @staticmethod
+    def _workers(reset=False, n=3):
+        """``(theta, workers)``: n Adam workers that took one step away from ``theta`` and saw classes."""
         model_config = ModelConfig(input_dim=2, hidden_dims=(3,), num_classes=2, init_seed=0)
         theta = init_parameters(model_config)
-
-        def worker(reset):
-            config = _small_config(optimizer="adam", learning_rate=0.01, reset_optimizer_on_sync=reset)
+        config = _small_config(optimizer="adam", learning_rate=0.01, reset_optimizer_on_sync=reset)
+        workers = []
+        for k in range(n):
             opt = OptimizerState.adam(0.01, len(theta))
-            w = _ClientWorker(0, config, model_config, theta.copy(), opt, None, None, None, None)
+            w = _ClientWorker(k, config, model_config, theta, opt, None, None, None, None, observed={k, 5})
             w.params = optimizer_step(w.params, np.ones(len(theta)), w.opt)
-            return w
+            workers.append(w)
+        return theta, workers
 
-        kept = worker(reset=False)
-        kept.on_broadcast(theta)
-        assert kept.opt.step == 1 and np.any(kept.opt.m != 0.0)
+    def test_overwrites_all_clients(self):
+        theta, workers = self._workers()
+        broadcast(theta, workers)
+        for w in workers:
+            assert w.params.values_equal(theta)
+            assert not np.shares_memory(w.params.values, theta.values)  # each client owns a copy
+            assert w.observed == set()
+        assert not np.shares_memory(workers[0].params.values, workers[1].params.values)
 
-        cleared = worker(reset=True)
-        cleared.on_broadcast(theta)
-        assert cleared.opt.step == 0 and np.all(cleared.opt.m == 0.0)
+    def test_broadcasting_own_params_is_identity(self):
+        _, workers = self._workers(n=1)
+        before = workers[0].params
+        broadcast(before, workers)
+        assert workers[0].params.values_equal(before) and workers[0].params is not before
+
+    def test_optimizer_reset_only_under_flag(self):
+        theta, kept = self._workers(reset=False)
+        broadcast(theta, kept)
+        assert all(w.opt.step == 1 and np.any(w.opt.m != 0.0) for w in kept)
+
+        theta, cleared = self._workers(reset=True)
+        broadcast(theta, cleared)
+        assert all(w.opt.step == 0 and np.all(w.opt.m == 0.0) and np.all(w.opt.v == 0.0) for w in cleared)
 
 
 class TestEmitReport:
@@ -398,6 +417,36 @@ class TestCliChecksBeforeRunning:
         )
         assert runs == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("command", ["run", "grid", "dump-memory"])
+    def test_output_path_is_a_file(self, tmp_path, capsys, runs, command, force):
+        grid_dir = tmp_path / "grid"
+        grid_dir.mkdir()
+        (grid_dir / "exp.ini").write_text(_config_text())
+        out = tmp_path / "afile"
+        out.write_text("keep")
+        target = grid_dir if command == "grid" else grid_dir / "exp.ini"
+        assert cli_main([command, str(target), "--out", str(out)] + ["--force"] * force) == 2
+        if command == "grid":
+            expected = f"error: output path {out / 'exp'} lies under {out}, which is not a directory\n"
+        else:
+            expected = f"error: output path {out} is not a directory\n"
+        assert capsys.readouterr().err == expected
+        assert runs == []
+        assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_output_path_under_a_file(self, tmp_path, capsys, runs, force):
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(_config_text())
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep")
+        out = blocker / "sub" / "run"
+        assert cli_main(["run", str(config_path), "--out", str(out)] + ["--force"] * force) == 2
+        assert capsys.readouterr().err == f"error: output path {out} lies under {blocker}, which is not a directory\n"
+        assert runs == []
+        assert blocker.read_text() == "keep"
 
     @pytest.mark.parametrize(
         "section, key", [("data", "center_spread"), ("data", "cluster_sigma"), ("perturbation", "sigma")]

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedreplay.exact import fsum_columns
-from fedreplay.model import ModelConfig, _layer_views, forward_logits, init_parameters, loss_and_grad
+from fedreplay.model import ModelConfig, ParameterVector, forward_logits, init_parameters, loss_and_grad
 from fedreplay.stream import MiniBatch
 from fedreplay.uncertainty import (
     PerturbationSpec,
@@ -73,7 +73,7 @@ def _oracle_sample_loss_grad(layers, layout, x, y):
 
 
 def _oracle_loss_and_grad(params, feats, labels):
-    layers = _layer_views(params)
+    layers = params.layer_views
     n = labels.size
     losses = np.empty(n)
     contribs = np.empty((n, params.values.size))
@@ -170,8 +170,7 @@ _hidden = st.one_of(
 def _model(input_dim, hidden_dims, num_classes, init_seed=0, scale=1.0):
     config = ModelConfig(input_dim, hidden_dims, num_classes, init_seed=init_seed)
     params = init_parameters(config)
-    params.values *= scale
-    return config, params
+    return config, ParameterVector(params.values * scale, params.layout)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .memory import dump_csv
-from .runner import _run_experiment, check_output_dir, emit_report, run_experiment
+from .runner import check_output_dir, emit_report, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,14 +82,11 @@ def _cmd_grid(args) -> int:
 def _cmd_dump_memory(args) -> int:
     config = _load(args.config, args.seed)
     out = check_output_dir(args.out if args.out is not None else config.output_dir, args.force)
-    _, workers = _run_experiment(config)
+    buffers = run_experiment(config).buffers
     out.mkdir(parents=True, exist_ok=True)
-    for worker in workers:
-        dump_csv(worker.buffer, out / f"memory_{worker.client_id}.csv")
-    print(
-        f"dumped {len(workers)} memory snapshots to {out} "
-        f"(total stored: {sum(len(w.buffer) for w in workers)})"
-    )
+    for k, buffer in enumerate(buffers):
+        dump_csv(buffer, out / f"memory_{k}.csv")
+    print(f"dumped {len(buffers)} memory snapshots to {out} (total stored: {sum(map(len, buffers))})")
     return 0
 
 

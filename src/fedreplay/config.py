@@ -128,6 +128,8 @@ class ExperimentConfig:
         require(all(h >= 1 for h in self.hidden_dims), "hidden", "widths must be >= 1")
         require(self.optimizer in OPTIMIZERS, "optimizer", f"must be one of {OPTIMIZERS}")
         require(self.learning_rate > 0, "learning_rate", "must be > 0")
+        if self.data_source == "synthetic":
+            self.check_bi_copies(self.dim)
 
     def check_bi_copies(self, dim: int) -> None:
         """Refuse BI retention whose perturbed copies of a ``dim``-feature input would all score 0."""

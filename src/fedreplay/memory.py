@@ -14,7 +14,8 @@ earlier arrival; quotas are recomputed whenever new classes appear and
 classes over quota are trimmed by the same criterion.
 
 Replay draws row indices uniformly without replacement from the rows of
-past tasks; rows of the current task are never eligible.
+past tasks; rows of the current task are never eligible. The caller must
+pass in every generator, so no draw here is unseeded.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ def class_quota(capacity: int, classes_seen) -> dict[int, int]:
 class MemoryBuffer:
     """At most ``capacity`` samples as parallel arrays, ordered by class then arrival."""
 
-    def __init__(self, capacity: int, policy: str, rng: np.random.Generator | None = None):
+    def __init__(self, capacity: int, policy: str, rng: np.random.Generator):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         if policy not in POLICIES:
             raise ValueError(f"unknown memory policy: {policy!r}")
-        if policy in ("random", "class_balanced_random") and rng is None:
-            rng = np.random.default_rng()
         self.capacity = capacity
         self.policy = policy
         self.rng = rng

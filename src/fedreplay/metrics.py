@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .model import ModelConfig, ParameterVector, forward_batch
+from .model import ModelConfig, ParameterVector, forward_logits
 
 
 class AccuracyMatrix:
@@ -100,7 +100,7 @@ def evaluate_model(params: ParameterVector, config: ModelConfig, test_sets) -> l
         labels = np.asarray(labels)
         if labels.size == 0:
             raise ValueError("empty test set")
-        logits = forward_batch(params, config, features)
+        logits = forward_logits(params, config, features)
         preds = np.argmax(logits, axis=1)
         accuracies.append(float(np.count_nonzero(preds == labels)) / labels.size)
     return accuracies

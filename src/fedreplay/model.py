@@ -11,8 +11,8 @@ Per-row work is stacked but stays per-row exact: a (P, d) block is run as
 P vector-matrix products (``x[:, None, :] @ w``, one BLAS gemv per row),
 and the backward pass stacks matrix-vector products and forms outer
 products by broadcasting. Each row therefore gets the same bits as when it
-is computed alone. ``forward_batch`` is a single matrix product instead,
-which is faster but may differ from the per-row result in the last bits.
+is computed alone. One routine computes every activation, so scoring,
+training and evaluation all take their logits from the same per-row path.
 
 A ``ParameterVector`` is frozen, and its per-layer (weight, bias) views
 are built on first use and cached with it. Every optimizer step and every
@@ -101,9 +101,6 @@ class ParameterVector:
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.layout)
 
-    def values_equal(self, other: "ParameterVector") -> bool:
-        return self.layout == other.layout and np.array_equal(self.values, other.values)
-
     @cached_property
     def layer_views(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(weight, bias) views into ``values``, one pair per layer, built once."""
@@ -130,15 +127,16 @@ def init_parameters(config: ModelConfig) -> ParameterVector:
     return ParameterVector(np.concatenate(pieces), layout)
 
 
-def _forward(layers, a: np.ndarray) -> np.ndarray:
-    for w, b in layers[:-1]:
-        a = a @ w
+def _activations(layers, x: np.ndarray) -> list[np.ndarray]:
+    """``[x, relu_1, ..., logits]``: the input, each hidden layer's ReLU output and the logits."""
+    acts = [x]
+    for i, (w, b) in enumerate(layers, start=1):
+        a = acts[-1] @ w
         a += b
-        np.maximum(a, 0.0, out=a)
-    w, b = layers[-1]
-    a = a @ w
-    a += b
-    return a
+        if i < len(layers):
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
 def forward_logits(params: ParameterVector, config: ModelConfig, features) -> np.ndarray:
@@ -149,18 +147,10 @@ def forward_logits(params: ParameterVector, config: ModelConfig, features) -> np
     """
     x = np.asarray(features, dtype=np.float64)
     if x.shape == (config.input_dim,):
-        return _forward(params.layer_views, x)
+        return _activations(params.layer_views, x)[-1]
     if x.ndim == 2 and x.shape[1] == config.input_dim:
-        return _forward(params.layer_views, np.ascontiguousarray(x)[:, None, :])[:, 0, :]
+        return _activations(params.layer_views, np.ascontiguousarray(x)[:, None, :])[-1][:, 0, :]
     raise ValueError(f"expected features of shape ({config.input_dim},) or (P, {config.input_dim}), got {x.shape}")
-
-
-def forward_batch(params: ParameterVector, config: ModelConfig, features) -> np.ndarray:
-    """Logits for a batch of inputs, shape (n, num_classes), as one matrix product."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.input_dim:
-        raise ValueError(f"expected features of shape (n, {config.input_dim}), got {x.shape}")
-    return _forward(params.layer_views, x)
 
 
 def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
@@ -184,14 +174,8 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
 
     layers = params.layer_views
     # (n, 1, k) activations: each sample is its own (1, k) @ (k, k') gemv.
-    acts = [feats[:, None, :]]
-    pre = []
-    for w, b in layers[:-1]:
-        z = acts[-1] @ w + b
-        pre.append(z[:, 0, :])
-        acts.append(np.maximum(z, 0.0))
-    w_out, b_out = layers[-1]
-    logits = (acts[-1] @ w_out + b_out)[:, 0, :]
+    *acts, logits = _activations(layers, feats[:, None, :])
+    logits = logits[:, 0, :]
 
     rows = np.arange(n)
     m = logits.max(axis=1)
@@ -213,7 +197,8 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
         contribs[:, b_off : b_off + w_shape[1]] = dz
         if li:
             upstream = (layers[li][0] @ dz[:, :, None])[:, :, 0]
-            dz = upstream * (pre[li - 1] > 0.0)
+            # ReLU' from the output: relu(z) > 0 exactly where z > 0, NaN included.
+            dz = upstream * (acts[li][:, 0, :] > 0.0)
 
     loss = math.fsum(losses.tolist()) / n
     grad = fsum_columns(contribs)

@@ -65,6 +65,7 @@ class RunResult:
     round_log: list[str]
     config: dict
     seed: int
+    buffers: list[MemoryBuffer]  # each client's final memory, in client order
 
 
 @dataclass
@@ -159,6 +160,8 @@ def _build_dataset(config: ExperimentConfig):
         features, labels = load_vector_dataset(config.data_path, config.data_format)
         if not labels.size:
             raise RuntimeError(f"dataset {config.data_path} is empty")
+        # validate() checks synthetic data; a file's dimension is known only now
+        config.check_bi_copies(features.shape[1])
     class_ids, labels = np.unique(labels, return_inverse=True)
     if len(class_ids) < 2:
         raise RuntimeError("dataset must contain at least two classes")
@@ -189,16 +192,10 @@ def _format_reports(reports) -> str:
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute the full stream for every client and compute the metrics."""
-    result, _ = _run_experiment(config)
-    return result
-
-
-def _run_experiment(config: ExperimentConfig):
     config.validate()
     seed = config.seed
 
     features, labels, num_classes = _build_dataset(config)
-    config.check_bi_copies(features.shape[1])
     class_sizes = dict(enumerate(np.bincount(labels).tolist()))
     tasks = assign_classes_to_tasks(
         class_sizes, config.tasks, config.task_assignment, seeds.substream(seed, seeds.TASK_ASSIGNMENT)
@@ -298,7 +295,7 @@ def _run_experiment(config: ExperimentConfig):
                 f"{int(np.count_nonzero(counts_arr != 1))} examples not consumed exactly once"
             )
 
-    result = RunResult(
+    return RunResult(
         avg_last_accuracy=avg_last_accuracy(matrices, config.tasks),
         avg_last_forgetting=avg_last_forgetting(matrices, config.tasks),
         per_client_accuracy=[
@@ -309,8 +306,8 @@ def _run_experiment(config: ExperimentConfig):
         round_log=round_log,
         config=config.echo(),
         seed=seed,
+        buffers=[w.buffer for w in workers],
     )
-    return result, workers
 
 
 def check_output_dir(out_dir, force: bool) -> Path:

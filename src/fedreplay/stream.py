@@ -4,10 +4,11 @@ A dataset is a pair of parallel arrays: ``features`` (n, d) float64 and
 ``labels`` (n,) int64. It is split into tasks with disjoint class sets,
 each task's rows are partitioned disjointly across clients as index
 arrays, and every client consumes its share as a single-pass sequence of
-mini-batches. ``next_batch`` returns None at every task boundary and at
-the end of the stream, and ``exhausted`` tells the two apart. Each stream
-counts how often every underlying example was yielded so the runner can
-audit the single-pass contract.
+mini-batches, shuffled per task by a generator the caller must pass in
+(the runner derives it from the master seed). ``next_batch`` returns None
+at every task boundary and at the end of the stream, and ``exhausted``
+tells the two apart. Each stream counts how often every underlying
+example was yielded so the runner can audit the single-pass contract.
 """
 
 from __future__ import annotations
@@ -96,23 +97,22 @@ class ClientStream:
 
     ``per_task`` lists ``(task_id, rows)`` per task in stream order, where
     ``rows`` indexes this client's examples in ``features`` and ``labels``.
+    ``order_rngs`` holds one generator per task, to shuffle that task's rows.
     Each underlying example is yielded exactly once over the stream's
     lifetime; ``consumption_counts`` exposes the per-example tally for the
     single-pass audit.
     """
 
-    def __init__(self, client_id: int, features, labels, per_task, batch_size: int, order_rngs=None):
+    def __init__(self, client_id: int, features, labels, per_task, batch_size: int, order_rngs):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.client_id = client_id
         self._task_batches: list[list[MiniBatch]] = []
         next_id = 0
-        for t_idx, (task_id, rows) in enumerate(per_task):
-            ids = np.arange(next_id, next_id + len(rows))
+        for (task_id, rows), rng in zip(per_task, order_rngs, strict=True):
+            perm = rng.permutation(len(rows))
+            rows, ids = rows[perm], np.arange(next_id, next_id + len(rows))[perm]
             next_id += len(rows)
-            if order_rngs is not None:
-                perm = order_rngs[t_idx].permutation(len(rows))
-                rows, ids = rows[perm], ids[perm]
             batches = []
             for i in range(0, len(rows), batch_size):
                 chunk = rows[i : i + batch_size]

@@ -10,7 +10,8 @@ every reduction works on the whole block with array operations while
 sums over the P axis and over a row use exactly rounded summation
 (``math.fsum`` on Python lists). Scores are therefore the same bits as
 when each copy is forwarded and reduced alone, and invariant to the order
-of the perturbed copies.
+of the perturbed copies. The copies are drawn from the generator that
+the caller must pass to ``PerturbationSpec``.
 
 Scoring runs once per sample on a block of about 12 x 8 logits, so its
 cost is mostly the fixed cost of each numpy call, and the code keeps
@@ -154,15 +155,15 @@ class PerturbationSpec:
     """How to generate the P perturbed copies of an input.
 
     ``gaussian`` adds N(0, sigma^2) noise per dimension; ``mask`` zeroes a
-    fraction of coordinates chosen independently per copy. The caller owns
-    the generator, so determinism across calls is the caller's contract.
+    fraction of coordinates chosen independently per copy. The caller must
+    pass the generator, so determinism across calls is the caller's contract.
     """
 
     count: int
     kind: str = "gaussian"
     sigma: float = 0.1
     mask_fraction: float = 0.0
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator = field(kw_only=True)
 
     def __post_init__(self):
         if self.count < 1:

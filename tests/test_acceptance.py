@@ -238,7 +238,7 @@ def test_criterion_4_memory_invariants():
 
     for policy in ("bottom_k", "top_k"):
         rng = np.random.default_rng(404 if policy == "bottom_k" else 405)
-        buffer = MemoryBuffer(capacity, policy)
+        buffer = MemoryBuffer(capacity, policy, np.random.default_rng(0))
         history = {}
         arrival = 0
         offered_per_class = {}
@@ -271,7 +271,7 @@ def test_criterion_4_memory_invariants():
                 oracle_ok = oracle_ok and all(got[c] == expected[c] for c in history)
 
     # replay uniformity: 100 eligible samples, draws of 10, 10^4 trials
-    buffer = MemoryBuffer(200, "bottom_k")
+    buffer = MemoryBuffer(200, "bottom_k", np.random.default_rng(0))
     batch = MiniBatch(
         features=np.zeros((100, 2)),
         labels=np.array([0] * 50 + [1] * 50),
@@ -329,7 +329,8 @@ def test_criterion_6_aggregation_reduction():
         vecs = [ParameterVector(rng.normal(size=dim), layout) for _ in range(k)]
         classes = set(int(c) for c in rng.integers(0, 12, size=int(rng.integers(1, 5))))
         report = RoundReport(params=vecs, class_reports=[set(classes) for _ in range(k)])
-        all_equal = all_equal and class_weighted_avg(report).values_equal(fedavg(vecs))
+        weighted, plain = class_weighted_avg(report), fedavg(vecs)
+        all_equal = all_equal and weighted.layout == plain.layout and np.array_equal(weighted.values, plain.values)
     _report(6, all_equal, "class-weighted equals plain average bit-for-bit on 100 trials")
     assert all_equal
 

@@ -14,7 +14,7 @@ import pytest
 
 from fedreplay.config import ExperimentConfig
 from fedreplay.memory import dump_csv
-from fedreplay.runner import _run_experiment, emit_report
+from fedreplay.runner import emit_report, run_experiment
 
 _BASE = dict(
     clients=2,
@@ -170,10 +170,10 @@ GOLDEN = {
 
 
 def _hashes(name, out):
-    result, workers = _run_experiment(ExperimentConfig(**{**_BASE, **CASES[name]}))
+    result = run_experiment(ExperimentConfig(**{**_BASE, **CASES[name]}))
     emit_report(result, out)
-    for w in workers:
-        dump_csv(w.buffer, out / f"memory_{w.client_id}.csv")
+    for k, buffer in enumerate(result.buffers):
+        dump_csv(buffer, out / f"memory_{k}.csv")
     assert result.round_log, "the golden configs must fire communication rounds"
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
 

@@ -56,36 +56,36 @@ class TestClassQuota:
 
 class TestUpdateMemory:
     def test_bottom_k_initial_fill(self):
-        buf = MemoryBuffer(2, "bottom_k")
+        buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0, 0]), [0.5, 0.1, 0.9])
         assert _scores(buf, 0) == [0.1, 0.5]
 
     def test_bottom_k_merge(self):
-        buf = MemoryBuffer(2, "bottom_k")
+        buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.2, 0.7])
         update_memory(buf, _batch([0, 0]), [0.1, 0.9])
         assert _scores(buf, 0) == [0.1, 0.2]
 
     def test_top_k_merge_mirror(self):
-        buf = MemoryBuffer(2, "top_k")
+        buf = MemoryBuffer(2, "top_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.2, 0.7])
         update_memory(buf, _batch([0, 0]), [0.1, 0.9])
         assert _scores(buf, 0) == [0.7, 0.9]
 
     def test_tie_break_earlier_arrival(self):
         for policy in ("bottom_k", "top_k"):
-            buf = MemoryBuffer(1, policy)
+            buf = MemoryBuffer(1, policy, np.random.default_rng(0))
             update_memory(buf, _batch([0, 0]), [0.5, 0.5])
             assert buf.labels.tolist() == [0]
             assert buf.arrivals.tolist() == [0]
 
     def test_misaligned_scores_rejected(self):
-        buf = MemoryBuffer(4, "bottom_k")
+        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
         with pytest.raises(ValueError):
             update_memory(buf, _batch([0, 0]), [0.1])
 
     def test_new_class_shrinks_quota_and_trims(self):
-        buf = MemoryBuffer(4, "bottom_k")
+        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0, 0, 0]), [0.1, 0.2, 0.3, 0.4])
         assert buf.labels.tolist() == [0, 0, 0, 0]
         update_memory(buf, _batch([1, 1]), [0.5, 0.6])
@@ -95,14 +95,14 @@ class TestUpdateMemory:
         assert len(buf) == 4
 
     def test_rescore_hook_refreshes_stored_scores(self):
-        buf = MemoryBuffer(2, "bottom_k")
+        buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
         # fresh model ranks the stored samples the other way around
         update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.9, 0.05])
         assert _scores(buf, 0) == [0.05, 0.15]
 
     def test_rescore_receives_stored_rows_in_arrival_order(self):
-        buf = MemoryBuffer(4, "bottom_k")
+        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([1, 0, 1]), [0.3, 0.1, 0.2])
         seen = []
 
@@ -118,7 +118,7 @@ class TestUpdateMemory:
         assert _class_rows(buf, 1) == [(0.4, 0), (0.5, 3)]
 
     def test_one_rescore_call_per_offer(self):
-        buf = MemoryBuffer(9, "bottom_k")
+        buf = MemoryBuffer(9, "bottom_k", np.random.default_rng(0))
         first = _batch([2, 1, 0, 2, 0, 1])
         update_memory(buf, first, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         seen = []
@@ -136,7 +136,7 @@ class TestUpdateMemory:
         assert _class_rows(buf, 2) == [(0.7, 6), (2.0, 0), (3.0, 3)]
 
     def test_non_finite_rescore_rejected(self):
-        buf = MemoryBuffer(2, "bottom_k")
+        buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
         with pytest.raises(ValueError, match="rescored sample scores must be finite"):
             update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [float("nan"), 0.05])
@@ -145,7 +145,7 @@ class TestUpdateMemory:
         assert _class_rows(buf, 0) == [(0.1, 0), (0.2, 1)]
 
     def test_non_finite_score_and_negative_label_rejected(self):
-        buf = MemoryBuffer(4, "bottom_k")
+        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
         with pytest.raises(ValueError, match="score must be finite"):
             update_memory(buf, _batch([0, 1]), [0.1, float("nan")])
         with pytest.raises(ValueError, match="label must be >= 0"):
@@ -153,7 +153,7 @@ class TestUpdateMemory:
         assert len(buf) == 0
 
     def test_zero_capacity_stores_nothing(self):
-        buf = MemoryBuffer(0, "bottom_k")
+        buf = MemoryBuffer(0, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 1]), [0.1, 0.2])
         assert len(buf) == 0
         assert buf.classes_seen == {0, 1}
@@ -180,7 +180,7 @@ class TestBruteForceOracle:
     def _run(self, policy, seed, steps=400):
         rng = np.random.default_rng(seed)
         capacity = int(rng.integers(1, 30))
-        buf = MemoryBuffer(capacity, policy)
+        buf = MemoryBuffer(capacity, policy, np.random.default_rng(0))
         history = {}
         arrival = 0
         for _ in range(steps):
@@ -282,7 +282,7 @@ class TestRandomPoliciesOracle:
 
 class TestSampleReplay:
     def _filled(self, tasks, per_task=5):
-        buf = MemoryBuffer(1000, "bottom_k")
+        buf = MemoryBuffer(1000, "bottom_k", np.random.default_rng(0))
         for t in tasks:
             labels = np.full(per_task, t % 3)
             update_memory(buf, _batch(labels, task_id=t), np.linspace(0, 1, per_task))
@@ -313,7 +313,7 @@ class TestSampleReplay:
 
     def test_uniform_inclusion_frequency(self):
         # 100 eligible samples, draws of 10: inclusion ~ Binomial(trials, 0.1)
-        buf = MemoryBuffer(200, "bottom_k")
+        buf = MemoryBuffer(200, "bottom_k", np.random.default_rng(0))
         labels = np.array([0] * 50 + [1] * 50)
         batch = MiniBatch(
             features=np.random.default_rng(0).normal(size=(100, 2)),
@@ -352,7 +352,7 @@ def test_class_balanced_random_deterministic_given_seed():
 
 
 def test_dump_csv_roundtrips_fields(tmp_path):
-    buf = MemoryBuffer(4, "bottom_k")
+    buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
     update_memory(buf, _batch([0, 1], task_id=3), [0.25, 0.5])
     path = tmp_path / "memory.csv"
     dump_csv(buf, path)

@@ -19,16 +19,17 @@ from fedreplay.runner import _ClientWorker, broadcast, emit_report, run_experime
 
 
 def _small_config(**overrides):
+    """The golden regime at seed 3: rounds fire, and policies and aggregations change the outcome."""
     base = dict(
         clients=2,
-        tasks=2,
-        batch_size=5,
+        tasks=3,
+        batch_size=3,
         test_split=0.2,
         seed=3,
-        classes=4,
+        classes=6,
         samples_per_class=30,
         dim=4,
-        center_spread=3.0,
+        center_spread=2.0,
         cluster_sigma=1.0,
         memory_capacity=16,
         memory_policy="bottom_k",
@@ -37,6 +38,7 @@ def _small_config(**overrides):
         burn_in=1,
         q=2,
         hidden_dims=(8,),
+        learning_rate=0.5,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -102,11 +104,12 @@ class TestRunExperiment:
             run_experiment(_small_config())
 
     def test_rounds_fire_per_schedule(self):
-        # 4 classes, 30/class, 2 tasks, 20% test: 48 train per task, 24 per
-        # client, 5 batches per task per client. burn_in=1, q=2 -> bn in {2, 4}.
+        # 6 classes, 30/class, 3 tasks, 20% test: 48 train per task, 24 per
+        # client, 8 batches per task per client. burn_in=1, q=2 -> bn in {2, 4, 6, 8}.
         result = run_experiment(_small_config())
-        assert len(result.round_log) == 4
+        assert len(result.round_log) == 12
         assert result.round_log[0].startswith("round=1 task=1 bn=2 ")
+        assert result.round_log[-1].startswith("round=12 task=3 bn=8 ")
         assert "checksum=" in result.round_log[0]
 
     def test_burn_in_suppresses_rounds(self):
@@ -117,17 +120,25 @@ class TestRunExperiment:
         from fedreplay.metrics import avg_last_accuracy, avg_last_forgetting
 
         result = run_experiment(_small_config())
-        assert result.avg_last_accuracy == avg_last_accuracy(result.matrices, 2)
-        assert result.avg_last_forgetting == avg_last_forgetting(result.matrices, 2)
+        assert result.avg_last_accuracy == avg_last_accuracy(result.matrices, 3)
+        assert result.avg_last_forgetting == avg_last_forgetting(result.matrices, 3)
         assert len(result.per_client_accuracy) == 2
         assert result.avg_last_accuracy == pytest.approx(
             sum(result.per_client_accuracy) / 2, abs=1e-15
         )
 
-    def test_aggregation_strategies_run(self):
-        for aggregation in ("fedavg", "class_weighted", "fedprox"):
-            result = run_experiment(_small_config(aggregation=aggregation))
-            assert 0.0 <= result.avg_last_accuracy <= 1.0
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("memory_policy", ("bottom_k", "top_k", "random", "class_balanced_random")),
+            ("aggregation", ("fedavg", "class_weighted", "fedprox")),
+        ],
+    )
+    def test_variants_change_the_outcome(self, key, values):
+        results = [run_experiment(_small_config(**{key: value})) for value in values]
+        assert all(0.0 <= r.avg_last_accuracy <= 1.0 for r in results)
+        assert len({(r.avg_last_accuracy, r.avg_last_forgetting) for r in results}) > 1
+        assert len({tuple(r.round_log) for r in results}) == len(values)
 
     def test_adam_and_mask_paths_run(self):
         result = run_experiment(
@@ -171,7 +182,7 @@ class TestRunExperiment:
 
     def test_imbalanced_size_descending_regime(self):
         config = _small_config(
-            class_sizes=(60, 40, 20, 10),
+            class_sizes=(60, 40, 30, 20, 10, 10),
             task_assignment="size_descending",
             test_split=0.25,
         )
@@ -179,15 +190,19 @@ class TestRunExperiment:
         # larger classes stream first under the size-ordered assignment
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
-    def test_broadcast_keeps_optimizer_state_by_default(self):
-        from fedreplay.runner import _run_experiment
+    def test_broadcast_keeps_optimizer_state_by_default(self, monkeypatch):
+        states = []
 
-        config = _small_config(optimizer="adam", learning_rate=0.01)
-        _, workers = _run_experiment(config)
-        # rounds fired (burn_in=1, q=2) and moments kept accumulating afterwards
-        for w in workers:
-            assert w.opt.step > 0
-            assert np.any(w.opt.m != 0.0)
+        def recording(theta_g, workers):
+            broadcast(theta_g, workers)
+            states.append([(w.opt.step, bool(np.any(w.opt.m != 0.0))) for w in workers])
+
+        monkeypatch.setattr("fedreplay.runner.broadcast", recording)
+        run_experiment(_small_config(optimizer="adam", learning_rate=0.01))
+        # every round's broadcast left each client's step count and moments in place
+        assert len(states) == 12
+        for round_no, state in enumerate(states, start=1):
+            assert state == [(2 * round_no, True)] * 2  # a round every second tick
 
 
 class TestBroadcast:
@@ -209,7 +224,7 @@ class TestBroadcast:
         theta, workers = self._workers()
         broadcast(theta, workers)
         for w in workers:
-            assert w.params.values_equal(theta)
+            assert w.params.layout == theta.layout and np.array_equal(w.params.values, theta.values)
             assert not np.shares_memory(w.params.values, theta.values)  # each client owns a copy
             assert w.observed == set()
         assert not np.shares_memory(workers[0].params.values, workers[1].params.values)
@@ -218,7 +233,8 @@ class TestBroadcast:
         _, workers = self._workers(n=1)
         before = workers[0].params
         broadcast(before, workers)
-        assert workers[0].params.values_equal(before) and workers[0].params is not before
+        after = workers[0].params
+        assert after is not before and after.layout == before.layout and np.array_equal(after.values, before.values)
 
     def test_optimizer_reset_only_under_flag(self):
         theta, kept = self._workers(reset=False)
@@ -375,7 +391,6 @@ class TestCliChecksBeforeRunning:
     def runs(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fedreplay.cli, "run_experiment", lambda config: calls.append(config))
-        monkeypatch.setattr(fedreplay.cli, "_run_experiment", lambda config: calls.append(config))
         return calls
 
     def _non_empty(self, path):

@@ -15,12 +15,16 @@ from fedreplay.stream import (
 )
 
 
-def _stream(tasks, batch_size, order_rngs=None, dim=3):
-    """A stream over ``(task_id, n)`` tasks of consecutive dataset rows; row i is filled with float(i)."""
+def _stream(tasks, batch_size, seed=0, dim=3):
+    """A stream over ``(task_id, n)`` tasks of consecutive dataset rows; row i is filled with float(i).
+
+    Task t's rows are shuffled by ``default_rng(seed + t)``.
+    """
     total = sum(n for _, n in tasks)
     features = np.repeat(np.arange(total, dtype=float)[:, None], dim, axis=1)
     bounds = np.cumsum([0] + [n for _, n in tasks])
     per_task = [(task_id, np.arange(lo, hi)) for (task_id, _), lo, hi in zip(tasks, bounds, bounds[1:])]
+    order_rngs = [np.random.default_rng(seed + t) for t in range(len(tasks))]
     return ClientStream(0, features, np.zeros(total, dtype=int), per_task, batch_size, order_rngs)
 
 
@@ -86,8 +90,7 @@ class TestClientStream:
             sizes.append(len(item))
             rows.extend(item.features[:, 0].tolist())
         assert sizes == [10, 10, 5]
-        # without an order rng the task's rows stream in the given order
-        assert rows == list(range(25))
+        assert sorted(rows) == list(range(25))
         assert stream.exhausted()
         assert stream.next_batch() is None
         assert stream.next_batch() is None
@@ -110,14 +113,19 @@ class TestClientStream:
         assert stream.consumption_counts().tolist() == [1] * 25
         assert stream.exhausted()
 
+    def test_one_order_rng_per_task(self):
+        per_task = [(1, np.arange(2)), (2, np.arange(2, 4))]
+        with pytest.raises(ValueError):
+            ClientStream(0, np.zeros((4, 2)), np.zeros(4, dtype=int), per_task, 2, [np.random.default_rng(0)])
+
     def test_task_batches_carry_task_id(self):
         stream = _stream([(4, 3)], batch_size=2)
         batch = stream.next_batch()
         assert batch.task_id == 4
 
     def test_shuffle_reproducible(self):
-        a = _stream([(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
-        b = _stream([(1, 12)], 4, order_rngs=[np.random.default_rng(9)])
+        a = _stream([(1, 12)], 4, seed=9)
+        b = _stream([(1, 12)], 4, seed=9)
         rows = []
         while not a.exhausted():
             ba, bb = a.next_batch(), b.next_batch()

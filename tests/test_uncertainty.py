@@ -158,14 +158,19 @@ class TestPerturbFeatures:
             assert np.array_equal(copy, x)
 
     def test_invalid_specs_rejected(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            PerturbationSpec(0, "gaussian", 0.1)
+            PerturbationSpec(0, "gaussian", 0.1, rng=rng)
         with pytest.raises(ValueError):
-            PerturbationSpec(1, "gaussian", 0.0)
+            PerturbationSpec(1, "gaussian", 0.0, rng=rng)
         with pytest.raises(ValueError):
-            PerturbationSpec(1, "mask", mask_fraction=1.0)
+            PerturbationSpec(1, "mask", mask_fraction=1.0, rng=rng)
         with pytest.raises(ValueError):
-            PerturbationSpec(1, "cutout")
+            PerturbationSpec(1, "cutout", rng=rng)
+
+    def test_generator_is_required(self):
+        with pytest.raises(TypeError):
+            PerturbationSpec(4, "gaussian", 0.1)
 
 
 class TestScoreSample:

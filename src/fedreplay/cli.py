@@ -53,7 +53,7 @@ def _cmd_run(args) -> int:
     emit_report(result, out, force=args.force)
     print(
         f"A={result.avg_last_accuracy:.4f} F={result.avg_last_forgetting:.4f} "
-        f"rounds={len(result.round_log)} seed={result.seed} out={out}"
+        f"rounds={len(result.round_log)} seed={result.config['seed']} out={out}"
     )
     return 0
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .federation import AGGREGATIONS
-from .memory import POLICIES
+from .memory import POLICIES, SCORED_POLICIES
 from .stream import ASSIGNMENT_MODES, DATASET_FORMATS
 from .uncertainty import METRICS, PERTURBATION_KINDS
 
@@ -133,7 +133,7 @@ class ExperimentConfig:
 
     def check_bi_copies(self, dim: int) -> None:
         """Refuse BI retention whose perturbed copies of a ``dim``-feature input would all score 0."""
-        scored = self.memory_capacity > 0 and self.memory_policy in ("bottom_k", "top_k")
+        scored = self.memory_capacity > 0 and self.memory_policy in SCORED_POLICIES
         if not scored or self.uncertainty_metric != "bi":
             return
         if self.perturbation_count < 2:

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-POLICIES = ("bottom_k", "top_k", "random", "class_balanced_random")
+SCORED_POLICIES = ("bottom_k", "top_k")
+POLICIES = (*SCORED_POLICIES, "random", "class_balanced_random")
 
 
 class StoredRow(NamedTuple):

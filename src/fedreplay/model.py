@@ -220,37 +220,32 @@ def fedprox_augment(grad, params, global_params, mu: float) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; Adam moment arrays exist iff kind == 'adam'."""
+    """SGD state, or Adam state when the moment arrays ``m`` and ``v`` are set."""
 
-    kind: str
     learning_rate: float
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind: {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.kind == "adam" and (self.m is None or self.v is None):
-            raise ValueError("adam state requires moment arrays")
-        if self.kind == "sgd" and (self.m is not None or self.v is not None):
-            raise ValueError("sgd state must not carry moment arrays")
+        if (self.m is None) != (self.v is None):
+            raise ValueError("adam state needs both moment arrays, sgd state neither")
         if self.step < 0:
             raise ValueError("step must be >= 0")
 
     @classmethod
     def sgd(cls, learning_rate: float) -> "OptimizerState":
-        return cls(kind="sgd", learning_rate=learning_rate)
+        return cls(learning_rate)
 
     @classmethod
     def adam(cls, learning_rate: float, size: int) -> "OptimizerState":
-        return cls(kind="adam", learning_rate=learning_rate, m=np.zeros(size), v=np.zeros(size))
+        return cls(learning_rate, m=np.zeros(size), v=np.zeros(size))
 
     def reset(self) -> None:
         """Zero accumulated moments and the step counter (no-op for SGD)."""
-        if self.kind == "adam":
+        if self.m is not None:
             self.m[:] = 0.0
             self.v[:] = 0.0
             self.step = 0
@@ -261,7 +256,7 @@ def optimizer_step(params: ParameterVector, grad, state: OptimizerState) -> Para
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != params.values.shape:
         raise ValueError("gradient length does not match parameter vector")
-    if state.kind == "sgd":
+    if state.m is None:
         new = params.values - state.learning_rate * g
     else:
         state.step += 1

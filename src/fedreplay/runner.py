@@ -1,19 +1,19 @@
 """Experiment orchestration: the lockstep multi-client training loop.
 
-All clients advance one mini-batch per global tick. On the first task a
-client trains on the incoming batch alone; afterwards it trains on the
-batch joined with a replay draw from its memory (one gradient step per
-tick). After training, the batch is scored under the updated model and
-offered to the memory, with the stored candidates of the touched classes
-rescored fresh, as one block per offer, so retention compares the whole
-merged set.
+All clients advance one mini-batch per global tick. A client trains on
+the incoming batch joined with a replay draw of past-task rows from its
+memory (one gradient step per tick); on the first task the memory holds
+no such rows, so the draw is empty. After training, the batch is scored
+under the updated model and offered to the memory, with the stored
+candidates of the touched classes rescored fresh, as one block per
+offer, so retention compares the whole merged set.
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
 previous global parameters ``theta_g``, and broadcast. The loop owns
 ``theta_g`` and the round log (one line per round); each client owns the
 rest. At every task boundary each client is evaluated on the held-out
-split of all tasks seen so far.
+split of all tasks seen so far, into one (clients, T, T) accuracy array.
 
 Randomness is fanned out from the master seed into named sub-streams, and
 clients tick in a fixed order, so reruns are bit-reproducible.
@@ -22,6 +22,7 @@ clients tick in a fixed order, so reruns are bit-reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -31,16 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import seeds
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .federation import RoundReport, class_weighted_avg, fedavg, should_communicate, temporal_smooth
-from .memory import MemoryBuffer, sample_replay, update_memory
-from .metrics import (
-    AccuracyMatrix,
-    avg_last_accuracy,
-    avg_last_forgetting,
-    client_forgetting,
-    evaluate_model,
-)
+from .memory import SCORED_POLICIES, MemoryBuffer, sample_replay, update_memory
+from .metrics import client_mean, evaluate_model, last_accuracy, last_forgetting
 from .model import (
     ModelConfig,
     OptimizerState,
@@ -59,12 +54,9 @@ from .uncertainty import NonFiniteLogits, PerturbationSpec, score_sample
 class RunResult:
     avg_last_accuracy: float
     avg_last_forgetting: float
-    per_client_accuracy: list[float]
-    per_client_forgetting: list[float]
-    matrices: list[AccuracyMatrix]
+    accuracy: np.ndarray  # (clients, T, T); NaN above each diagonal
     round_log: list[str]
-    config: dict
-    seed: int
+    config: dict  # the resolved config echo, seed included
     buffers: list[MemoryBuffer]  # each client's final memory, in client order
 
 
@@ -72,7 +64,6 @@ class RunResult:
 class _ClientWorker:
     """Client-local state: parameters, optimizer, memory, stream, rngs."""
 
-    client_id: int
     cfg: ExperimentConfig
     model_config: ModelConfig
     params: ParameterVector
@@ -89,7 +80,7 @@ class _ClientWorker:
             [score_sample(self.params, self.model_config, x, self.pert_spec, self.cfg.uncertainty_metric) for x in rows]
         )
 
-    def tick(self, first_task: bool, bn: int, theta_g: ParameterVector) -> bool:
+    def tick(self, bn: int, theta_g: ParameterVector) -> bool:
         """Consume batch ``bn`` of the task, ``theta_g`` anchoring FedProx; False once the task is exhausted.
 
         Raises ``RuntimeError`` naming the client, task and ``bn`` when training
@@ -102,21 +93,22 @@ class _ClientWorker:
             return False
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                self._train_and_offer(batch, first_task, theta_g)
+                self._train_and_offer(batch, theta_g)
         except (FloatingPointError, OverflowError, NonFiniteLogits) as exc:
-            raise RuntimeError(f"client {self.client_id} diverged on task {batch.task_id} at bn={bn}: {exc}") from exc
+            raise RuntimeError(
+                f"client {self.stream.client_id} diverged on task {batch.task_id} at bn={bn}: {exc}"
+            ) from exc
         return True
 
-    def _train_and_offer(self, batch: MiniBatch, first_task: bool, theta_g: ParameterVector) -> None:
+    def _train_and_offer(self, batch: MiniBatch, theta_g: ParameterVector) -> None:
         train_batch = batch
-        if not first_task:
-            replay = sample_replay(self.buffer, self.cfg.batch_size, batch.task_id, self.replay_rng)
-            if len(replay):
-                train_batch = MiniBatch(
-                    features=np.vstack([batch.features, self.buffer.features[replay]]),
-                    labels=np.concatenate([batch.labels, self.buffer.labels[replay]]),
-                    task_id=batch.task_id,
-                )
+        replay = sample_replay(self.buffer, self.cfg.batch_size, batch.task_id, self.replay_rng)
+        if len(replay):
+            train_batch = MiniBatch(
+                features=np.vstack([batch.features, self.buffer.features[replay]]),
+                labels=np.concatenate([batch.labels, self.buffer.labels[replay]]),
+                task_id=batch.task_id,
+            )
 
         loss, grad = loss_and_grad(self.params, self.model_config, train_batch)
         if not math.isfinite(loss):
@@ -129,7 +121,7 @@ class _ClientWorker:
         self.observed.update(int(label) for label in batch.labels)
 
         if self.buffer.capacity > 0:
-            if self.cfg.memory_policy in ("bottom_k", "top_k"):
+            if self.cfg.memory_policy in SCORED_POLICIES:
                 update_memory(self.buffer, batch, self._scores(batch.features), rescore=self._scores)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
@@ -160,11 +152,13 @@ def _build_dataset(config: ExperimentConfig):
         features, labels = load_vector_dataset(config.data_path, config.data_format)
         if not labels.size:
             raise RuntimeError(f"dataset {config.data_path} is empty")
-        # validate() checks synthetic data; a file's dimension is known only now
+        # validate() checks synthetic data; a file's dimension (and, below, its classes) is known only now
         config.check_bi_copies(features.shape[1])
     class_ids, labels = np.unique(labels, return_inverse=True)
     if len(class_ids) < 2:
         raise RuntimeError("dataset must contain at least two classes")
+    if config.tasks > len(class_ids):
+        raise ConfigError("invalid value for tasks: must not exceed the class count")
     return features, labels, len(class_ids)
 
 
@@ -241,7 +235,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         )
         workers.append(
             _ClientWorker(
-                k,
                 config,
                 model_config,
                 theta0,
@@ -254,19 +247,16 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         )
 
     theta_g = theta0
-    matrices = [AccuracyMatrix(config.tasks) for _ in range(config.clients)]
+    accuracy = np.full((config.clients, config.tasks, config.tasks), np.nan)
     round_log: list[str] = []
 
     for t_idx, spec in enumerate(tasks):
-        first_task = t_idx == 0
-        active = [True] * config.clients
-        bn = 0
-        while True:
-            ticked = [w.tick(first_task, bn + 1, theta_g) if a else False for a, w in zip(active, workers)]
-            active = [a and t for a, t in zip(active, ticked)]
+        ticked = [True] * config.clients
+        for bn in itertools.count(1):
+            # a client whose task is exhausted sits out the rest of the task
+            ticked = [t and w.tick(bn, theta_g) for t, w in zip(ticked, workers)]
             if not any(ticked):
                 break
-            bn += 1
             if should_communicate(bn, config.burn_in, config.q):
                 report = RoundReport(
                     params=[w.params for w in workers],
@@ -283,29 +273,22 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                     f"reports={_format_reports(report.class_reports)} checksum={_checksum(theta_g)}"
                 )
         for k, w in enumerate(workers):
-            accuracies = evaluate_model(w.params, model_config, test_sets[: t_idx + 1])
-            for on_task, acc in enumerate(accuracies, start=1):
-                matrices[k].record(spec.task_id, on_task, acc)
+            accuracy[k, t_idx, : t_idx + 1] = evaluate_model(w.params, model_config, test_sets[: t_idx + 1])
 
     for w in workers:
         counts_arr = w.stream.consumption_counts()
         if not w.stream.exhausted() or not np.all(counts_arr == 1):
             raise RuntimeError(
-                f"single-pass audit failed for client {w.client_id}: "
+                f"single-pass audit failed for client {w.stream.client_id}: "
                 f"{int(np.count_nonzero(counts_arr != 1))} examples not consumed exactly once"
             )
 
     return RunResult(
-        avg_last_accuracy=avg_last_accuracy(matrices, config.tasks),
-        avg_last_forgetting=avg_last_forgetting(matrices, config.tasks),
-        per_client_accuracy=[
-            avg_last_accuracy([m], config.tasks) for m in matrices
-        ],
-        per_client_forgetting=[client_forgetting(m, config.tasks) for m in matrices],
-        matrices=matrices,
+        avg_last_accuracy=client_mean([last_accuracy(a) for a in accuracy]),
+        avg_last_forgetting=client_mean([last_forgetting(a) for a in accuracy]),
+        accuracy=accuracy,
         round_log=round_log,
         config=config.echo(),
-        seed=seed,
         buffers=[w.buffer for w in workers],
     )
 
@@ -344,19 +327,21 @@ def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
     summary = {
         "avg_last_accuracy": result.avg_last_accuracy,
         "avg_last_forgetting": result.avg_last_forgetting,
-        "seed": result.seed,
+        "seed": result.config["seed"],
         "config": result.config,
     }
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
 
     lines = ["client,last_accuracy,last_forgetting"]
-    for k, (a, f) in enumerate(zip(result.per_client_accuracy, result.per_client_forgetting)):
-        lines.append(f"{k},{a!r},{f!r}")
+    for k, client in enumerate(result.accuracy):
+        lines.append(f"{k},{last_accuracy(client)!r},{last_forgetting(client)!r}")
     _write_atomic(out / "per_client.csv", "\n".join(lines) + "\n")
 
-    for k, matrix in enumerate(result.matrices):
+    # .tolist() gives Python floats, whose repr is the plain number
+    for k, matrix in enumerate(result.accuracy.tolist()):
         rows = ["after_task,on_task,accuracy"]
-        rows.extend(f"{t},{i},{acc!r}" for t, i, acc in matrix.rows())
+        for t, row in enumerate(matrix, start=1):
+            rows.extend(f"{t},{i},{acc!r}" for i, acc in enumerate(row[:t], start=1))
         _write_atomic(out / f"acc_matrix_{k}.csv", "\n".join(rows) + "\n")
 
     _write_atomic(out / "rounds.log", "\n".join(result.round_log) + ("\n" if result.round_log else ""))

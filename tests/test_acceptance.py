@@ -15,7 +15,7 @@ import pytest
 from fedreplay.config import ExperimentConfig
 from fedreplay.federation import RoundReport, class_weighted_avg, fedavg
 from fedreplay.memory import MemoryBuffer, class_quota, sample_replay, update_memory
-from fedreplay.metrics import avg_last_accuracy, avg_last_forgetting
+from fedreplay.metrics import client_mean, last_accuracy, last_forgetting
 from fedreplay.model import (
     ModelConfig,
     ParameterVector,
@@ -297,18 +297,16 @@ def test_criterion_4_memory_invariants():
 
 
 def test_criterion_5_metrics_oracle():
-    from fedreplay.metrics import AccuracyMatrix
-
     def build(entries):
-        m = AccuracyMatrix(3)
+        a = np.full((3, 3), np.nan)
         for (t, i), acc in entries.items():
-            m.record(t, i, acc)
-        return m
+            a[t - 1, i - 1] = acc
+        return a
 
     c1 = build({(1, 1): 0.8, (2, 1): 0.6, (2, 2): 0.9, (3, 1): 0.5, (3, 2): 0.7, (3, 3): 1.0})
     c2 = build({(1, 1): 0.6, (2, 1): 0.7, (2, 2): 0.8, (3, 1): 0.4, (3, 2): 0.9, (3, 3): 0.5})
-    a = avg_last_accuracy([c1, c2], 3)
-    f = avg_last_forgetting([c1, c2], 3)
+    a = client_mean([last_accuracy(c) for c in (c1, c2)])
+    f = client_mean([last_forgetting(c) for c in (c1, c2)])
     # manual: A = ((0.5+0.7+1.0)/3 + (0.4+0.9+0.5)/3) / 2 = 2/3
     #         F = ((0.3+0.2)/2 + (0.3-0.1)/2) / 2 = 0.175
     a_err = abs(a - 2.0 / 3.0)

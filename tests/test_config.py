@@ -1,5 +1,8 @@
 """Config file parsing, defaults, and validation."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,29 @@ class TestDefaults:
 
     def test_defaults_validate_standalone(self):
         ExperimentConfig().validate()
+
+
+class TestReadmeGrammar:
+    """The ```ini block in README.md is the documented grammar; it must not drift from the parser."""
+
+    @pytest.fixture
+    def block(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+        return block
+
+    def test_block_parses_to_the_defaults(self, tmp_path, block):
+        assert parse_config(_write(tmp_path, block)).echo() == ExperimentConfig().echo()
+
+    def test_block_names_every_key_and_no_other(self, block):
+        keys = set()
+        section = None
+        for line in block.splitlines():
+            if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
+                section = header[1]
+            elif key := re.match(r"#?\s*(\w+)\s*=", line):
+                keys.add((section, key[1]))
+        assert keys == set(_SCHEMA)
 
 
 class TestParsing:

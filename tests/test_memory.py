@@ -290,7 +290,11 @@ class TestSampleReplay:
 
     def test_only_current_task_gives_empty(self):
         buf = self._filled([2])
-        assert sample_replay(buf, 3, current_task=2, rng=np.random.default_rng(0)).size == 0
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert sample_replay(buf, 3, current_task=2, rng=rng).size == 0
+        # the runner draws on the first task too, so an empty draw must not move the generator
+        assert rng.bit_generator.state == before
 
     def test_exhaustion_returns_all(self):
         buf = self._filled([1], per_task=3)

@@ -1,80 +1,62 @@
-"""Accuracy matrix bookkeeping and the last accuracy / last forgetting metrics."""
+"""Task-accuracy arrays and the last accuracy / last forgetting metrics."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fedreplay.metrics import (
-    AccuracyMatrix,
-    avg_last_accuracy,
-    avg_last_forgetting,
-    client_forgetting,
-    evaluate_model,
-)
+from fedreplay.metrics import client_mean, evaluate_model, last_accuracy, last_forgetting
 from fedreplay.model import ModelConfig, ParameterVector, init_parameters, layout_of
 
 
-def _matrix(num_tasks, entries):
-    m = AccuracyMatrix(num_tasks)
+def _accuracy(num_tasks, entries):
+    """A (T, T) array holding ``entries`` keyed by 1-based (after_task, on_task); NaN elsewhere."""
+    a = np.full((num_tasks, num_tasks), np.nan)
     for (t, i), acc in entries.items():
-        m.record(t, i, acc)
-    return m
+        a[t - 1, i - 1] = acc
+    return a
 
 
-class TestAccuracyMatrix:
-    def test_store_and_read(self):
-        m = AccuracyMatrix(2)
-        m.record(1, 1, 0.8)
-        assert m.get(1, 1) == 0.8
+def avg_last_accuracy(clients):
+    return client_mean([last_accuracy(a) for a in clients])
 
-    def test_triangularity_enforced(self):
-        m = AccuracyMatrix(2)
-        with pytest.raises(ValueError):
-            m.record(1, 2, 0.5)
 
-    def test_write_once(self):
-        m = AccuracyMatrix(2)
-        m.record(1, 1, 0.8)
-        with pytest.raises(ValueError):
-            m.record(1, 1, 0.9)
-
-    def test_range_checks(self):
-        m = AccuracyMatrix(2)
-        with pytest.raises(ValueError):
-            m.record(3, 1, 0.5)
-        with pytest.raises(ValueError):
-            m.record(1, 1, 1.5)
+def avg_last_forgetting(clients):
+    return client_mean([last_forgetting(a) for a in clients])
 
 
 class TestAverageLastAccuracy:
     def test_single_client(self):
-        m = _matrix(2, {(1, 1): 0.8, (2, 1): 0.6, (2, 2): 0.9})
-        assert avg_last_accuracy([m], 2) == pytest.approx(0.75, abs=1e-15)
+        a = _accuracy(2, {(1, 1): 0.8, (2, 1): 0.6, (2, 2): 0.9})
+        assert avg_last_accuracy([a]) == pytest.approx(0.75, abs=1e-15)
 
     def test_constant_matrix(self):
         entries = {(t, i): 0.5 for t in range(1, 4) for i in range(1, t + 1)}
-        m = _matrix(3, entries)
-        assert avg_last_accuracy([m], 3) == pytest.approx(0.5, abs=1e-15)
+        a = _accuracy(3, entries)
+        assert avg_last_accuracy([a]) == pytest.approx(0.5, abs=1e-15)
 
     def test_client_mean(self):
-        m1 = _matrix(2, {(2, 1): 0.2, (2, 2): 0.2})
-        m2 = _matrix(2, {(2, 1): 0.6, (2, 2): 0.6})
-        assert avg_last_accuracy([m1, m2], 2) == pytest.approx(0.4, abs=1e-15)
+        a1 = _accuracy(2, {(2, 1): 0.2, (2, 2): 0.2})
+        a2 = _accuracy(2, {(2, 1): 0.6, (2, 2): 0.6})
+        assert avg_last_accuracy([a1, a2]) == pytest.approx(0.4, abs=1e-15)
 
     def test_missing_entries_rejected(self):
-        m = _matrix(2, {(2, 1): 0.5})
+        a = _accuracy(2, {(2, 1): 0.5})
+        with pytest.raises(ValueError, match=r"missing entry a\[2\]\[2\]"):
+            last_accuracy(a)
+
+    def test_no_clients_rejected(self):
         with pytest.raises(ValueError):
-            avg_last_accuracy([m], 2)
+            client_mean([])
 
 
 class TestAverageLastForgetting:
     def test_single_client_example(self):
-        m = _matrix(2, {(1, 1): 0.8, (2, 1): 0.6, (2, 2): 0.9})
-        assert avg_last_forgetting([m], 2) == pytest.approx(0.2, abs=1e-15)
+        a = _accuracy(2, {(1, 1): 0.8, (2, 1): 0.6, (2, 2): 0.9})
+        assert avg_last_forgetting([a]) == pytest.approx(0.2, abs=1e-15)
 
     def test_no_degradation_gives_zero(self):
-        m = _matrix(
+        a = _accuracy(
             3,
             {
                 (1, 1): 0.5,
@@ -85,57 +67,62 @@ class TestAverageLastForgetting:
                 (3, 3): 0.9,
             },
         )
-        assert avg_last_forgetting([m], 3) == pytest.approx(0.0, abs=1e-15)
+        assert avg_last_forgetting([a]) == pytest.approx(0.0, abs=1e-15)
 
     def test_client_mean(self):
-        m1 = _matrix(2, {(1, 1): 0.5, (2, 1): 0.4, (2, 2): 0.9})  # F = 0.1
-        m2 = _matrix(2, {(1, 1): 0.8, (2, 1): 0.5, (2, 2): 0.9})  # F = 0.3
-        assert avg_last_forgetting([m1, m2], 2) == pytest.approx(0.2, abs=1e-15)
+        a1 = _accuracy(2, {(1, 1): 0.5, (2, 1): 0.4, (2, 2): 0.9})  # F = 0.1
+        a2 = _accuracy(2, {(1, 1): 0.8, (2, 1): 0.5, (2, 2): 0.9})  # F = 0.3
+        assert avg_last_forgetting([a1, a2]) == pytest.approx(0.2, abs=1e-15)
 
     def test_negative_forgetting_not_clamped(self):
-        m = _matrix(2, {(1, 1): 0.5, (2, 1): 0.8, (2, 2): 0.9})
-        assert avg_last_forgetting([m], 2) == pytest.approx(-0.3, abs=1e-15)
+        a = _accuracy(2, {(1, 1): 0.5, (2, 1): 0.8, (2, 2): 0.9})
+        assert avg_last_forgetting([a]) == pytest.approx(-0.3, abs=1e-15)
 
     def test_single_task_rejected(self):
-        m = _matrix(1, {(1, 1): 0.5})
+        a = _accuracy(1, {(1, 1): 0.5})
         with pytest.raises(ValueError):
-            avg_last_forgetting([m], 1)
+            last_forgetting(a)
+
+    @pytest.mark.parametrize("missing, name", [((3, 2), r"a\[3\]\[2\]"), ((2, 1), r"a\[2\]\[1\]")])
+    def test_missing_read_entry_rejected(self, missing, name):
+        entries = {(t, i): 0.5 for t in range(1, 4) for i in range(1, t + 1)}
+        del entries[missing]
+        with pytest.raises(ValueError, match=f"missing entry {name}"):
+            last_forgetting(_accuracy(3, entries))
 
     def test_peak_in_training_row_implies_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             num_tasks = int(rng.integers(2, 6))
-            m = AccuracyMatrix(num_tasks)
-            for t in range(1, num_tasks + 1):
-                for i in range(1, t + 1):
-                    if i == t:
-                        m.record(t, i, 1.0)  # accuracy peaks while training the task
-                    else:
-                        m.record(t, i, float(rng.uniform(0.0, 1.0)))
-            assert client_forgetting(m, num_tasks) >= 0.0
+            a = np.full((num_tasks, num_tasks), np.nan)
+            for t in range(num_tasks):
+                for i in range(t + 1):
+                    # accuracy peaks while training the task
+                    a[t, i] = 1.0 if i == t else float(rng.uniform(0.0, 1.0))
+            assert last_forgetting(a) >= 0.0
 
     def test_client_order_invariance_bitwise(self):
         rng = np.random.default_rng(4)
-        mats = []
+        clients = []
         for _ in range(5):
-            m = AccuracyMatrix(3)
-            for t in range(1, 4):
-                for i in range(1, t + 1):
-                    m.record(t, i, float(rng.uniform()))
-            mats.append(m)
-        base_a = avg_last_accuracy(mats, 3)
-        base_f = avg_last_forgetting(mats, 3)
+            a = np.full((3, 3), np.nan)
+            for t in range(3):
+                for i in range(t + 1):
+                    a[t, i] = float(rng.uniform())
+            clients.append(a)
+        base_a = avg_last_accuracy(clients)
+        base_f = avg_last_forgetting(clients)
         for _ in range(10):
-            perm = [mats[i] for i in rng.permutation(5)]
-            assert avg_last_accuracy(perm, 3) == base_a
-            assert avg_last_forgetting(perm, 3) == base_f
+            perm = [clients[i] for i in rng.permutation(5)]
+            assert avg_last_accuracy(perm) == base_a
+            assert avg_last_forgetting(perm) == base_f
 
 
 class TestHandComputedOracle:
     """Two clients, three tasks, rational entries checked against manual arithmetic."""
 
     def test_matches_manual_computation(self):
-        c1 = _matrix(
+        c1 = _accuracy(
             3,
             {
                 (1, 1): 0.8,
@@ -146,7 +133,7 @@ class TestHandComputedOracle:
                 (3, 3): 1.0,
             },
         )
-        c2 = _matrix(
+        c2 = _accuracy(
             3,
             {
                 (1, 1): 0.6,
@@ -162,8 +149,8 @@ class TestHandComputedOracle:
         # F_1 = ((8/10 - 5/10) + (9/10 - 7/10)) / 2 = 1/4
         # F_2 = ((7/10 - 4/10) + (8/10 - 9/10)) / 2 = 1/10
         f_expected = Fraction(1, 2) * (Fraction(1, 4) + Fraction(1, 10))
-        assert avg_last_accuracy([c1, c2], 3) == pytest.approx(float(a_expected), abs=1e-12)
-        assert avg_last_forgetting([c1, c2], 3) == pytest.approx(float(f_expected), abs=1e-12)
+        assert avg_last_accuracy([c1, c2]) == pytest.approx(float(a_expected), abs=1e-12)
+        assert avg_last_forgetting([c1, c2]) == pytest.approx(float(f_expected), abs=1e-12)
         assert float(a_expected) == pytest.approx(2 / 3, abs=1e-15)
         assert float(f_expected) == pytest.approx(0.175, abs=1e-15)
 

@@ -81,8 +81,8 @@ class TestRunExperiment:
         assert a.avg_last_accuracy == b.avg_last_accuracy
         assert a.avg_last_forgetting == b.avg_last_forgetting
         assert a.round_log == b.round_log
-        for ma, mb in zip(a.matrices, b.matrices):
-            assert list(ma.rows()) == list(mb.rows())
+        assert a.accuracy.shape == (2, 3, 3)
+        assert np.array_equal(a.accuracy, b.accuracy, equal_nan=True)
 
     def test_zero_memory_degenerates_to_memoryless(self):
         # with no memory, the admission policy cannot matter
@@ -117,15 +117,18 @@ class TestRunExperiment:
         assert result.round_log == []
 
     def test_metrics_consistent_with_matrices(self):
-        from fedreplay.metrics import avg_last_accuracy, avg_last_forgetting
+        from fedreplay.metrics import client_mean, last_accuracy, last_forgetting
 
         result = run_experiment(_small_config())
-        assert result.avg_last_accuracy == avg_last_accuracy(result.matrices, 3)
-        assert result.avg_last_forgetting == avg_last_forgetting(result.matrices, 3)
-        assert len(result.per_client_accuracy) == 2
-        assert result.avg_last_accuracy == pytest.approx(
-            sum(result.per_client_accuracy) / 2, abs=1e-15
-        )
+        per_client = [last_accuracy(a) for a in result.accuracy]
+        assert result.avg_last_accuracy == client_mean(per_client)
+        assert result.avg_last_forgetting == client_mean([last_forgetting(a) for a in result.accuracy])
+        assert len(per_client) == 2
+        assert result.avg_last_accuracy == pytest.approx(sum(per_client) / 2, abs=1e-15)
+        # every entry on and below the diagonal is measured, none above it
+        measured = np.tri(3, dtype=bool)
+        assert not np.isnan(result.accuracy[:, measured]).any()
+        assert np.isnan(result.accuracy[:, ~measured]).all()
 
     @pytest.mark.parametrize(
         "key, values",
@@ -215,7 +218,7 @@ class TestBroadcast:
         workers = []
         for k in range(n):
             opt = OptimizerState.adam(0.01, len(theta))
-            w = _ClientWorker(k, config, model_config, theta, opt, None, None, None, None, observed={k, 5})
+            w = _ClientWorker(config, model_config, theta, opt, None, None, None, None, observed={k, 5})
             w.params = optimizer_step(w.params, np.ones(len(theta)), w.opt)
             workers.append(w)
         return theta, workers
@@ -354,6 +357,21 @@ class TestCli:
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {data}: row 8 has a non-finite feature\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_file_data_with_fewer_classes_than_tasks(self, tmp_path, capsys):
+        from fedreplay.stream import save_vector_dataset
+
+        data = tmp_path / "data.csv"
+        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 4)), np.repeat([0, 1], 20), "csv")
+        text = _config_text().replace("tasks = 2", "tasks = 3")
+        text = text.replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: invalid value for tasks: must not exceed the class count\n"
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):

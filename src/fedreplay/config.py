@@ -228,9 +228,12 @@ _SCHEMA = {
 _SECTIONS = {section for section, _ in _SCHEMA}
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True)
+def parse_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate an experiment config file; ``seed``, if given, overrides the file's.
+
+    Values are read literally: ``%`` is an ordinary character, not interpolation.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True, interpolation=None)
     try:
         with open(path, "r") as fh:
             parser.read_file(fh, source=str(path))
@@ -239,6 +242,8 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
 
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     config = ExperimentConfig()
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -249,5 +254,7 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             attr, parse = entry
             setattr(config, attr, parse(raw, key))
+    if seed is not None:
+        config.seed = seed
     config.validate()
     return config

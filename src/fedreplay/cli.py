@@ -58,6 +58,8 @@ def _runs(args) -> list[tuple]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("invalid value for output_dir: must not be empty")
         for stem, path, out in _runs(args):
             config = parse_config(path, seed=args.seed)
             out = config.output_dir if out is None else out

@@ -1,16 +1,17 @@
 """Experiment configuration: INI-style files, defaults, validation.
 
-The file format is ``key = value`` under section headers (see README for
-the full grammar). Every key is checked against the known set so typos
-fail loudly, and every invariant violation names the offending field. An
-empty file is valid and yields the documented defaults.
+The file format is ``key = value`` under section headers (see README for the
+full grammar). Each key is one ``ExperimentConfig`` field that carries its
+section, file key and parser. Keys and sections are case-sensitive, and unknown
+ones fail loudly. A config is frozen and validated when built, and every
+invariant violation names the offending field. An empty file yields the defaults.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .federation import AGGREGATIONS
 from .memory import POLICIES, SCORED_POLICIES
@@ -29,45 +30,82 @@ class ConfigError(Exception):
     """Raised for unreadable, unparsable, or invalid configuration."""
 
 
-@dataclass
+def _parse_int(raw: str, name: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"invalid value for {name}: {raw!r} is not an integer") from None
+
+
+def _parse_float(raw: str, name: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"invalid value for {name}: {raw!r} is not a number") from None
+
+
+def _parse_bool(raw: str, name: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ConfigError(f"invalid value for {name}: {raw!r} is not a boolean")
+
+
+def _parse_int_list(raw: str, name: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"invalid value for {name}: {raw!r} is not a comma-separated int list") from None
+
+
+def _parse_str(raw: str, name: str) -> str:
+    return raw.strip()
+
+
+def _key(section: str, parse, default, key: str | None = None):
+    """A config field read from ``key`` (default: the field's name) under ``[section]`` by ``parse``."""
+    return field(default=default, metadata={"section": section, "key": key, "parse": parse})
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    # experiment
-    clients: int = 5
-    tasks: int = 4
-    batch_size: int = 10
-    test_split: float = 0.2
-    seed: int = 0
-    output_dir: str = "out"
-    # data
-    data_source: str = "synthetic"
-    classes: int = 8
-    samples_per_class: int = 100
-    class_sizes: tuple[int, ...] | None = None
-    dim: int = 16
-    center_spread: float = 3.0
-    cluster_sigma: float = 1.0
-    task_assignment: str = "shuffle"
-    data_path: str | None = None
-    data_format: str = "csv"
-    # memory
-    memory_capacity: int = 100
-    memory_policy: str = "bottom_k"
-    uncertainty_metric: str = "bi"
-    # perturbation
-    perturbation_count: int = 12
-    perturbation_kind: str = "gaussian"
-    noise_sigma: float = 0.1
-    mask_fraction: float = 0.25
-    # federation
-    burn_in: int = 30
-    q: int = 5
-    aggregation: str = "fedavg"
-    fedprox_mu: float = 0.01
-    # model
-    hidden_dims: tuple[int, ...] = (64,)
-    optimizer: str = "sgd"
-    learning_rate: float = 0.1
-    reset_optimizer_on_sync: bool = False
+    # Field order is the order of the summary.json echo.
+    clients: int = _key("experiment", _parse_int, 5)
+    tasks: int = _key("experiment", _parse_int, 4)
+    batch_size: int = _key("experiment", _parse_int, 10)
+    test_split: float = _key("experiment", _parse_float, 0.2)
+    seed: int = _key("experiment", _parse_int, 0)
+    output_dir: str = _key("experiment", _parse_str, "out")
+    data_source: str = _key("data", _parse_str, "synthetic", key="source")
+    classes: int = _key("data", _parse_int, 8)
+    samples_per_class: int = _key("data", _parse_int, 100)
+    class_sizes: tuple[int, ...] | None = _key("data", _parse_int_list, None)
+    dim: int = _key("data", _parse_int, 16)
+    center_spread: float = _key("data", _parse_float, 3.0)
+    cluster_sigma: float = _key("data", _parse_float, 1.0)
+    task_assignment: str = _key("data", _parse_str, "shuffle")
+    data_path: str | None = _key("data", _parse_str, None, key="path")
+    data_format: str = _key("data", _parse_str, "csv", key="format")
+    memory_capacity: int = _key("memory", _parse_int, 100, key="capacity")
+    memory_policy: str = _key("memory", _parse_str, "bottom_k", key="policy")
+    uncertainty_metric: str = _key("memory", _parse_str, "bi", key="metric")
+    perturbation_count: int = _key("perturbation", _parse_int, 12, key="count")
+    perturbation_kind: str = _key("perturbation", _parse_str, "gaussian", key="kind")
+    noise_sigma: float = _key("perturbation", _parse_float, 0.1, key="sigma")
+    mask_fraction: float = _key("perturbation", _parse_float, 0.25)
+    burn_in: int = _key("federation", _parse_int, 30)
+    q: int = _key("federation", _parse_int, 5)
+    aggregation: str = _key("federation", _parse_str, "fedavg")
+    fedprox_mu: float = _key("federation", _parse_float, 0.01)
+    hidden_dims: tuple[int, ...] = _key("model", _parse_int_list, (64,), key="hidden")
+    optimizer: str = _key("model", _parse_str, "sgd")
+    learning_rate: float = _key("model", _parse_float, 0.1)
+    reset_optimizer_on_sync: bool = _key("model", _parse_bool, False)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         def require(cond: bool, name: str, why: str) -> None:
@@ -85,6 +123,7 @@ class ExperimentConfig:
         require(self.batch_size >= 1, "batch_size", "must be >= 1")
         require(0.0 < self.test_split < 1.0, "test_split", "must lie in (0, 1)")
         require(self.seed >= 0, "seed", "must be >= 0")
+        require(bool(self.output_dir), "output_dir", "must not be empty")
         require(self.data_source in DATA_SOURCES, "source", f"must be one of {DATA_SOURCES}")
         if self.data_source == "synthetic":
             require(self.classes >= 2, "classes", "must be >= 2")
@@ -156,75 +195,11 @@ class ExperimentConfig:
         return out
 
 
-def _parse_int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value for {name}: {raw!r} is not an integer") from None
-
-
-def _parse_float(raw: str, name: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value for {name}: {raw!r} is not a number") from None
-
-
-def _parse_bool(raw: str, name: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"invalid value for {name}: {raw!r} is not a boolean")
-
-
-def _parse_int_list(raw: str, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"invalid value for {name}: {raw!r} is not a comma-separated int list") from None
-
-
-def _parse_str(raw: str, name: str) -> str:
-    return raw.strip()
-
-
-# (section, key) -> (config attribute, parser)
+# (section, key) -> (config attribute, parser), in field order
 _SCHEMA = {
-    ("experiment", "clients"): ("clients", _parse_int),
-    ("experiment", "tasks"): ("tasks", _parse_int),
-    ("experiment", "batch_size"): ("batch_size", _parse_int),
-    ("experiment", "test_split"): ("test_split", _parse_float),
-    ("experiment", "seed"): ("seed", _parse_int),
-    ("experiment", "output_dir"): ("output_dir", _parse_str),
-    ("data", "source"): ("data_source", _parse_str),
-    ("data", "classes"): ("classes", _parse_int),
-    ("data", "samples_per_class"): ("samples_per_class", _parse_int),
-    ("data", "class_sizes"): ("class_sizes", _parse_int_list),
-    ("data", "dim"): ("dim", _parse_int),
-    ("data", "center_spread"): ("center_spread", _parse_float),
-    ("data", "cluster_sigma"): ("cluster_sigma", _parse_float),
-    ("data", "task_assignment"): ("task_assignment", _parse_str),
-    ("data", "path"): ("data_path", _parse_str),
-    ("data", "format"): ("data_format", _parse_str),
-    ("memory", "capacity"): ("memory_capacity", _parse_int),
-    ("memory", "policy"): ("memory_policy", _parse_str),
-    ("memory", "metric"): ("uncertainty_metric", _parse_str),
-    ("perturbation", "count"): ("perturbation_count", _parse_int),
-    ("perturbation", "kind"): ("perturbation_kind", _parse_str),
-    ("perturbation", "sigma"): ("noise_sigma", _parse_float),
-    ("perturbation", "mask_fraction"): ("mask_fraction", _parse_float),
-    ("federation", "burn_in"): ("burn_in", _parse_int),
-    ("federation", "q"): ("q", _parse_int),
-    ("federation", "aggregation"): ("aggregation", _parse_str),
-    ("federation", "fedprox_mu"): ("fedprox_mu", _parse_float),
-    ("model", "hidden"): ("hidden_dims", _parse_int_list),
-    ("model", "optimizer"): ("optimizer", _parse_str),
-    ("model", "learning_rate"): ("learning_rate", _parse_float),
-    ("model", "reset_optimizer_on_sync"): ("reset_optimizer_on_sync", _parse_bool),
+    (f.metadata["section"], f.metadata["key"] or f.name): (f.name, f.metadata["parse"])
+    for f in fields(ExperimentConfig)
 }
-
 _SECTIONS = {section for section, _ in _SCHEMA}
 
 
@@ -234,6 +209,7 @@ def parse_config(path, seed: int | None = None) -> ExperimentConfig:
     Values are read literally: ``%`` is an ordinary character, not interpolation.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True, interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive, like section names
     try:
         with open(path, "r") as fh:
             parser.read_file(fh, source=str(path))
@@ -244,7 +220,7 @@ def parse_config(path, seed: int | None = None) -> ExperimentConfig:
 
     if parser.defaults():
         raise ConfigError(f"unknown config section [{parser.default_section}]")
-    config = ExperimentConfig()
+    values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -253,8 +229,7 @@ def parse_config(path, seed: int | None = None) -> ExperimentConfig:
             if entry is None:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             attr, parse = entry
-            setattr(config, attr, parse(raw, key))
+            values[attr] = parse(raw, key)
     if seed is not None:
-        config.seed = seed
-    config.validate()
-    return config
+        values["seed"] = seed
+    return ExperimentConfig(**values)

@@ -155,9 +155,7 @@ def _build_dataset(config: ExperimentConfig):
         # validate() checks synthetic data; a file's dimension (and, below, its classes) is known only now
         config.check_bi_copies(features.shape[1])
     class_ids, labels = np.unique(labels, return_inverse=True)
-    if len(class_ids) < 2:
-        raise RuntimeError("dataset must contain at least two classes")
-    if config.tasks > len(class_ids):
+    if config.tasks > len(class_ids):  # validate() holds tasks >= 2, so this refuses a one-class file too
         raise ConfigError("invalid value for tasks: must not exceed the class count")
     return features, labels, len(class_ids)
 
@@ -186,7 +184,6 @@ def _format_reports(reports) -> str:
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute the full stream for every client and compute the metrics."""
-    config.validate()
     seed = config.seed
 
     features, labels, num_classes = _build_dataset(config)

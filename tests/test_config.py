@@ -1,6 +1,7 @@
 """Config file parsing, defaults, and validation."""
 
 import re
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,22 @@ class TestDefaults:
 
     def test_defaults_validate_standalone(self):
         ExperimentConfig().validate()
+
+
+class TestDeclaredOnce:
+    """Each key is one frozen field, checked when the config is built."""
+
+    def test_invalid_value_refused_when_built(self):
+        with pytest.raises(ConfigError, match=r"^invalid value for clients: must be >= 1$"):
+            ExperimentConfig(clients=0)
+
+    def test_fields_cannot_be_reassigned(self):
+        config = ExperimentConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.clients = 0
+
+    def test_no_two_fields_share_a_key(self):
+        assert len(_SCHEMA) == len(fields(ExperimentConfig))
 
 
 class TestReadmeGrammar:
@@ -91,6 +108,12 @@ class TestParsing:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(_write(tmp_path, "[experiment]\nclinets = 5\n"))
+
+    def test_keys_are_case_sensitive(self, tmp_path, capsys):
+        path = _write(tmp_path, "[experiment]\nCLIENTS = 2\n")
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "config error: unknown config key 'CLIENTS' in section [experiment]\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config section"):
@@ -178,6 +201,22 @@ metric = bi
 
 [perturbation]
 """
+
+
+class TestEmptyOutputDir:
+    """An empty output directory would mean the working directory, so it is refused before anything runs."""
+
+    @pytest.mark.parametrize(
+        "text,argv",
+        [(_SMALL.replace("batch_size = 5", "batch_size = 5\noutput_dir ="), []), (_SMALL, ["--out", ""])],
+        ids=["output_dir", "--out"],
+    )
+    def test_refused(self, tmp_path, monkeypatch, capsys, text, argv):
+        path = _write(tmp_path, text)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["run", str(path), "--force", *argv]) == 1
+        assert capsys.readouterr() == ("", "config error: invalid value for output_dir: must not be empty\n")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestIdenticalBICopies:

@@ -162,10 +162,7 @@ class TestRunExperiment:
         labels = np.repeat(np.arange(4), 20)
         path = tmp_path / "data.csv"
         save_vector_dataset(path, rng.normal(size=(80, 3)) + 5 * labels[:, None], labels, "csv")
-        config = _small_config()
-        config.data_source = "file"
-        config.data_path = str(path)
-        config.data_format = "csv"
+        config = _small_config(data_source="file", data_path=str(path), data_format="csv")
         result = run_experiment(config)
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
@@ -176,10 +173,7 @@ class TestRunExperiment:
         labels = np.repeat([10, 25, 40, 55], 20)
         path = tmp_path / "data.bin"
         save_vector_dataset(path, rng.normal(size=(80, 3)) + labels[:, None], labels, "bin")
-        config = _small_config()
-        config.data_source = "file"
-        config.data_path = str(path)
-        config.data_format = "bin"
+        config = _small_config(data_source="file", data_path=str(path), data_format="bin")
         result = run_experiment(config)
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
@@ -366,6 +360,20 @@ class TestCli:
         save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 4)), np.repeat([0, 1], 20), "csv")
         text = _config_text().replace("tasks = 2", "tasks = 3")
         text = text.replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: invalid value for tasks: must not exceed the class count\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_file_data_with_one_class(self, tmp_path, capsys):
+        from fedreplay.stream import save_vector_dataset
+
+        data = tmp_path / "data.csv"
+        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 4)), np.zeros(40, dtype=int), "csv")
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1

@@ -5,9 +5,14 @@ The buffer holds its samples as parallel arrays, one row per sample:
 (the consecutive offer index), rows ordered by class and then by arrival.
 
 Admission merges the stored rows of each incoming class with the new
-candidates (optionally rescoring all those stored rows as one block) and
-keeps the per-class quota with the lowest scores (bottom-k), the highest
-scores (top-k), or a uniform subset (class-balanced random).
+candidates and keeps the per-class quota with the lowest scores
+(bottom-k), the highest scores (top-k), or a uniform subset
+(class-balanced random). An offer may give those stored rows fresh
+scores as one block whose items are computed only when read. A fresh
+score is read when retention compares it (its class is over quota, at
+this offer or a later one) or when ``scores`` is read; the next offer
+that touches its class replaces it unread. Every score that is read is
+therefore the one an eager rescore would have given.
 The plain random policy ignores classes and keeps a uniform subset of the
 whole buffer under the global capacity. Ties on equal scores are broken by
 earlier arrival; quotas are recomputed whenever new classes appear and
@@ -21,6 +26,7 @@ pass in every generator, so no draw here is unseeded.
 from __future__ import annotations
 
 import csv
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -30,12 +36,11 @@ POLICIES = (*SCORED_POLICIES, "random", "class_balanced_random")
 
 
 class StoredRow(NamedTuple):
-    """One stored sample, as ``MemoryBuffer.samples`` lists it."""
+    """One stored sample, as ``MemoryBuffer.samples`` lists it; its score is ``MemoryBuffer.scores``."""
 
     features: np.ndarray
     label: int
     task_id: int
-    score: float
     arrival: int
 
 
@@ -52,6 +57,20 @@ def class_quota(capacity: int, classes_seen) -> dict[int, int]:
     return {c: base + (1 if i < rem else 0) for i, c in enumerate(classes)}
 
 
+def _read(scores: np.ndarray, items: np.ndarray, block, idx: np.ndarray) -> None:
+    """Compute, check and store the pending fresh scores among rows ``idx`` of one class.
+
+    Row j is pending while ``items[j] >= 0``; its fresh score is ``block[items[j]]``.
+    """
+    idx = idx[items[idx] >= 0]
+    if idx.size:
+        values = np.array([block[i] for i in items[idx].tolist()], dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError("rescored sample scores must be finite")
+        scores[idx] = values
+        items[idx] = -1
+
+
 class MemoryBuffer:
     """At most ``capacity`` samples as parallel arrays, ordered by class then arrival."""
 
@@ -66,29 +85,45 @@ class MemoryBuffer:
         self.features = np.empty((0, 0))
         self.labels = np.empty(0, dtype=np.int64)
         self.task_ids = np.empty(0, dtype=np.int64)
-        self.scores = np.empty(0)
+        self._scores = np.empty(0)
         self.arrivals = np.empty(0, dtype=np.int64)
+        # per row: -1 once its score is known, else the index of its fresh score in its class's block
+        self._items = np.empty(0, dtype=np.int64)
+        # class -> fresh scores of the last offer that touched it, kept while some of its rows are pending
+        self._fresh: dict = {}
         self.classes_seen: set[int] = set()
         self._next_arrival = 0
 
     def __len__(self) -> int:
         return self.labels.size
 
+    @property
+    def scores(self) -> np.ndarray:
+        """Each stored row's score, in buffer order; pending fresh scores are computed now."""
+        for c, block in self._fresh.items():
+            _read(self._scores, self._items, block, np.flatnonzero(self.labels == c))
+        self._fresh = {}
+        return self._scores
+
     def samples(self) -> list[StoredRow]:
-        """All stored rows in buffer order."""
-        columns = (self.labels.tolist(), self.task_ids.tolist(), self.scores.tolist(), self.arrivals.tolist())
+        """All stored rows in buffer order; computes no score."""
+        columns = (self.labels.tolist(), self.task_ids.tolist(), self.arrivals.tolist())
         return [StoredRow(x, *rest) for x, *rest in zip(self.features, *columns)]
 
-    def _keep(self, idx: np.ndarray, pool: dict, quota: int) -> np.ndarray:
-        """The ``quota`` rows of ``idx`` (one class, or the whole pool, in pool order) the policy retains."""
-        if len(idx) <= quota:
-            return idx
+    def _keep(self, idx: np.ndarray, pool: dict, quota: int, block) -> np.ndarray:
+        """The ``quota`` rows that the policy retains of ``idx`` (one class, or the whole pool, in pool order).
+
+        ``idx`` holds more than ``quota`` rows. The scored policies first read
+        the pending fresh scores of ``idx``, those of one class, from ``block``.
+        """
         if quota <= 0:
             return idx[:0]
+        if self.policy in SCORED_POLICIES:
+            _read(pool["_scores"], pool["_items"], block, idx)
         if self.policy == "bottom_k":
-            return idx[np.lexsort((pool["arrivals"][idx], pool["scores"][idx]))[:quota]]
+            return idx[np.lexsort((pool["arrivals"][idx], pool["_scores"][idx]))[:quota]]
         if self.policy == "top_k":
-            return idx[np.lexsort((pool["arrivals"][idx], -pool["scores"][idx]))[:quota]]
+            return idx[np.lexsort((pool["arrivals"][idx], -pool["_scores"][idx]))[:quota]]
         return idx[self.rng.choice(len(idx), size=quota, replace=False)]
 
 
@@ -99,9 +134,13 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
     configured for the experiment, evaluated on the current model. When
     ``rescore`` is given it is called once, with the stored (k, d) feature
     rows of every touched class in buffer order (by class, then arrival),
-    and must return k fresh finite scores for them, so retention compares
-    the whole merged candidate set under the current model; without it
-    stored samples keep their admission-time scores.
+    and must return a sequence of k fresh scores for them, under the
+    current model, whose item i is computed when read. An item is read
+    only when retention compares it: when its class is over quota, now or
+    at a later offer that trims it, or when ``buffer.scores`` is read. The
+    next offer that touches the class replaces it unread. A read item must
+    be finite. Without ``rescore`` stored samples keep their admission-time
+    scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(batch.labels, dtype=np.int64)
@@ -125,30 +164,41 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
         "features": np.asarray(batch.features, dtype=np.float64)[order],
         "labels": labels[order],
         "task_ids": np.full(labels.size, batch.task_id, dtype=np.int64),
-        "scores": scores[order],
+        "_scores": scores[order],
         "arrivals": first + order,
+        "_items": np.full(labels.size, -1),
     }
     pool = {name: np.concatenate([getattr(buffer, name), rows]) for name, rows in new.items()} if len(buffer) else new
+    # pool rows grouped by class, each class in arrival order (stored rows first)
+    by_class = np.argsort(pool["labels"], kind="stable")
+    fresh = buffer._fresh
     if buffer.policy == "random":
-        keep = [buffer._keep(np.arange(pool["labels"].size), pool, buffer.capacity)]
+        groups = [(None, np.arange(by_class.size), buffer.capacity)]
     else:
+        counts = np.bincount(pool["labels"]).tolist()
+        ends = list(accumulate(counts))
+        # the touched classes first, then the others: new classes can only shrink quotas, so they are trimmed too
+        classes = incoming + [c for c, n in enumerate(counts) if n and c not in incoming]
+        quotas = class_quota(buffer.capacity, buffer.classes_seen)
+        groups = [(c, by_class[ends[c] - counts[c] : ends[c]], quotas[c]) for c in classes]
         # stored rows of the touched classes, in buffer order: by class, then arrival
-        stored = np.flatnonzero((buffer.labels[:, None] == np.array(incoming)).any(axis=1))
+        touched = np.concatenate([idx for _, idx, _ in groups[: len(incoming)]])
+        stored = touched[touched < len(buffer)]
         if rescore is not None and stored.size:
-            fresh = np.asarray(rescore(pool["features"][stored]), dtype=np.float64)
-            if fresh.shape != stored.shape:
+            block = rescore(pool["features"][stored])
+            if len(block) != stored.size:
                 raise ValueError("rescore must return one score per stored sample")
-            if not np.isfinite(fresh).all():
-                raise ValueError("rescored sample scores must be finite")
-            pool["scores"][stored] = fresh
-        # new classes can only shrink quotas, so the untouched classes are trimmed too
-        untouched = sorted(set(buffer.labels.tolist()) - set(incoming))
-        quota = class_quota(buffer.capacity, buffer.classes_seen)
-        keep = [buffer._keep(np.flatnonzero(pool["labels"] == c), pool, quota[c]) for c in incoming + untouched]
-    keep = np.concatenate(keep)
-    keep = keep[np.lexsort((pool["arrivals"][keep], pool["labels"][keep]))]
+            pool["_items"][stored] = np.arange(stored.size)
+            fresh = {**fresh, **dict.fromkeys(incoming, block)}
+    kept = np.ones(by_class.size, dtype=bool)
+    for c, idx, quota in groups:
+        if len(idx) > quota:  # a group that fits keeps every row, its pending scores unread
+            kept[idx] = False
+            kept[buffer._keep(idx, pool, quota, fresh.get(c))] = True
+    keep = by_class[kept[by_class]]
     for name, rows in pool.items():
         setattr(buffer, name, rows[keep])
+    buffer._fresh = {c: fresh[c] for c in set(buffer.labels[buffer._items >= 0].tolist())}
 
 
 def sample_replay(buffer: MemoryBuffer, replay_size: int, current_task: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,5 +216,5 @@ def dump_csv(buffer: MemoryBuffer, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class_id", "task_id", "score", "features"])
-        for s in buffer.samples():
-            writer.writerow([s.label, s.task_id, repr(s.score), " ".join(repr(v) for v in s.features.tolist())])
+        for s, score in zip(buffer.samples(), buffer.scores.tolist()):
+            writer.writerow([s.label, s.task_id, repr(score), " ".join(repr(v) for v in s.features.tolist())])

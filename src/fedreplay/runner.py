@@ -4,9 +4,11 @@ All clients advance one mini-batch per global tick. A client trains on
 the incoming batch joined with a replay draw of past-task rows from its
 memory (one gradient step per tick); on the first task the memory holds
 no such rows, so the draw is empty. After training, the batch is scored
-under the updated model and offered to the memory, with the stored
-candidates of the touched classes rescored fresh, as one block per
-offer, so retention compares the whole merged set.
+under the updated model and offered to the memory. Each offer also
+draws fresh perturbed copies of the stored candidates of the touched
+classes, as one block, and the memory scores a copy under that offer's
+parameters only when retention compares it: retention ranks the merged
+set by fresh scores without computing the ones it never reads.
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import seeds
+from . import seeds, uncertainty
 from .config import ConfigError, ExperimentConfig
 from .federation import RoundReport, class_weighted_avg, fedavg, should_communicate, temporal_smooth
 from .memory import SCORED_POLICIES, MemoryBuffer, sample_replay, update_memory
@@ -60,6 +62,22 @@ class RunResult:
     buffers: list[MemoryBuffer]  # each client's final memory, in client order
 
 
+@dataclass(frozen=True)
+class _FreshScores:
+    """Scores of a block of rows under one offer's parameters, from copies drawn then; item i is computed when read."""
+
+    params: ParameterVector
+    model_config: ModelConfig
+    copies: np.ndarray  # (n, P, d)
+    metric: str
+
+    def __len__(self) -> int:
+        return len(self.copies)
+
+    def __getitem__(self, i: int) -> float:
+        return score_sample(self.params, self.model_config, self.copies[i], self.metric)
+
+
 @dataclass
 class _ClientWorker:
     """Client-local state: parameters, optimizer, memory, stream, rngs."""
@@ -74,19 +92,25 @@ class _ClientWorker:
     replay_rng: np.random.Generator
     observed: set[int] = field(default_factory=set)
 
+    def _fresh(self, rows) -> _FreshScores:
+        """Uncertainty of each row of ``rows`` (n, d) under the current model, its copies drawn now as one block."""
+        copies = uncertainty.perturb_features(rows, self.pert_spec)
+        return _FreshScores(self.params, self.model_config, copies, self.cfg.uncertainty_metric)
+
     def _scores(self, rows) -> np.ndarray:
-        """Uncertainty of each row of ``rows`` (n, d), in order, under the current model."""
-        return np.array(
-            [score_sample(self.params, self.model_config, x, self.pert_spec, self.cfg.uncertainty_metric) for x in rows]
-        )
+        """Uncertainty of each row of ``rows`` (n, d), in order, computed now."""
+        fresh = self._fresh(rows)
+        return np.array([fresh[i] for i in range(len(fresh))])
 
     def tick(self, bn: int, theta_g: ParameterVector) -> bool:
         """Consume batch ``bn`` of the task, ``theta_g`` anchoring FedProx; False once the task is exhausted.
 
         Raises ``RuntimeError`` naming the client, task and ``bn`` when training
         diverges: a non-finite loss or update, an exact sum that overflows, or
-        non-finite logits met in scoring. Those checks name the failure, so
-        numpy's overflow and invalid-value warnings on the way are silenced.
+        non-finite logits met in scoring (a stored sample's fresh score is
+        computed, so can fail, at the offer that first compares it). Those
+        checks name the failure, so numpy's overflow and invalid-value
+        warnings on the way are silenced.
         """
         batch = self.stream.next_batch()
         if batch is None:
@@ -122,7 +146,7 @@ class _ClientWorker:
 
         if self.buffer.capacity > 0:
             if self.cfg.memory_policy in SCORED_POLICIES:
-                update_memory(self.buffer, batch, self._scores(batch.features), rescore=self._scores)
+                update_memory(self.buffer, batch, self._scores(batch.features), rescore=self._fresh)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
 

@@ -1,6 +1,10 @@
 """Uncertainty scores over perturbed predictions of a single sample.
 
-A sample is scored by forwarding its P perturbed copies through the model
+Drawing the perturbed copies and scoring them are separate steps:
+``perturb_features`` draws the P copies of every row of an (n, d) block
+in one call, and ``score_sample`` scores one sample from its (P, d)
+copies, so a caller can draw copies now and score them later (or never).
+A sample is scored by forwarding its copies through the model
 as one (P, d) block and reducing the resulting P x C logit matrix: the
 variance-style score is the Bregman information (mean log-sum-exp of the
 rows minus log-sum-exp of the mean row), the confidence-style scores
@@ -11,7 +15,8 @@ sums over the P axis and over a row use exactly rounded summation
 (``math.fsum`` on Python lists). Scores are therefore the same bits as
 when each copy is forwarded and reduced alone, and invariant to the order
 of the perturbed copies. The copies are drawn from the generator that
-the caller must pass to ``PerturbationSpec``.
+the caller must pass to ``PerturbationSpec``; a block draw leaves it where
+one draw per row, in row order, would.
 
 Scoring runs once per sample on a block of about 12 x 8 logits, so its
 cost is mostly the fixed cost of each numpy call, and the code keeps
@@ -177,29 +182,29 @@ class PerturbationSpec:
 
 
 def perturb_features(x, spec: PerturbationSpec) -> np.ndarray:
-    """Return the ``spec.count`` perturbed copies of ``x`` as one (P, d) array."""
-    base = np.asarray(x, dtype=np.float64)
+    """The ``spec.count`` perturbed copies of each row of ``x``: (d,) gives (P, d), (n, d) gives (n, P, d).
+
+    The gaussian kind is one ``normal`` draw for the whole block, which
+    gives the values of one (P, d) draw per row in row order; the mask kind
+    makes one ``choice`` per copy, row by row.
+    """
+    base = np.asarray(x, dtype=np.float64)[..., None, :]
+    *rows, _, d = base.shape
     if spec.kind == "gaussian":
-        return base + spec.rng.normal(0.0, spec.sigma, size=(spec.count, base.size))
-    copies = np.tile(base, (spec.count, 1))
-    k = int(round(spec.mask_fraction * base.size))
+        return base + spec.rng.normal(0.0, spec.sigma, size=(*rows, spec.count, d))
+    copies = np.repeat(base, spec.count, axis=-2)
+    k = int(round(spec.mask_fraction * d))
     if k > 0:
-        for copy in copies:
-            copy[spec.rng.choice(base.size, size=k, replace=False)] = 0.0
+        for copy in copies.reshape(-1, d):
+            copy[spec.rng.choice(d, size=k, replace=False)] = 0.0
     return copies
 
 
-def score_sample(
-    params: ParameterVector,
-    config: ModelConfig,
-    features,
-    spec: PerturbationSpec,
-    metric: str,
-) -> float:
-    """Uncertainty of one unlabeled sample under the current model."""
+def score_sample(params: ParameterVector, config: ModelConfig, copies, metric: str) -> float:
+    """Uncertainty of one unlabeled sample, from its (P, d) perturbed copies, under the current model."""
     if metric not in METRICS:
         raise ValueError(f"unknown uncertainty metric: {metric!r}")
-    logits = forward_logits(params, config, perturb_features(features, spec))
+    logits = forward_logits(params, config, copies)
     if metric == "bi":
         return bregman_information(logits)
     return _SCORERS[metric](softmax_rows(_as_logit_set(logits)))

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedreplay.memory import (
+    SCORED_POLICIES,
     MemoryBuffer,
     class_quota,
     dump_csv,
@@ -210,6 +211,165 @@ class TestBruteForceOracle:
     def test_top_k(self):
         for seed in range(5):
             self._run("top_k", seed + 100)
+
+
+class _EagerBuffer:
+    """Eager reference for the scored policies: every score is an array entry, rescored all at once.
+
+    ``tags`` records where each row's score came from: ``offer * 1000 + i``
+    for item i of that offer's rescore, -1 for an admission-time score.
+    """
+
+    def __init__(self, capacity, policy):
+        self.capacity = capacity
+        self.policy = policy
+        self.features = np.empty((0, 0))
+        self.labels = np.empty(0, dtype=np.int64)
+        self.task_ids = np.empty(0, dtype=np.int64)
+        self.scores = np.empty(0)
+        self.arrivals = np.empty(0, dtype=np.int64)
+        self.tags = np.empty(0, dtype=np.int64)
+        self.classes_seen = set()
+        self._next_arrival = 0
+
+    def __len__(self):
+        return self.labels.size
+
+    def _keep(self, idx, pool, quota, offer, compared):
+        if len(idx) <= quota:
+            return idx
+        if quota <= 0:
+            return idx[:0]
+        # retention compares these rows' scores: note the first offer that compares each rescored one
+        for tag in pool["tags"][idx].tolist():
+            if tag >= 0:
+                compared.setdefault(tag, offer)
+        if self.policy == "bottom_k":
+            return idx[np.lexsort((pool["arrivals"][idx], pool["scores"][idx]))[:quota]]
+        return idx[np.lexsort((pool["arrivals"][idx], -pool["scores"][idx]))[:quota]]
+
+    def offer(self, batch, scores, rescore, offer, compared):
+        """The eager ``update_memory``: ``rescore`` returns every fresh score of the stored touched rows at once."""
+        scores = np.asarray(scores, dtype=np.float64)
+        labels = np.asarray(batch.labels, dtype=np.int64)
+        incoming = sorted(set(labels.tolist()))
+        self.classes_seen.update(incoming)
+        first = self._next_arrival
+        self._next_arrival += labels.size
+        order = np.argsort(labels, kind="stable")
+        new = {
+            "features": np.asarray(batch.features, dtype=np.float64)[order],
+            "labels": labels[order],
+            "task_ids": np.full(labels.size, batch.task_id, dtype=np.int64),
+            "scores": scores[order],
+            "arrivals": first + order,
+            "tags": np.full(labels.size, -1, dtype=np.int64),
+        }
+        pool = {name: np.concatenate([getattr(self, name), rows]) for name, rows in new.items()} if len(self) else new
+        stored = np.flatnonzero((self.labels[:, None] == np.array(incoming)).any(axis=1))
+        if stored.size:
+            pool["scores"][stored] = np.asarray(rescore(pool["features"][stored]), dtype=np.float64)
+            pool["tags"][stored] = offer * 1000 + np.arange(stored.size)
+        untouched = sorted(set(self.labels.tolist()) - set(incoming))
+        quota = class_quota(self.capacity, self.classes_seen)
+        keep = [
+            self._keep(np.flatnonzero(pool["labels"] == c), pool, quota[c], offer, compared)
+            for c in incoming + untouched
+        ]
+        keep = np.concatenate(keep)
+        keep = keep[np.lexsort((pool["arrivals"][keep], pool["labels"][keep]))]
+        for name, rows in pool.items():
+            setattr(self, name, rows[keep])
+
+
+class _CountedScores:
+    """One offer's fresh scores; logs each item read as ``offer * 1000 + i``."""
+
+    def __init__(self, offer, values, reads):
+        self.offer = offer
+        self.values = values
+        self.reads = reads
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.reads.append(self.offer * 1000 + i)
+        return self.values[i]
+
+
+# few distinct values, so equal scores (ties broken by arrival) are common
+_SCORE_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
+
+
+@st.composite
+def _offer_streams(draw):
+    """Offers of ``(labels, task_id, scores, fresh)``; ``fresh`` covers every stored row at capacity <= 12."""
+    offers = []
+    for _ in range(draw(st.integers(1, 25))):
+        labels = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+        scores = draw(st.lists(_SCORE_VALUES, min_size=len(labels), max_size=len(labels)))
+        fresh = draw(st.lists(_SCORE_VALUES, min_size=12, max_size=12))
+        offers.append((labels, draw(st.integers(1, 3)), scores, fresh))
+    return offers
+
+
+class TestLazyRescoreOracle:
+    """Lazy fresh scores against the eager reference ``_EagerBuffer``."""
+
+    @given(st.sampled_from(SCORED_POLICIES), st.integers(1, 12), _offer_streams(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_scores_and_reads_match_eager_oracle(self, policy, capacity, offers, data):
+        oracle = _EagerBuffer(capacity, policy)
+        buf = MemoryBuffer(capacity, policy, np.random.default_rng(0))
+        compared, reads = {}, []
+        for t, (labels, task_id, scores, fresh) in enumerate(offers):
+            batch = _batch(labels, task_id=task_id)
+            oracle.offer(batch, scores, lambda rows, f=fresh: f[: len(rows)], t, compared)
+            update_memory(buf, batch, scores, rescore=lambda rows, t=t, f=fresh: _CountedScores(t, f[: len(rows)], reads))
+            for name in ("features", "labels", "task_ids", "arrivals"):
+                assert np.array_equal(getattr(buf, name), getattr(oracle, name))
+            # an item is read once, and only when retention compares it
+            assert sorted(reads) == sorted(compared)
+            buf.samples()
+            assert len(reads) == len(compared)
+        assert np.array_equal(buf.scores, oracle.scores)
+
+        # one item turned infinite raises at the offer that first compares it, and never if none does
+        t_bad, i_bad = data.draw(st.tuples(st.integers(0, len(offers) - 1), st.integers(0, 11)))
+        raises_at = compared.get(t_bad * 1000 + i_bad)
+        buf = MemoryBuffer(capacity, policy, np.random.default_rng(0))
+        for t, (labels, task_id, scores, fresh) in enumerate(offers):
+            fresh = [float("inf") if (t, i) == (t_bad, i_bad) else v for i, v in enumerate(fresh)]
+            offer = (buf, _batch(labels, task_id=task_id), scores)
+            rescore = lambda rows, t=t, f=fresh: _CountedScores(t, f[: len(rows)], [])  # noqa: E731
+            if t == raises_at:
+                with pytest.raises(ValueError, match="rescored sample scores must be finite"):
+                    update_memory(*offer, rescore=rescore)
+                break
+            update_memory(*offer, rescore=rescore)
+
+    def test_unread_non_finite_score_raises_only_when_scores_are_read(self):
+        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
+        update_memory(buf, _batch([0, 0]), [0.1, 0.2])
+        reads = []
+        # class 0 holds 3 rows under a quota of 4, so nothing is compared and nothing is read
+        update_memory(buf, _batch([0]), [0.3], rescore=lambda stored: _CountedScores(1, [float("nan"), 0.5], reads))
+        assert reads == []
+        assert [s.arrival for s in buf.samples()] == [0, 1, 2]
+        with pytest.raises(ValueError, match="rescored sample scores must be finite"):
+            buf.scores
+        assert sorted(reads) == [1000, 1001]
+
+    def test_next_touching_offer_replaces_pending_scores_unread(self):
+        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
+        update_memory(buf, _batch([0]), [0.1])
+        reads = []
+        update_memory(buf, _batch([0]), [0.2], rescore=lambda stored: _CountedScores(1, [0.9], reads))
+        update_memory(buf, _batch([0]), [0.3], rescore=lambda stored: _CountedScores(2, [0.7, 0.8], reads))
+        assert reads == []
+        assert _class_rows(buf, 0) == [(0.3, 2), (0.7, 0), (0.8, 1)]
+        assert sorted(reads) == [2000, 2001]
 
 
 class _RandomReference:

@@ -24,6 +24,7 @@ from fedreplay.uncertainty import (
     entropy_score,
     least_confidence,
     margin_sampling,
+    perturb_features,
     ratio_confidence,
     score_sample,
     softmax_rows,
@@ -243,11 +244,41 @@ def test_score_sample_equals_per_copy_loop(model, p, metric, kind, mask_fraction
         )
 
     got_spec, want_spec = spec(), spec()
-    got = score_sample(params, config, x, got_spec, metric)
+    got = score_sample(params, config, perturb_features(x, got_spec), metric)
     want = _oracle_score(params, config, x, want_spec, metric)
     assert got == want
     # The block draw leaves the generator where the per-copy draws did.
     assert got_spec.rng.bit_generator.state == want_spec.rng.bit_generator.state
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 20),
+    st.integers(1, 16),
+    st.sampled_from(["gaussian", "mask"]),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(1, 4, 1, "gaussian", 0.0, 0)
+@example(1, 4, 1, "mask", 0.5, 0)
+@example(3, 4, 5, "mask", 0.1, 0)  # round(0.4) = 0 coordinates masked: no draw at all
+@example(3, 1, 2, "mask", 0.9, 0)
+def test_block_draw_equals_row_draws(n, d, p, kind, mask_fraction, seed):
+    block = np.random.default_rng(seed).normal(size=(n, d))
+
+    def spec():
+        return PerturbationSpec(p, kind, sigma=0.3, mask_fraction=mask_fraction, rng=np.random.default_rng(seed + 1))
+
+    got_spec, rows_spec, want_spec = spec(), spec(), spec()
+    got = perturb_features(block, got_spec)
+    rows = [perturb_features(x, rows_spec) for x in block]
+    want = [np.stack(_oracle_perturb(x, want_spec)) for x in block]
+    assert got.shape == (n, p, d)
+    assert np.array_equal(got, np.stack(rows))
+    assert np.array_equal(got, np.stack(want))
+    # The block leaves the generator where the row-by-row draws did.
+    assert got_spec.rng.bit_generator.state == rows_spec.rng.bit_generator.state == want_spec.rng.bit_generator.state
 
 
 @given(st.integers(1, 8), st.integers(2, 12), st.integers(0, 2**32 - 1))

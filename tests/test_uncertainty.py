@@ -183,12 +183,12 @@ class TestScoreSample:
     def test_constant_model_bi_zero(self):
         params, config = self._zero_model(4)
         spec = PerturbationSpec(6, "gaussian", 0.5, rng=np.random.default_rng(0))
-        assert score_sample(params, config, np.ones(3), spec, "bi") == 0.0
+        assert score_sample(params, config, perturb_features(np.ones(3), spec), "bi") == 0.0
 
     def test_constant_model_entropy_log_c(self):
         params, config = self._zero_model(4)
         spec = PerturbationSpec(6, "gaussian", 0.5, rng=np.random.default_rng(0))
-        assert score_sample(params, config, np.ones(3), spec, "en") == pytest.approx(
+        assert score_sample(params, config, perturb_features(np.ones(3), spec), "en") == pytest.approx(
             math.log(4), abs=1e-12
         )
 
@@ -206,7 +206,7 @@ class TestScoreSample:
         x = np.random.default_rng(2).normal(size=4)
 
         spec = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
-        got = score_sample(params, config, x, spec, "bi")
+        got = score_sample(params, config, perturb_features(x, spec), "bi")
 
         oracle_spec = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
         copies = perturb_features(x, oracle_spec)
@@ -221,10 +221,10 @@ class TestScoreSample:
             ("en", entropy_score),
         ):
             spec2 = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
-            assert score_sample(params, config, x, spec2, metric) == fn(probs)
+            assert score_sample(params, config, perturb_features(x, spec2), metric) == fn(probs)
 
     def test_unknown_metric_rejected(self):
         params, config = self._zero_model(2)
         spec = PerturbationSpec(2, "gaussian", 0.1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            score_sample(params, config, np.ones(3), spec, "variance")
+            score_sample(params, config, perturb_features(np.ones(3), spec), "variance")

@@ -40,7 +40,7 @@ def _runs(args) -> list[tuple]:
         return [(None, args.path, args.out)]
     config_dir = Path(args.path)
     try:
-        files = sorted(p for p in config_dir.iterdir() if p.suffix in (".ini", ".cfg"))
+        files = sorted(p for p in config_dir.iterdir() if p.suffix in (".ini", ".cfg") and p.is_file())
     except OSError as exc:
         raise ConfigError(f"cannot read config directory: {exc}") from None
     if not files:

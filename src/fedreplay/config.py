@@ -5,6 +5,8 @@ full grammar). Each key is one ``ExperimentConfig`` field that carries its
 section, file key and parser. Keys and sections are case-sensitive, and unknown
 ones fail loudly. A config is frozen and validated when built, and every
 invariant violation names the offending field. An empty file yields the defaults.
+Each rule is checked once, here or, for file data, once the file is read; the
+modules that take these values do not check them again.
 """
 
 from __future__ import annotations
@@ -168,16 +170,20 @@ class ExperimentConfig:
         require(self.optimizer in OPTIMIZERS, "optimizer", f"must be one of {OPTIMIZERS}")
         require(self.learning_rate > 0, "learning_rate", "must be > 0")
         if self.data_source == "synthetic":
-            self.check_bi_copies(self.dim)
+            self.check_copies(self.dim)
 
-    def check_bi_copies(self, dim: int) -> None:
-        """Refuse BI retention whose perturbed copies of a ``dim``-feature input would all score 0."""
-        scored = self.memory_capacity > 0 and self.memory_policy in SCORED_POLICIES
-        if not scored or self.uncertainty_metric != "bi":
+    def check_copies(self, dim: int) -> None:
+        """Refuse scored retention whose perturbed copies of a ``dim``-feature input give every sample one score."""
+        if self.memory_capacity == 0 or self.memory_policy not in SCORED_POLICIES:
+            return
+        masked = round(self.mask_fraction * dim) if self.perturbation_kind == "mask" else None
+        if masked == dim:  # every copy is the zero vector, under any metric
+            raise ConfigError(f"invalid value for mask_fraction: masks all {dim} features, so every copy is zero")
+        if self.uncertainty_metric != "bi":  # the confidence scores need no spread between copies
             return
         if self.perturbation_count < 2:
             raise ConfigError("invalid value for count: BI needs at least 2 perturbed copies")
-        if self.perturbation_kind == "mask" and round(self.mask_fraction * dim) == 0:
+        if masked == 0:
             raise ConfigError(f"invalid value for mask_fraction: masks 0 of {dim} features, so BI copies are identical")
 
     def echo(self) -> dict:

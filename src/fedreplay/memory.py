@@ -75,10 +75,6 @@ class MemoryBuffer:
     """At most ``capacity`` samples as parallel arrays, ordered by class then arrival."""
 
     def __init__(self, capacity: int, policy: str, rng: np.random.Generator):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown memory policy: {policy!r}")
         self.capacity = capacity
         self.policy = policy
         self.rng = rng
@@ -203,8 +199,6 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
 
 def sample_replay(buffer: MemoryBuffer, replay_size: int, current_task: int, rng: np.random.Generator) -> np.ndarray:
     """Row indices of a uniform draw without replacement from the rows of past tasks."""
-    if replay_size < 1:
-        raise ValueError("replay_size must be >= 1")
     eligible = np.flatnonzero(buffer.task_ids != current_task)
     if len(eligible) <= replay_size:
         return eligible

@@ -48,15 +48,6 @@ class ModelConfig:
     num_classes: int = 2
     init_seed: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims entries must be >= 1")
-
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.num_classes)
@@ -213,8 +204,6 @@ def fedprox_augment(grad, params, global_params, mu: float) -> np.ndarray:
     gp = np.asarray(global_params, dtype=np.float64)
     if not (g.shape == p.shape == gp.shape):
         raise ValueError("grad, params and global_params must have the same length")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
     return g + mu * (p - gp)
 
 
@@ -228,8 +217,6 @@ class OptimizerState:
     step: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if (self.m is None) != (self.v is None):
             raise ValueError("adam state needs both moment arrays, sgd state neither")
         if self.step < 0:

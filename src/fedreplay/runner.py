@@ -177,7 +177,7 @@ def _build_dataset(config: ExperimentConfig):
         if not labels.size:
             raise RuntimeError(f"dataset {config.data_path} is empty")
         # validate() checks synthetic data; a file's dimension (and, below, its classes) is known only now
-        config.check_bi_copies(features.shape[1])
+        config.check_copies(features.shape[1])
     class_ids, labels = np.unique(labels, return_inverse=True)
     if config.tasks > len(class_ids):  # validate() holds tasks >= 2, so this refuses a one-class file too
         raise ConfigError("invalid value for tasks: must not exceed the class count")

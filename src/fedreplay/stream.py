@@ -9,6 +9,8 @@ mini-batches, shuffled per task by a generator the caller must pass in
 at every task boundary and at the end of the stream, and ``exhausted``
 tells the two apart. Each stream counts how often every underlying
 example was yielded so the runner can audit the single-pass contract.
+Task, client, batch and synthetic-data arguments come from a validated config
+and are not checked again here; the loaders check a data file's format.
 """
 
 from __future__ import annotations
@@ -63,13 +65,7 @@ def assign_classes_to_tasks(class_sizes: dict[int, int], num_tasks: int, mode: s
     the bigger classes. Chunks are as even as possible, earlier chunks one
     larger when the class count is not divisible.
     """
-    if mode not in ASSIGNMENT_MODES:
-        raise ValueError(f"unknown assignment mode: {mode!r}")
     classes = sorted(class_sizes)
-    if num_tasks < 1:
-        raise ValueError("num_tasks must be >= 1")
-    if num_tasks > len(classes):
-        raise ValueError(f"num_tasks ({num_tasks}) exceeds number of classes ({len(classes)})")
     if mode == "shuffle":
         order = [classes[i] for i in rng.permutation(len(classes))]
     else:
@@ -86,8 +82,6 @@ def assign_classes_to_tasks(class_sizes: dict[int, int], num_tasks: int, mode: s
 
 def partition_to_clients(indices: np.ndarray, num_clients: int, rng) -> list[np.ndarray]:
     """Seeded shuffle of ``indices``, then a round-robin split into ``num_clients`` disjoint arrays."""
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
     shuffled = indices[rng.permutation(len(indices))]
     return [shuffled[k::num_clients] for k in range(num_clients)]
 
@@ -104,8 +98,6 @@ class ClientStream:
     """
 
     def __init__(self, client_id: int, features, labels, per_task, batch_size: int, order_rngs):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.client_id = client_id
         self._task_batches: list[list[MiniBatch]] = []
         next_id = 0
@@ -153,15 +145,9 @@ def synth_gaussian_blobs(
     rng,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic Gaussian clusters, one per class, centers drawn once; rows grouped by class."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if num_classes < 1:
-        raise ValueError("num_classes must be >= 1")
     if isinstance(sizes, int):
         sizes = [sizes] * num_classes
     sizes = [int(n) for n in sizes]
-    if len(sizes) != num_classes or any(n < 1 for n in sizes):
-        raise ValueError("need one positive sample count per class")
     centers = rng.normal(0.0, class_center_spread, size=(num_classes, dim))
     features = np.concatenate(
         [centers[c] + rng.normal(0.0, cluster_sigma, size=(sizes[c], dim)) for c in range(num_classes)]
@@ -228,6 +214,8 @@ def _load_bin(path) -> tuple[np.ndarray, np.ndarray]:
         )
     if count == 0:
         return np.empty((0, 0)), np.empty(0, dtype=np.int64)
+    if dim == 0:
+        raise ValueError(f"{path}: header gives dim 0, so records have no features")
     records = np.frombuffer(data, dtype=_bin_record(dim), count=count, offset=_BIN_HEADER.size)
     features = records["features"].astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))

@@ -170,16 +170,6 @@ class PerturbationSpec:
     mask_fraction: float = 0.0
     rng: np.random.Generator = field(kw_only=True)
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("perturbation count must be >= 1")
-        if self.kind not in PERTURBATION_KINDS:
-            raise ValueError(f"unknown perturbation kind: {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ValueError("sigma must be positive for gaussian perturbations")
-        if self.kind == "mask" and not (0.0 <= self.mask_fraction < 1.0):
-            raise ValueError("mask_fraction must lie in [0, 1)")
-
 
 def perturb_features(x, spec: PerturbationSpec) -> np.ndarray:
     """The ``spec.count`` perturbed copies of each row of ``x``: (d,) gives (P, d), (n, d) gives (n, P, d).
@@ -202,8 +192,6 @@ def perturb_features(x, spec: PerturbationSpec) -> np.ndarray:
 
 def score_sample(params: ParameterVector, config: ModelConfig, copies, metric: str) -> float:
     """Uncertainty of one unlabeled sample, from its (P, d) perturbed copies, under the current model."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown uncertainty metric: {metric!r}")
     logits = forward_logits(params, config, copies)
     if metric == "bi":
         return bregman_information(logits)

@@ -52,6 +52,7 @@ class TestStdout:
         _write(grid / "a.ini", _ini())
         _write(grid / "b.cfg", _ini(memory_policy="random"))
         _write(grid / "notes.txt", "not a config")
+        (grid / "c.ini").mkdir()  # a directory is not a config file, whatever its name
         out = tmp_path / "gout"
         assert cli_main(["grid", str(grid), "--out", str(out)]) == 0
         lines = []

@@ -183,6 +183,42 @@ class TestValidation:
             parse_config(_write(tmp_path, "[federation]\nq = 0\n"))
 
 
+_RULES = [
+    ({"perturbation_count": 0}, "count", "must be >= 1"),
+    ({"perturbation_kind": "cutout"}, "kind", "must be one of ('gaussian', 'mask')"),
+    ({"noise_sigma": 0.0}, "sigma", "must be > 0"),
+    ({"mask_fraction": 1.0}, "mask_fraction", "must lie in [0, 1)"),
+    ({"uncertainty_metric": "variance"}, "metric", "must be one of ('bi', 'lc', 'ms', 'rc', 'en')"),
+    ({"memory_capacity": -1}, "capacity", "must be >= 0"),
+    ({"memory_policy": "reservoir"}, "policy", "must be one of ('bottom_k', 'top_k', 'random', 'class_balanced_random')"),
+    ({"batch_size": 0}, "batch_size", "must be >= 1"),
+    ({"clients": 0}, "clients", "must be >= 1"),
+    ({"tasks": 1}, "tasks", "must be >= 2 (forgetting is undefined otherwise)"),
+    ({"tasks": 9, "classes": 8}, "tasks", "must not exceed the class count"),
+    ({"task_assignment": "random"}, "task_assignment", "must be one of ('shuffle', 'size_descending')"),
+    ({"classes": 1}, "classes", "must be >= 2"),
+    ({"dim": 1}, "dim", "must be >= 2"),
+    ({"samples_per_class": 0}, "samples_per_class", "must be >= 1"),
+    ({"class_sizes": (10, 20)}, "class_sizes", "needs one entry per class"),
+    ({"class_sizes": (10,) * 7 + (0,)}, "class_sizes", "entries must be >= 1"),
+    ({"hidden_dims": (0,)}, "hidden", "widths must be >= 1"),
+    ({"learning_rate": 0.0}, "learning_rate", "must be > 0"),
+    ({"fedprox_mu": -0.1}, "fedprox_mu", "must be >= 0"),
+]
+
+
+class TestRulesTheModulesRelyOn:
+    """The perturbation, memory, stream and model code take these values unchecked; building the config refuses them."""
+
+    @pytest.mark.parametrize(
+        "overrides,key,why", _RULES, ids=[",".join(f"{k}={v}" for k, v in o.items()) for o, _, _ in _RULES]
+    )
+    def test_refused_when_built(self, overrides, key, why):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**overrides)
+        assert str(exc.value) == f"invalid value for {key}: {why}"
+
+
 _SMALL = """
 [experiment]
 clients = 2
@@ -220,13 +256,25 @@ class TestEmptyOutputDir:
 
 
 class TestIdenticalBICopies:
-    """BI over copies that are all the same scores every sample 0, so such a config is refused."""
+    """Copies that cannot tell samples apart are refused.
+
+    BI over identical copies scores every sample 0, and copies that are all
+    zero give every sample one score under any metric.
+    """
 
     def _refused(self, tmp_path, capsys, text, message):
         out = tmp_path / "out"
         assert cli_main(["run", str(_write(tmp_path, text)), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: invalid value for {message}\n"
         assert not out.exists()
+
+    def _file_data(self, tmp_path, text):
+        """``text`` reading a 3-feature, 4-class CSV file in place of synthetic data."""
+        from fedreplay.stream import save_vector_dataset
+
+        data = tmp_path / "data.csv"
+        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 3)), np.repeat(np.arange(4), 10), "csv")
+        return text.replace("[data]", f"[data]\nsource = file\npath = {data}")
 
     @pytest.mark.parametrize("policy", ["bottom_k", "top_k"])
     def test_single_copy(self, tmp_path, capsys, policy):
@@ -238,12 +286,20 @@ class TestIdenticalBICopies:
         self._refused(tmp_path, capsys, text, "mask_fraction: masks 0 of 4 features, so BI copies are identical")
 
     def test_mask_of_no_feature_in_file_data(self, tmp_path, capsys):
-        from fedreplay.stream import save_vector_dataset
-
-        data = tmp_path / "data.csv"
-        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 3)), np.repeat(np.arange(4), 10), "csv")
-        text = _SMALL.replace("[data]", f"[data]\nsource = file\npath = {data}") + "kind = mask\nmask_fraction = 0.1\n"
+        text = self._file_data(tmp_path, _SMALL) + "kind = mask\nmask_fraction = 0.1\n"
         self._refused(tmp_path, capsys, text, "mask_fraction: masks 0 of 3 features, so BI copies are identical")
+
+    @pytest.mark.parametrize("policy", ["bottom_k", "top_k"])
+    @pytest.mark.parametrize("metric", ["bi", "lc", "ms", "rc", "en"])
+    def test_mask_of_every_feature(self, tmp_path, capsys, policy, metric):
+        text = _SMALL.replace("bottom_k", policy).replace("metric = bi", f"metric = {metric}")
+        text += "kind = mask\nmask_fraction = 0.9\n"
+        self._refused(tmp_path, capsys, text, "mask_fraction: masks all 4 features, so every copy is zero")
+
+    def test_mask_of_every_feature_in_file_data(self, tmp_path, capsys):
+        text = self._file_data(tmp_path, _SMALL.replace("metric = bi", "metric = en"))
+        text += "kind = mask\nmask_fraction = 0.9\n"
+        self._refused(tmp_path, capsys, text, "mask_fraction: masks all 3 features, so every copy is zero")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -252,10 +308,12 @@ class TestIdenticalBICopies:
             {"memory_policy": "random"},
             {"memory_capacity": 0},
             {"perturbation_count": 2, "perturbation_kind": "mask", "mask_fraction": 0.25},
+            {"memory_policy": "random", "perturbation_kind": "mask", "mask_fraction": 0.9},
+            {"uncertainty_metric": "lc", "perturbation_kind": "mask", "mask_fraction": 0.75},
         ],
     )
     def test_copies_not_needed_or_distinct(self, overrides):
-        ExperimentConfig(**{"perturbation_count": 1, **overrides}).check_bi_copies(4)
+        ExperimentConfig(**{"perturbation_count": 1, **overrides}).check_copies(4)
 
 
 _FLOAT_KEYS = sorted((section, key) for (section, key), (_, parse) in _SCHEMA.items() if parse is _parse_float)

@@ -470,11 +470,6 @@ class TestSampleReplay:
             assert len(set(out.tolist())) == 4
             assert np.all(buf.task_ids[out] != 2)
 
-    def test_replay_size_validated(self):
-        buf = self._filled([1])
-        with pytest.raises(ValueError):
-            sample_replay(buf, 0, current_task=2, rng=np.random.default_rng(0))
-
     def test_uniform_inclusion_frequency(self):
         # 100 eligible samples, draws of 10: inclusion ~ Binomial(trials, 0.1)
         buf = MemoryBuffer(200, "bottom_k", np.random.default_rng(0))

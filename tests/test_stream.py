@@ -58,10 +58,6 @@ class TestAssignClassesToTasks:
         specs = assign_classes_to_tasks(sizes, 3, "shuffle", np.random.default_rng(0))
         assert [len(s.classes) for s in specs] == [3, 2, 2]
 
-    def test_too_many_tasks_rejected(self):
-        with pytest.raises(ValueError):
-            assign_classes_to_tasks({0: 1, 1: 1}, 3, "shuffle", np.random.default_rng(0))
-
 
 class TestPartitionToClients:
     def test_even_split(self):
@@ -248,6 +244,20 @@ class TestDatasetIO:
     def test_bin_negative_label_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bin labels must be >= 0"):
             save_vector_dataset(tmp_path / "n.bin", np.ones((2, 3)), np.array([0, -1]), "bin")
+
+    @pytest.mark.parametrize(
+        "name,data,error",
+        [
+            ("d0.csv", "0\n1\n", "row 1 has no features"),
+            ("d0.bin", struct.pack("<II3I", 3, 0, 0, 1, 2), "header gives dim 0, so records have no features"),
+        ],
+        ids=["csv", "bin"],
+    )
+    def test_records_without_features_name_path(self, tmp_path, name, data, error):
+        path = tmp_path / name
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
+        with pytest.raises(ValueError, match=f"^{path}: {error}$"):
+            load_vector_dataset(path, path.suffix[1:])
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -157,17 +157,6 @@ class TestPerturbFeatures:
         for copy in perturb_features(x, spec):
             assert np.array_equal(copy, x)
 
-    def test_invalid_specs_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            PerturbationSpec(0, "gaussian", 0.1, rng=rng)
-        with pytest.raises(ValueError):
-            PerturbationSpec(1, "gaussian", 0.0, rng=rng)
-        with pytest.raises(ValueError):
-            PerturbationSpec(1, "mask", mask_fraction=1.0, rng=rng)
-        with pytest.raises(ValueError):
-            PerturbationSpec(1, "cutout", rng=rng)
-
     def test_generator_is_required(self):
         with pytest.raises(TypeError):
             PerturbationSpec(4, "gaussian", 0.1)
@@ -222,9 +211,3 @@ class TestScoreSample:
         ):
             spec2 = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
             assert score_sample(params, config, perturb_features(x, spec2), metric) == fn(probs)
-
-    def test_unknown_metric_rejected(self):
-        params, config = self._zero_model(2)
-        spec = PerturbationSpec(2, "gaussian", 0.1, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            score_sample(params, config, perturb_features(np.ones(3), spec), "variance")

@@ -5,8 +5,9 @@ full grammar). Each key is one ``ExperimentConfig`` field that carries its
 section, file key and parser. Keys and sections are case-sensitive, and unknown
 ones fail loudly. A config is frozen and validated when built, and every
 invariant violation names the offending field. An empty file yields the defaults.
-Each rule is checked once, here or, for file data, once the file is read; the
-modules that take these values do not check them again.
+Each rule is checked once, here or, for what only the data decide (a file's
+shape and classes, a task too small to split), by the runner once it has the
+data; the modules that take these values do not check them again.
 """
 
 from __future__ import annotations

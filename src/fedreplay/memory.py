@@ -7,12 +7,11 @@ The buffer holds its samples as parallel arrays, one row per sample:
 Admission merges the stored rows of each incoming class with the new
 candidates and keeps the per-class quota with the lowest scores
 (bottom-k), the highest scores (top-k), or a uniform subset
-(class-balanced random). An offer may give those stored rows fresh
-scores as one block whose items are computed only when read. A fresh
-score is read when retention compares it (its class is over quota, at
-this offer or a later one) or when ``scores`` is read; the next offer
-that touches its class replaces it unread. Every score that is read is
-therefore the one an eager rescore would have given.
+(class-balanced random). An offer may give each touched class's stored
+rows fresh scores as one deferred call, made when retention compares the
+class (it is over quota, at this offer or a later one) or when ``scores``
+is read; the next offer that touches the class replaces it unread. Every
+score that is read is therefore the one an eager rescore would have given.
 The plain random policy ignores classes and keeps a uniform subset of the
 whole buffer under the global capacity. Ties on equal scores are broken by
 earlier arrival; quotas are recomputed whenever new classes appear and
@@ -57,18 +56,15 @@ def class_quota(capacity: int, classes_seen) -> dict[int, int]:
     return {c: base + (1 if i < rem else 0) for i, c in enumerate(classes)}
 
 
-def _read(scores: np.ndarray, items: np.ndarray, block, idx: np.ndarray) -> None:
-    """Compute, check and store the pending fresh scores among rows ``idx`` of one class.
-
-    Row j is pending while ``items[j] >= 0``; its fresh score is ``block[items[j]]``.
-    """
-    idx = idx[items[idx] >= 0]
-    if idx.size:
-        values = np.array([block[i] for i in items[idx].tolist()], dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError("rescored sample scores must be finite")
-        scores[idx] = values
-        items[idx] = -1
+def _read(scores: np.ndarray, idx: np.ndarray, pending) -> None:
+    """Compute one class's pending ``(k, call)``, check the k scores and store them in its first k rows ``idx[:k]``."""
+    k, call = pending
+    values = np.asarray(call(), dtype=np.float64)
+    if values.shape != (k,):
+        raise ValueError("rescore must return one score per stored sample")
+    if not np.isfinite(values).all():
+        raise ValueError("rescored sample scores must be finite")
+    scores[idx[:k]] = values
 
 
 class MemoryBuffer:
@@ -83,9 +79,7 @@ class MemoryBuffer:
         self.task_ids = np.empty(0, dtype=np.int64)
         self._scores = np.empty(0)
         self.arrivals = np.empty(0, dtype=np.int64)
-        # per row: -1 once its score is known, else the index of its fresh score in its class's block
-        self._items = np.empty(0, dtype=np.int64)
-        # class -> fresh scores of the last offer that touched it, kept while some of its rows are pending
+        # class -> (k, call): its first k rows' fresh scores, computed by call() when read
         self._fresh: dict = {}
         self.classes_seen: set[int] = set()
         self._next_arrival = 0
@@ -96,8 +90,8 @@ class MemoryBuffer:
     @property
     def scores(self) -> np.ndarray:
         """Each stored row's score, in buffer order; pending fresh scores are computed now."""
-        for c, block in self._fresh.items():
-            _read(self._scores, self._items, block, np.flatnonzero(self.labels == c))
+        for c, pending in self._fresh.items():
+            _read(self._scores, np.flatnonzero(self.labels == c), pending)
         self._fresh = {}
         return self._scores
 
@@ -106,16 +100,16 @@ class MemoryBuffer:
         columns = (self.labels.tolist(), self.task_ids.tolist(), self.arrivals.tolist())
         return [StoredRow(x, *rest) for x, *rest in zip(self.features, *columns)]
 
-    def _keep(self, idx: np.ndarray, pool: dict, quota: int, block) -> np.ndarray:
+    def _keep(self, idx: np.ndarray, pool: dict, quota: int, pending) -> np.ndarray:
         """The ``quota`` rows that the policy retains of ``idx`` (one class, or the whole pool, in pool order).
 
-        ``idx`` holds more than ``quota`` rows. The scored policies first read
-        the pending fresh scores of ``idx``, those of one class, from ``block``.
+        ``idx`` holds more than ``quota`` rows. A class's pending fresh
+        scores, if any, are read first.
         """
         if quota <= 0:
             return idx[:0]
-        if self.policy in SCORED_POLICIES:
-            _read(pool["_scores"], pool["_items"], block, idx)
+        if pending is not None:
+            _read(pool["_scores"], idx, pending)
         if self.policy == "bottom_k":
             return idx[np.lexsort((pool["arrivals"][idx], pool["_scores"][idx]))[:quota]]
         if self.policy == "top_k":
@@ -128,15 +122,15 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
 
     ``scores`` must align with ``batch`` samples and come from the metric
     configured for the experiment, evaluated on the current model. When
-    ``rescore`` is given it is called once, with the stored (k, d) feature
-    rows of every touched class in buffer order (by class, then arrival),
-    and must return a sequence of k fresh scores for them, under the
-    current model, whose item i is computed when read. An item is read
-    only when retention compares it: when its class is over quota, now or
-    at a later offer that trims it, or when ``buffer.scores`` is read. The
-    next offer that touches the class replaces it unread. A read item must
-    be finite. Without ``rescore`` stored samples keep their admission-time
-    scores.
+    ``rescore`` is given it is called once per touched class that has
+    stored rows, in ascending class order, with that class's stored (k, d)
+    feature rows in arrival order. It returns a zero-argument call that
+    computes their k fresh scores under the current model. The call is
+    made only when retention compares the class (it is over quota, now or
+    at a later offer that trims it) or when ``buffer.scores`` is read; the
+    next offer that touches the class replaces it unread. Its scores must
+    be k finite numbers. Without ``rescore`` stored samples keep their
+    admission-time scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(batch.labels, dtype=np.int64)
@@ -162,12 +156,11 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
         "task_ids": np.full(labels.size, batch.task_id, dtype=np.int64),
         "_scores": scores[order],
         "arrivals": first + order,
-        "_items": np.full(labels.size, -1),
     }
     pool = {name: np.concatenate([getattr(buffer, name), rows]) for name, rows in new.items()} if len(buffer) else new
     # pool rows grouped by class, each class in arrival order (stored rows first)
     by_class = np.argsort(pool["labels"], kind="stable")
-    fresh = buffer._fresh
+    fresh = dict(buffer._fresh)  # a copy: an offer that raises leaves the buffer's pending calls as they were
     if buffer.policy == "random":
         groups = [(None, np.arange(by_class.size), buffer.capacity)]
     else:
@@ -177,24 +170,20 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
         classes = incoming + [c for c, n in enumerate(counts) if n and c not in incoming]
         quotas = class_quota(buffer.capacity, buffer.classes_seen)
         groups = [(c, by_class[ends[c] - counts[c] : ends[c]], quotas[c]) for c in classes]
-        # stored rows of the touched classes, in buffer order: by class, then arrival
-        touched = np.concatenate([idx for _, idx, _ in groups[: len(incoming)]])
-        stored = touched[touched < len(buffer)]
-        if rescore is not None and stored.size:
-            block = rescore(pool["features"][stored])
-            if len(block) != stored.size:
-                raise ValueError("rescore must return one score per stored sample")
-            pool["_items"][stored] = np.arange(stored.size)
-            fresh = {**fresh, **dict.fromkeys(incoming, block)}
+        if rescore is not None:
+            for c, idx, _ in groups[: len(incoming)]:
+                k = int(np.searchsorted(idx, len(buffer)))  # a group lists its stored rows first
+                if k:
+                    fresh[c] = (k, rescore(pool["features"][idx[:k]]))
     kept = np.ones(by_class.size, dtype=bool)
     for c, idx, quota in groups:
         if len(idx) > quota:  # a group that fits keeps every row, its pending scores unread
             kept[idx] = False
-            kept[buffer._keep(idx, pool, quota, fresh.get(c))] = True
+            kept[buffer._keep(idx, pool, quota, fresh.pop(c, None))] = True
     keep = by_class[kept[by_class]]
     for name, rows in pool.items():
         setattr(buffer, name, rows[keep])
-    buffer._fresh = {c: fresh[c] for c in set(buffer.labels[buffer._items >= 0].tolist())}
+    buffer._fresh = fresh
 
 
 def sample_replay(buffer: MemoryBuffer, replay_size: int, current_task: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,10 +5,12 @@ the incoming batch joined with a replay draw of past-task rows from its
 memory (one gradient step per tick); on the first task the memory holds
 no such rows, so the draw is empty. After training, the batch is scored
 under the updated model and offered to the memory. Each offer also
-draws fresh perturbed copies of the stored candidates of the touched
-classes, as one block, and the memory scores a copy under that offer's
-parameters only when retention compares it: retention ranks the merged
-set by fresh scores without computing the ones it never reads.
+draws fresh perturbed copies of the stored rows of each touched class,
+one class at a time in ascending order, and hands the memory one
+deferred call per class that scores those copies under that offer's
+parameters. The memory makes the call only when retention compares the
+class, so retention ranks the merged set by fresh scores without
+computing the ones it never reads.
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
@@ -62,22 +64,6 @@ class RunResult:
     buffers: list[MemoryBuffer]  # each client's final memory, in client order
 
 
-@dataclass(frozen=True)
-class _FreshScores:
-    """Scores of a block of rows under one offer's parameters, from copies drawn then; item i is computed when read."""
-
-    params: ParameterVector
-    model_config: ModelConfig
-    copies: np.ndarray  # (n, P, d)
-    metric: str
-
-    def __len__(self) -> int:
-        return len(self.copies)
-
-    def __getitem__(self, i: int) -> float:
-        return score_sample(self.params, self.model_config, self.copies[i], self.metric)
-
-
 @dataclass
 class _ClientWorker:
     """Client-local state: parameters, optimizer, memory, stream, rngs."""
@@ -92,15 +78,11 @@ class _ClientWorker:
     replay_rng: np.random.Generator
     observed: set[int] = field(default_factory=set)
 
-    def _fresh(self, rows) -> _FreshScores:
-        """Uncertainty of each row of ``rows`` (n, d) under the current model, its copies drawn now as one block."""
+    def _fresh(self, rows):
+        """A call computing the uncertainty of each row of ``rows`` (n, d) under the current model, copies drawn now."""
         copies = uncertainty.perturb_features(rows, self.pert_spec)
-        return _FreshScores(self.params, self.model_config, copies, self.cfg.uncertainty_metric)
-
-    def _scores(self, rows) -> np.ndarray:
-        """Uncertainty of each row of ``rows`` (n, d), in order, computed now."""
-        fresh = self._fresh(rows)
-        return np.array([fresh[i] for i in range(len(fresh))])
+        params, config, metric = self.params, self.model_config, self.cfg.uncertainty_metric
+        return lambda: np.array([score_sample(params, config, x, metric) for x in copies])
 
     def tick(self, bn: int, theta_g: ParameterVector) -> bool:
         """Consume batch ``bn`` of the task, ``theta_g`` anchoring FedProx; False once the task is exhausted.
@@ -146,7 +128,7 @@ class _ClientWorker:
 
         if self.buffer.capacity > 0:
             if self.cfg.memory_policy in SCORED_POLICIES:
-                update_memory(self.buffer, batch, self._scores(batch.features), rescore=self._fresh)
+                update_memory(self.buffer, batch, self._fresh(batch.features)(), rescore=self._fresh)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
 
@@ -184,14 +166,17 @@ def _build_dataset(config: ExperimentConfig):
     return features, labels, len(class_ids)
 
 
-def _split_task(indices, test_split, rng):
-    """``(train, test)`` index arrays: a seeded permutation, the test share first."""
+def _split_task(indices, config: ExperimentConfig, task_id: int):
+    """``(test, parts)`` of one task's ``indices``: a seeded test share, the rest dealt out one part per client."""
     n = len(indices)
     if n < 2:
-        raise RuntimeError("each task needs at least two examples for a train/test split")
-    perm = rng.permutation(n)
-    n_test = max(1, min(int(round(test_split * n)), n - 1))
-    return indices[perm[n_test:]], indices[perm[:n_test]]
+        raise ConfigError(f"invalid value for tasks: task {task_id} has {n} example, too few for a train/test split")
+    perm = seeds.substream(config.seed, seeds.TEST_SPLIT, task_id).permutation(n)
+    n_test = max(1, min(int(round(config.test_split * n)), n - 1))
+    if n - n_test < config.clients:
+        raise ConfigError(f"invalid value for clients: task {task_id} has only {n - n_test} training examples")
+    rng = seeds.substream(config.seed, seeds.CLIENT_PARTITION, task_id)
+    return indices[perm[:n_test]], partition_to_clients(indices[perm[n_test:]], config.clients, rng)
 
 
 def _checksum(params) -> str:
@@ -220,12 +205,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     per_client_tasks = [[] for _ in range(config.clients)]
     for spec in tasks:
         task_rows = np.flatnonzero(np.isin(labels, list(spec.classes)))
-        train, test = _split_task(task_rows, config.test_split, seeds.substream(seed, seeds.TEST_SPLIT, spec.task_id))
+        test, parts = _split_task(task_rows, config, spec.task_id)
         test_sets.append((features[test], labels[test]))
-        parts = partition_to_clients(train, config.clients, seeds.substream(seed, seeds.CLIENT_PARTITION, spec.task_id))
         for k, part in enumerate(parts):
-            if not part.size:
-                raise RuntimeError(f"client {k} has no training examples for task {spec.task_id}")
             per_client_tasks[k].append((spec.task_id, part))
 
     model_config = ModelConfig(

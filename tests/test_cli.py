@@ -114,6 +114,16 @@ class TestConfigErrors:
         err = f"config error: cannot read config directory: [Errno 20] Not a directory: '{config}'\n"
         self._refused(tmp_path, capsys, ["grid", str(config)], err)
 
+    def test_task_too_small_to_split(self, tmp_path, capsys):
+        config = _write(tmp_path / "exp.ini", _ini(classes=2, samples_per_class=1, tasks=2))
+        err = "config error: invalid value for tasks: task 1 has 1 example, too few for a train/test split\n"
+        self._refused(tmp_path, capsys, ["run", str(config)], err)
+
+    def test_client_without_training_examples(self, tmp_path, capsys):
+        config = _write(tmp_path / "exp.ini", _ini(clients=5, classes=2, samples_per_class=3, tasks=2))
+        err = "config error: invalid value for clients: task 1 has only 2 training examples\n"
+        self._refused(tmp_path, capsys, ["run", str(config)], err)
+
     @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n\n[data]\nclasses = 6\n"])
     def test_default_section_rejected(self, tmp_path, capsys, text):
         config = _write(tmp_path / "exp.ini", text)

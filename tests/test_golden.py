@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from fedreplay import runner
 from fedreplay.config import ExperimentConfig
 from fedreplay.memory import dump_csv
 from fedreplay.runner import emit_report, run_experiment
@@ -181,3 +182,26 @@ def _hashes(name, out):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name, tmp_path):
     assert _hashes(name, tmp_path / name) == GOLDEN[name]
+
+
+def test_bottom_k_bi_score_count(monkeypatch):
+    """``bottom_k_bi`` scores 144 new rows and 204 stored rows afresh, one ``score_sample`` call per row."""
+    calls = {"new": 0, "stored": 0}
+    inside = []
+
+    def score_sample(*args):
+        calls["stored" if inside else "new"] += 1
+        return original_score(*args)
+
+    def update_memory(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_update(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    original_score, original_update = runner.score_sample, runner.update_memory
+    monkeypatch.setattr(runner, "score_sample", score_sample)
+    monkeypatch.setattr(runner, "update_memory", update_memory)
+    run_experiment(ExperimentConfig(**{**_BASE, **CASES["bottom_k_bi"]}))
+    assert calls == {"new": 144, "stored": 204}

@@ -99,7 +99,7 @@ class TestUpdateMemory:
         buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
         # fresh model ranks the stored samples the other way around
-        update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.9, 0.05])
+        update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [0.9, 0.05])
         assert _scores(buf, 0) == [0.05, 0.15]
 
     def test_rescore_receives_stored_rows_in_arrival_order(self):
@@ -109,7 +109,7 @@ class TestUpdateMemory:
 
         def rescore(stored):
             seen.append(stored.copy())
-            return [0.4, 0.6]
+            return lambda: [0.4, 0.6]
 
         update_memory(buf, _batch([1]), [0.5], rescore=rescore)
         # class 1 holds arrivals 0 and 2, whose features are rows 0 and 2 of the first batch
@@ -118,32 +118,53 @@ class TestUpdateMemory:
         # the fresh scores belong to those rows in that order: 0.4 to arrival 0, 0.6 to arrival 2
         assert _class_rows(buf, 1) == [(0.4, 0), (0.5, 3)]
 
-    def test_one_rescore_call_per_offer(self):
+    def test_one_rescore_call_per_touched_class(self):
         buf = MemoryBuffer(9, "bottom_k", np.random.default_rng(0))
         first = _batch([2, 1, 0, 2, 0, 1])
         update_memory(buf, first, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         seen = []
 
         def rescore(stored):
+            start = sum(map(len, seen))
             seen.append(stored.copy())
-            return np.arange(len(stored), dtype=float)
+            return lambda: start + np.arange(len(stored), dtype=float)
 
         update_memory(buf, _batch([2, 0]), [0.7, 0.8], rescore=rescore)
         # class 0 holds arrivals 2 and 4, class 2 arrivals 0 and 3; class 1 is untouched
-        (stored,) = seen
-        assert np.array_equal(stored, first.features[[2, 4, 0, 3]])
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], first.features[[2, 4]])
+        assert np.array_equal(seen[1], first.features[[0, 3]])
         assert _class_rows(buf, 0) == [(0.0, 2), (0.8, 7), (1.0, 4)]
         assert _class_rows(buf, 1) == [(0.2, 1), (0.6, 5)]
         assert _class_rows(buf, 2) == [(0.7, 6), (2.0, 0), (3.0, 3)]
+        # a touched class with no stored rows gets no call
+        update_memory(buf, _batch([3]), [0.9], rescore=rescore)
+        assert len(seen) == 2
 
     def test_non_finite_rescore_rejected(self):
         buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
         with pytest.raises(ValueError, match="rescored sample scores must be finite"):
-            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [float("nan"), 0.05])
+            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [float("nan"), 0.05])
         with pytest.raises(ValueError, match="rescored sample scores must be finite"):
-            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.3, float("-inf")])
+            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [0.3, float("-inf")])
         assert _class_rows(buf, 0) == [(0.1, 0), (0.2, 1)]
+
+    def test_rescore_of_wrong_length_rejected_when_read(self):
+        for returned in ([0.05], [0.3, 0.05, 0.4]):
+            buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
+            update_memory(buf, _batch([0, 0]), [0.1, 0.2])
+            # class 0 holds 3 rows under a quota of 2, so retention reads the call at this offer
+            with pytest.raises(ValueError, match="rescore must return one score per stored sample"):
+                update_memory(buf, _batch([0]), [0.15], rescore=lambda stored, r=returned: lambda: r)
+            assert _class_rows(buf, 0) == [(0.1, 0), (0.2, 1)]
+        # a class that fits its quota is not compared, so the call fails only when the scores are read
+        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
+        update_memory(buf, _batch([0, 0]), [0.1, 0.2])
+        update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [0.05])
+        assert len(buf) == 3
+        with pytest.raises(ValueError, match="rescore must return one score per stored sample"):
+            buf.scores
 
     def test_non_finite_score_and_negative_label_rejected(self):
         buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
@@ -282,20 +303,25 @@ class _EagerBuffer:
             setattr(self, name, rows[keep])
 
 
-class _CountedScores:
-    """One offer's fresh scores; logs each item read as ``offer * 1000 + i``."""
+def _counted_rescore(offer, fresh, reads):
+    """A ``rescore`` whose calls number their items across one offer as ``offer * 1000 + i``.
 
-    def __init__(self, offer, values, reads):
-        self.offer = offer
-        self.values = values
-        self.reads = reads
+    Successive calls take successive items of ``fresh``; a call logs its
+    items in ``reads`` each time it is made.
+    """
+    taken = []
 
-    def __len__(self):
-        return len(self.values)
+    def rescore(rows):
+        items = range(len(taken), len(taken) + len(rows))
+        taken.extend(items)
 
-    def __getitem__(self, i):
-        self.reads.append(self.offer * 1000 + i)
-        return self.values[i]
+        def call():
+            reads.extend(offer * 1000 + i for i in items)
+            return [fresh[i] for i in items]
+
+        return call
+
+    return rescore
 
 
 # few distinct values, so equal scores (ties broken by arrival) are common
@@ -304,7 +330,12 @@ _SCORE_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
 
 @st.composite
 def _offer_streams(draw):
-    """Offers of ``(labels, task_id, scores, fresh)``; ``fresh`` covers every stored row at capacity <= 12."""
+    """Offers of ``(labels, task_id, scores, fresh)``; ``fresh`` covers every stored row at capacity <= 12.
+
+    The eager reference takes one block of fresh scores for every stored
+    row of the touched classes, in buffer order; the per-class calls of one
+    offer take its items one class after another, in ascending class order.
+    """
     offers = []
     for _ in range(draw(st.integers(1, 25))):
         labels = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
@@ -315,7 +346,7 @@ def _offer_streams(draw):
 
 
 class TestLazyRescoreOracle:
-    """Lazy fresh scores against the eager reference ``_EagerBuffer``."""
+    """Per-class deferred fresh scores against the eager reference ``_EagerBuffer``."""
 
     @given(st.sampled_from(SCORED_POLICIES), st.integers(1, 12), _offer_streams(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -326,10 +357,10 @@ class TestLazyRescoreOracle:
         for t, (labels, task_id, scores, fresh) in enumerate(offers):
             batch = _batch(labels, task_id=task_id)
             oracle.offer(batch, scores, lambda rows, f=fresh: f[: len(rows)], t, compared)
-            update_memory(buf, batch, scores, rescore=lambda rows, t=t, f=fresh: _CountedScores(t, f[: len(rows)], reads))
+            update_memory(buf, batch, scores, rescore=_counted_rescore(t, fresh, reads))
             for name in ("features", "labels", "task_ids", "arrivals"):
                 assert np.array_equal(getattr(buf, name), getattr(oracle, name))
-            # an item is read once, and only when retention compares it
+            # a class's call is made at most once, and only when retention compares the class
             assert sorted(reads) == sorted(compared)
             buf.samples()
             assert len(reads) == len(compared)
@@ -342,7 +373,7 @@ class TestLazyRescoreOracle:
         for t, (labels, task_id, scores, fresh) in enumerate(offers):
             fresh = [float("inf") if (t, i) == (t_bad, i_bad) else v for i, v in enumerate(fresh)]
             offer = (buf, _batch(labels, task_id=task_id), scores)
-            rescore = lambda rows, t=t, f=fresh: _CountedScores(t, f[: len(rows)], [])  # noqa: E731
+            rescore = _counted_rescore(t, fresh, [])
             if t == raises_at:
                 with pytest.raises(ValueError, match="rescored sample scores must be finite"):
                     update_memory(*offer, rescore=rescore)
@@ -354,7 +385,7 @@ class TestLazyRescoreOracle:
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
         reads = []
         # class 0 holds 3 rows under a quota of 4, so nothing is compared and nothing is read
-        update_memory(buf, _batch([0]), [0.3], rescore=lambda stored: _CountedScores(1, [float("nan"), 0.5], reads))
+        update_memory(buf, _batch([0]), [0.3], rescore=_counted_rescore(1, [float("nan"), 0.5], reads))
         assert reads == []
         assert [s.arrival for s in buf.samples()] == [0, 1, 2]
         with pytest.raises(ValueError, match="rescored sample scores must be finite"):
@@ -365,8 +396,8 @@ class TestLazyRescoreOracle:
         buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0]), [0.1])
         reads = []
-        update_memory(buf, _batch([0]), [0.2], rescore=lambda stored: _CountedScores(1, [0.9], reads))
-        update_memory(buf, _batch([0]), [0.3], rescore=lambda stored: _CountedScores(2, [0.7, 0.8], reads))
+        update_memory(buf, _batch([0]), [0.2], rescore=_counted_rescore(1, [0.9], reads))
+        update_memory(buf, _batch([0]), [0.3], rescore=_counted_rescore(2, [0.7, 0.8], reads))
         assert reads == []
         assert _class_rows(buf, 0) == [(0.3, 2), (0.7, 0), (0.8, 1)]
         assert sorted(reads) == [2000, 2001]

@@ -334,8 +334,8 @@ class TestCli:
         text = _config_text().replace("clients = 2", "clients = 7").replace("samples_per_class = 30", "samples_per_class = 3")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
-        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: client 5 has no training examples for task 1\n"
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: invalid value for clients: task 1 has only 5 training examples\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "bin"])

@@ -10,7 +10,9 @@ one class at a time in ascending order, and hands the memory one
 deferred call per class that scores those copies under that offer's
 parameters. The memory makes the call only when retention compares the
 class, so retention ranks the merged set by fresh scores without
-computing the ones it never reads.
+computing the ones it never reads. Every scoring call, for a new batch
+or a stored class, forwards the copies of all its rows as one block and
+then reduces each row's logits with one ``score_sample`` call.
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
@@ -79,10 +81,13 @@ class _ClientWorker:
     observed: set[int] = field(default_factory=set)
 
     def _fresh(self, rows):
-        """A call computing the uncertainty of each row of ``rows`` (n, d) under the current model, copies drawn now."""
+        """A call computing the uncertainty of each row of ``rows`` (n, d) under the current model, copies drawn now.
+
+        The call forwards all the rows' copies as one block, then scores each row from its logits.
+        """
         copies = uncertainty.perturb_features(rows, self.pert_spec)
         params, config, metric = self.params, self.model_config, self.cfg.uncertainty_metric
-        return lambda: np.array([score_sample(params, config, x, metric) for x in copies])
+        return lambda: np.array([score_sample(z, metric) for z in uncertainty.copy_logits(params, config, copies)])
 
     def tick(self, bn: int, theta_g: ParameterVector) -> bool:
         """Consume batch ``bn`` of the task, ``theta_g`` anchoring FedProx; False once the task is exhausted.

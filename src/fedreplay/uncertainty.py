@@ -1,29 +1,35 @@
 """Uncertainty scores over perturbed predictions of a single sample.
 
-Drawing the perturbed copies and scoring them are separate steps:
-``perturb_features`` draws the P copies of every row of an (n, d) block
-in one call, and ``score_sample`` scores one sample from its (P, d)
-copies, so a caller can draw copies now and score them later (or never).
-A sample is scored by forwarding its copies through the model
-as one (P, d) block and reducing the resulting P x C logit matrix: the
-variance-style score is the Bregman information (mean log-sum-exp of the
-rows minus log-sum-exp of the mean row), the confidence-style scores
-(least confidence, margin, ratio, entropy) act on row-wise softmax
-probabilities. The block's forward is per-row exact (see ``model``), and
-every reduction works on the whole block with array operations while
-sums over the P axis and over a row use exactly rounded summation
-(``math.fsum`` on Python lists). Scores are therefore the same bits as
-when each copy is forwarded and reduced alone, and invariant to the order
-of the perturbed copies. The copies are drawn from the generator that
-the caller must pass to ``PerturbationSpec``; a block draw leaves it where
-one draw per row, in row order, would.
+Drawing the perturbed copies, forwarding them and scoring them are
+separate steps. ``perturb_features`` draws the P copies of every row of
+an (n, d) block in one call; ``copy_logits`` forwards all n x P copies
+as one (n * P, d) block, checks the block's logits for finiteness once and
+returns them as (n, P, C); ``score_sample`` scores one sample from its
+(P, C) logit set. A caller can therefore draw copies now and forward and
+score them later (or never). The block forward is per-row exact (see
+``model``), so each sample's logits are the same bits as when its copies
+are forwarded alone.
 
-Scoring runs once per sample on a block of about 12 x 8 logits, so its
-cost is mostly the fixed cost of each numpy call, and the code keeps
-their number low: BI appends the mean row to the logit rows and takes
-all P + 1 log-sum-exps in one max/exp pass. Exponentials stay ``np.exp``
-and logarithms ``math.log``: ``math.exp`` and ``np.log`` differ from them
-in the last bit on some inputs, which would change the scores.
+The variance-style score is the Bregman information (mean log-sum-exp of
+the P logit rows minus log-sum-exp of the mean row); the confidence-style
+scores (least confidence, margin, ratio, entropy) act on row-wise softmax
+probabilities. Each metric has one implementation. The public scorers
+(``bregman_information`` and the four confidence scores) check their
+input and then call it; ``score_sample`` calls it directly, because its
+logits were checked with their block. Every reduction works on one
+sample's set with array operations, while sums over the P axis and over
+a row use exactly rounded summation (``math.fsum`` on Python lists), so
+scores are invariant to the order of the perturbed copies. The copies are
+drawn from the generator that the caller must pass to
+``PerturbationSpec``; a block draw leaves it where one draw per row, in
+row order, would.
+
+Each reduction works on about 12 x 8 logits, so its cost is mostly the
+fixed cost of each numpy call, and the code keeps their number low: BI
+appends the mean row to the logit rows and takes all P + 1 log-sum-exps
+in one max/exp pass. Exponentials stay ``np.exp`` and logarithms
+``math.log``: ``math.exp`` and ``np.log`` differ from them in the last
+bit on some inputs, which would change the scores.
 """
 
 from __future__ import annotations
@@ -78,18 +84,8 @@ def _as_probability_set(probs) -> np.ndarray:
     return p
 
 
-def bregman_information(logits) -> float:
-    """Variance of the predictions in logit space.
-
-    mean_i LSE(z_i) - LSE(mean_i z_i) over the P rows. Zero exactly when
-    all rows coincide (Jensen equality); tiny negative rounding residue is
-    clamped to zero.
-
-    The mean row is appended to the P rows, its entries being the
-    per-column ``math.fsum`` divided by P, and all P + 1 log-sum-exps come
-    from one max/exp pass over that block.
-    """
-    z = _as_logit_set(logits)
+def _bi(z: np.ndarray) -> float:
+    """Bregman information of a finite (P, C) logit set; see ``bregman_information``."""
     if (z == z[0]).all():
         return 0.0
     p = z.shape[0]
@@ -103,48 +99,69 @@ def bregman_information(logits) -> float:
     return bi
 
 
+def bregman_information(logits) -> float:
+    """Variance of the predictions in logit space.
+
+    mean_i LSE(z_i) - LSE(mean_i z_i) over the P rows. Zero exactly when
+    all rows coincide (Jensen equality); tiny negative rounding residue is
+    clamped to zero.
+
+    The mean row is appended to the P rows, its entries being the
+    per-column ``math.fsum`` divided by P, and all P + 1 log-sum-exps come
+    from one max/exp pass over that block.
+    """
+    return _bi(_as_logit_set(logits))
+
+
 def _top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest and second-largest entry of each row."""
     top2 = np.partition(p, -2, axis=1)
     return top2[:, -1], top2[:, -2]
 
 
-def least_confidence(probs) -> float:
-    """1 - mean top-class probability over the P rows."""
-    p = _as_probability_set(probs)
+def _lc(p: np.ndarray) -> float:
     return 1.0 - math.fsum(p.max(axis=1).tolist()) / p.shape[0]
 
 
-def margin_sampling(probs) -> float:
-    """1 - mean margin between the two most probable classes."""
-    p = _as_probability_set(probs)
+def least_confidence(probs) -> float:
+    """1 - mean top-class probability over the P rows."""
+    return _lc(_as_probability_set(probs))
+
+
+def _ms(p: np.ndarray) -> float:
     first, second = _top_two(p)
     return 1.0 - math.fsum((first - second).tolist()) / p.shape[0]
 
 
-def ratio_confidence(probs) -> float:
-    """Mean ratio of the runner-up to the top class probability."""
-    p = _as_probability_set(probs)
+def margin_sampling(probs) -> float:
+    """1 - mean margin between the two most probable classes."""
+    return _ms(_as_probability_set(probs))
+
+
+def _rc(p: np.ndarray) -> float:
+    # A probability row sums to 1, so its top entry is positive.
     first, second = _top_two(p)
-    if (first == 0.0).any():
-        raise ValueError("ratio_confidence requires a positive top probability")
     return math.fsum((second / first).tolist()) / p.shape[0]
 
 
-def entropy_score(probs) -> float:
-    """Mean Shannon entropy of the P rows, with 0 * log 0 = 0."""
-    p = _as_probability_set(probs)
+def ratio_confidence(probs) -> float:
+    """Mean ratio of the runner-up to the top class probability."""
+    return _rc(_as_probability_set(probs))
+
+
+def _en(p: np.ndarray) -> float:
     # log(1) = 0 stands in for log(0), so zero entries add exact zeros.
     terms = p * np.log(np.where(p > 0.0, p, 1.0))
     return math.fsum([-math.fsum(row) for row in terms.tolist()]) / p.shape[0]
 
 
-_SCORERS = {
-    "lc": least_confidence,
-    "ms": margin_sampling,
-    "rc": ratio_confidence,
-    "en": entropy_score,
-}
+def entropy_score(probs) -> float:
+    """Mean Shannon entropy of the P rows, with 0 * log 0 = 0."""
+    return _en(_as_probability_set(probs))
+
+
+# The confidence scores' implementations, on unchecked softmax rows.
+_SCORERS = {"lc": _lc, "ms": _ms, "rc": _rc, "en": _en}
 
 
 def softmax_rows(logits) -> np.ndarray:
@@ -190,9 +207,20 @@ def perturb_features(x, spec: PerturbationSpec) -> np.ndarray:
     return copies
 
 
-def score_sample(params: ParameterVector, config: ModelConfig, copies, metric: str) -> float:
-    """Uncertainty of one unlabeled sample, from its (P, d) perturbed copies, under the current model."""
-    logits = forward_logits(params, config, copies)
+def copy_logits(params: ParameterVector, config: ModelConfig, copies: np.ndarray) -> np.ndarray:
+    """(n, P, C) logits of the (n, P, d) perturbed copies, forwarded as one (n * P, d) block.
+
+    Raises ``NonFiniteLogits`` if any entry of the block is inf or NaN.
+    """
+    n, p, d = copies.shape
+    logits = forward_logits(params, config, copies.reshape(n * p, d))
+    if not np.isfinite(logits).all():
+        raise NonFiniteLogits("logit set entries must be finite")
+    return logits.reshape(n, p, config.num_classes)
+
+
+def score_sample(logits: np.ndarray, metric: str) -> float:
+    """Uncertainty of one sample from its finite (P, C) logit set, one row of ``copy_logits``."""
     if metric == "bi":
-        return bregman_information(logits)
-    return _SCORERS[metric](softmax_rows(_as_logit_set(logits)))
+        return _bi(logits)
+    return _SCORERS[metric](softmax_rows(logits))

@@ -4,15 +4,18 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.
 """
 
+import dataclasses
 import json
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedreplay.config import ExperimentConfig
+from fedreplay import runner, seeds
+from fedreplay.config import ExperimentConfig, parse_config
 from fedreplay.federation import RoundReport, class_weighted_avg, fedavg
 from fedreplay.memory import MemoryBuffer, class_quota, sample_replay, update_memory
 from fedreplay.metrics import client_mean, last_accuracy, last_forgetting
@@ -25,11 +28,16 @@ from fedreplay.model import (
 from fedreplay.runner import emit_report, run_experiment
 from fedreplay.stream import ClientStream, MiniBatch
 from fedreplay.uncertainty import (
+    METRICS,
+    PerturbationSpec,
     bregman_information,
+    copy_logits,
     entropy_score,
     least_confidence,
     margin_sampling,
+    perturb_features,
     ratio_confidence,
+    score_sample,
 )
 
 
@@ -399,3 +407,84 @@ def test_criterion_9_single_pass_audit(monkeypatch):
             run_experiment(config)
         raised.append(str(err.value))
     _report(9, len(raised) == 2, f"audit raised on a skip and on a repeat: {raised[0]}")
+
+
+# ----------------------------------------------------------------------
+# criterion 11: every score tracks closeness to the known Bayes boundary
+# ----------------------------------------------------------------------
+
+# Spearman rho floors per metric. Over seeds 0-4 client 0's final model
+# read bi 0.36-0.53, lc 0.59-0.65, ms 0.58-0.65, rc 0.56-0.63 and
+# en 0.56-0.63; each floor is that minimum less the seed range, rounded
+# down to 0.05.
+_RHO_FLOORS = {"bi": 0.15, "lc": 0.5, "ms": 0.5, "rc": 0.45, "en": 0.45}
+
+
+def _ranks(x):
+    """Ranks from 0, ties sharing their mean rank."""
+    ranks = np.empty(len(x))
+    ranks[np.argsort(x, kind="stable")] = np.arange(len(x))
+    _, tie, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.bincount(tie, weights=ranks) / counts)[tie]
+
+
+def _spearman(a, b) -> float:
+    return float(np.corrcoef(_ranks(a), _ranks(b))[0, 1])
+
+
+def _boundary_closeness(config, features):
+    """Minus the log-likelihood margin between each row's two likeliest classes.
+
+    Synthetic classes are equal-sized isotropic Gaussians of one sigma, so
+    that margin is the Bayes log-odds; their centers are the first draw of
+    the ``DATA`` substream.
+    """
+    centers = seeds.substream(config.seed, seeds.DATA).normal(
+        0.0, config.center_spread, size=(config.classes, config.dim)
+    )
+    loglik = -((features[:, None, :] - centers) ** 2).sum(axis=2) / (2.0 * config.cluster_sigma**2)
+    second, first = np.sort(loglik, axis=1)[:, -2:].T
+    return second - first
+
+
+def test_criterion_11_scores_track_the_bayes_boundary(monkeypatch):
+    start = time.perf_counter()
+    base = parse_config(Path(__file__).resolve().parent.parent / "configs" / "bi_bottom.ini")
+    evaluate = runner.evaluate_model
+    rho = {m: [] for m in METRICS}
+    control = {m: [] for m in METRICS}
+    for seed in SEEDS:
+        config = dataclasses.replace(
+            base, seed=seed, classes=10, tasks=5, center_spread=1.0, memory_capacity=30, burn_in=2, q=3
+        )
+        evaluated = []
+
+        def keep(params, model_config, test_sets):
+            evaluated.append((params, model_config, test_sets))
+            return evaluate(params, model_config, test_sets)
+
+        monkeypatch.setattr(runner, "evaluate_model", keep)
+        run_experiment(config)
+        # Client 0's evaluation after the last task is the first one over every task's held-out rows.
+        params, model_config, test_sets = next(e for e in evaluated if len(e[2]) == config.tasks)
+        features = np.concatenate([f for f, _ in test_sets])
+        assert len(features) == 800
+        closeness = _boundary_closeness(config, features)
+        shuffled = closeness[np.random.default_rng(seed).permutation(len(closeness))]
+        spec = PerturbationSpec(12, "gaussian", config.noise_sigma, rng=np.random.default_rng(seed))
+        logits = copy_logits(params, model_config, perturb_features(features, spec))
+        for metric in METRICS:
+            scores = [score_sample(z, metric) for z in logits]
+            rho[metric].append(_spearman(scores, closeness))
+            control[metric].append(_spearman(scores, shuffled))
+    elapsed = time.perf_counter() - start
+
+    floors_ok = all(min(rho[m]) > _RHO_FLOORS[m] for m in METRICS)
+    control_ok = all(abs(r) < 0.1 for m in METRICS for r in control[m])
+    ok = floors_ok and control_ok
+    detail = ", ".join(f"{m} {min(rho[m]):.2f}-{max(rho[m]):.2f}" for m in METRICS)
+    worst = max(abs(r) for m in METRICS for r in control[m])
+    _report(11, ok, f"Spearman rho over seeds {detail}; shuffled |rho| <= {worst:.3f}; {elapsed:.1f}s")
+    for metric in METRICS:
+        assert min(rho[metric]) > _RHO_FLOORS[metric], (metric, rho[metric])
+        assert all(abs(r) < 0.1 for r in control[metric]), (metric, control[metric])

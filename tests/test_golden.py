@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from fedreplay import runner
+from fedreplay import runner, uncertainty
 from fedreplay.config import ExperimentConfig
 from fedreplay.memory import dump_csv
 from fedreplay.runner import emit_report, run_experiment
@@ -185,13 +185,37 @@ def test_report_bytes_match_golden(name, tmp_path):
 
 
 def test_bottom_k_bi_score_count(monkeypatch):
-    """``bottom_k_bi`` scores 144 new rows and 204 stored rows afresh, one ``score_sample`` call per row."""
+    """``bottom_k_bi``'s scoring work: rows scored, blocks forwarded, forward calls and rows.
+
+    It scores 144 new rows and 204 stored rows afresh, one ``score_sample``
+    call per row. Their copies are forwarded in one ``forward_logits`` call
+    per scored block: the 48 new batches and the 52 stored classes whose
+    deferred scores were read, so 100 calls of P x (144 + 204) = 1,044 rows.
+    When each row's copies were forwarded alone, the same 1,044 rows took
+    348 calls.
+    """
     calls = {"new": 0, "stored": 0}
+    blocks = {"new": 0, "stored": 0}
+    forwards = {"calls": 0, "rows": 0}
     inside = []
 
     def score_sample(*args):
         calls["stored" if inside else "new"] += 1
         return original_score(*args)
+
+    def fresh(self, rows):
+        call = original_fresh(self, rows)
+
+        def made():
+            blocks["stored" if inside else "new"] += 1
+            return call()
+
+        return made
+
+    def forward_logits(params, config, features):
+        forwards["calls"] += 1
+        forwards["rows"] += len(features)
+        return original_forward(params, config, features)
 
     def update_memory(*args, **kwargs):
         inside.append(True)
@@ -201,7 +225,13 @@ def test_bottom_k_bi_score_count(monkeypatch):
             inside.pop()
 
     original_score, original_update = runner.score_sample, runner.update_memory
+    original_fresh, original_forward = runner._ClientWorker._fresh, uncertainty.forward_logits
     monkeypatch.setattr(runner, "score_sample", score_sample)
     monkeypatch.setattr(runner, "update_memory", update_memory)
-    run_experiment(ExperimentConfig(**{**_BASE, **CASES["bottom_k_bi"]}))
+    monkeypatch.setattr(runner._ClientWorker, "_fresh", fresh)
+    monkeypatch.setattr(uncertainty, "forward_logits", forward_logits)
+    config = ExperimentConfig(**{**_BASE, **CASES["bottom_k_bi"]})
+    run_experiment(config)
     assert calls == {"new": 144, "stored": 204}
+    assert blocks == {"new": 48, "stored": 52}
+    assert forwards == {"calls": 100, "rows": config.perturbation_count * (144 + 204)}

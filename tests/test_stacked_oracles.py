@@ -3,7 +3,11 @@
 The forward pass, the backward pass, the scorers and the exact column sum
 work on whole blocks. Each oracle below is the loop they replaced, one
 sample, one perturbed copy or one column at a time. Equality is exact
-(``==`` / ``array_equal``), not approximate.
+(``==`` / ``array_equal``), not approximate. Scoring forwards the copies
+of every row of a block in one call (``copy_logits``) and reduces each
+row's (P, C) logits with ``score_sample``, which skips the input checks
+of the public scorers; both are checked here against those scorers and
+against single-row forwards.
 """
 
 import math
@@ -14,13 +18,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedreplay import uncertainty
 from fedreplay.exact import fsum_columns
 from fedreplay.model import ModelConfig, ParameterVector, forward_logits, init_parameters, loss_and_grad
 from fedreplay.stream import MiniBatch
 from fedreplay.uncertainty import (
+    NonFiniteLogits,
     PerturbationSpec,
     _lse_rows,
     bregman_information,
+    copy_logits,
     entropy_score,
     least_confidence,
     margin_sampling,
@@ -136,6 +143,8 @@ def _oracle_en(p):
 
 _ORACLE_SCORERS = {"lc": _oracle_lc, "ms": _oracle_ms, "rc": _oracle_rc, "en": _oracle_en}
 
+_PUBLIC_SCORERS = {"lc": least_confidence, "ms": margin_sampling, "rc": ratio_confidence, "en": entropy_score}
+
 
 def _oracle_perturb(x, spec):
     base = np.asarray(x, dtype=np.float64)
@@ -244,11 +253,59 @@ def test_score_sample_equals_per_copy_loop(model, p, metric, kind, mask_fraction
         )
 
     got_spec, want_spec = spec(), spec()
-    got = score_sample(params, config, perturb_features(x, got_spec), metric)
+    got = score_sample(copy_logits(params, config, perturb_features(x[None, :], got_spec))[0], metric)
     want = _oracle_score(params, config, x, want_spec, metric)
     assert got == want
     # The block draw leaves the generator where the per-copy draws did.
     assert got_spec.rng.bit_generator.state == want_spec.rng.bit_generator.state
+
+
+@given(
+    _models(),
+    st.integers(1, 8),
+    st.integers(1, 16),
+    st.sampled_from(["gaussian", "mask"]),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+@example(_TINY, 1, 1, "gaussian", 0.0, 0)
+@example(_TINY, 1, 1, "mask", 0.5, 0)
+@example(_TWO_LAYERS, 1, 1, "gaussian", 0.0, 0)
+@example(_TWO_LAYERS, 110, 12, "mask", 0.25, 0)  # the largest blocks a run forwards: 1,320 rows
+def test_copy_logits_equals_single_row_calls(model, n, p, kind, mask_fraction, seed):
+    config, params = model
+    rng = np.random.default_rng(seed)
+    spec = PerturbationSpec(p, kind, sigma=0.3, mask_fraction=mask_fraction, rng=np.random.default_rng(seed + 1))
+    copies = perturb_features(rng.normal(size=(n, config.input_dim)), spec)
+    got = copy_logits(params, config, copies)
+    assert got.shape == (n, p, config.num_classes)
+    want = np.array([[forward_logits(params, config, c.copy()) for c in row] for row in copies])
+    assert np.array_equal(got, want)
+
+
+def test_copy_logits_refuses_one_non_finite_entry_anywhere(monkeypatch):
+    config, params = _TWO_LAYERS
+    n, p, c = 3, 4, config.num_classes
+    copies = np.random.default_rng(5).normal(size=(n, p, config.input_dim))
+    assert np.isfinite(copy_logits(params, config, copies)).all()
+    forward = uncertainty.forward_logits
+    for bad in (math.inf, -math.inf, math.nan):
+        for flat in range(n * p * c):
+
+            def poisoned(*args, bad=bad, flat=flat):
+                logits = forward(*args)
+                logits.reshape(-1)[flat] = bad
+                return logits
+
+            monkeypatch.setattr(uncertainty, "forward_logits", poisoned)
+            with pytest.raises(NonFiniteLogits, match="^logit set entries must be finite$"):
+                copy_logits(params, config, copies)
+    monkeypatch.undo()
+    # A NaN feature in the last copy of the last row gives that copy NaN logits, unpatched.
+    copies[-1, -1, 0] = math.nan
+    with pytest.raises(NonFiniteLogits, match="^logit set entries must be finite$"):
+        copy_logits(params, config, copies)
 
 
 @given(
@@ -288,8 +345,7 @@ def test_confidence_scores_equal_loops_with_zeros_and_ties(p, c, seed):
     raw = rng.choice([0.0, 1.0, 2.0, 0.5], size=(p, c))
     raw[:, 0] += 1.0  # every row keeps a positive top probability
     probs = raw / raw.sum(axis=1, keepdims=True)
-    scorers = {"lc": least_confidence, "ms": margin_sampling, "rc": ratio_confidence, "en": entropy_score}
-    for name, fn in scorers.items():
+    for name, fn in _PUBLIC_SCORERS.items():
         assert fn(probs) == _ORACLE_SCORERS[name](probs), name
 
 
@@ -379,3 +435,59 @@ def test_log_sum_exp_rounds_with_math_log():
         assert _bytes(_lse_rows(row[None, :])[0]) == _bytes(_oracle_stable_lse(row))
         z = np.array([[0.0, ai], [ai, 0.0], [0.5 * ai, 0.0]])
         assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))
+
+
+# --- the unchecked scoring path against the checked public scorers ------------
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 16),
+    st.integers(2, 12),
+    st.sampled_from(_LOGIT_SCALES),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(1, 1, 2, 1.0, False, 0)
+@example(2, 2, 2, 1.0, True, 0)
+def test_score_sample_equals_public_scorers(n, p, c, scale, ties, seed):
+    """Each row of an (n, P, C) block, scored unchecked, gets the checked scorers' bits."""
+    rng = np.random.default_rng(seed)
+    block = np.stack([_logit_set(rng, p, c, scale, ties) for _ in range(n)])
+    for z in block:
+        assert _bytes(score_sample(z, "bi")) == _bytes(bregman_information(z.copy()))
+        probs = softmax_rows(z.copy())
+        for metric, public in _PUBLIC_SCORERS.items():
+            assert _bytes(score_sample(z, metric)) == _bytes(public(probs)), metric
+
+
+@pytest.mark.parametrize(
+    "logits, error, message",
+    [
+        (np.zeros((0, 3)), ValueError, "logit set must be"),
+        (np.zeros((3, 1)), ValueError, "logit set must be"),
+        (np.zeros(3), ValueError, "logit set must be"),
+        ([[math.nan, 0.0]], NonFiniteLogits, "^logit set entries must be finite$"),
+        ([[0.0, 1.0], [math.inf, 0.0]], NonFiniteLogits, "^logit set entries must be finite$"),
+    ],
+)
+def test_bregman_information_still_refuses_invalid_logits(logits, error, message):
+    with pytest.raises(error, match=message):
+        bregman_information(logits)
+
+
+@pytest.mark.parametrize("metric", sorted(_PUBLIC_SCORERS))
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        (np.zeros((0, 3)), "probability set must be"),
+        (np.ones((3, 1)), "probability set must be"),
+        ([[0.9, 0.3]], "sum to 1"),
+        ([[1.2, -0.2]], r"lie in \[0, 1\]"),
+        ([[1.0, 0.0], [math.nan, 0.5]], "finite"),
+        ([[math.inf, 0.0]], "finite"),
+    ],
+)
+def test_confidence_scorers_still_refuse_invalid_probabilities(metric, probs, message):
+    with pytest.raises(ValueError, match=message):
+        _PUBLIC_SCORERS[metric](probs)

@@ -11,6 +11,7 @@ from fedreplay.model import ModelConfig, ParameterVector, forward_logits, layout
 from fedreplay.uncertainty import (
     PerturbationSpec,
     bregman_information,
+    copy_logits,
     entropy_score,
     least_confidence,
     margin_sampling,
@@ -169,33 +170,30 @@ class TestScoreSample:
         size = sum(int(np.prod(shape)) for shape, _ in layout)
         return ParameterVector(np.zeros(size), layout), config
 
+    @staticmethod
+    def _score(params, config, x, spec, metric):
+        """Score one sample as the runner does: its copies forwarded as a block of one row, then reduced."""
+        return score_sample(copy_logits(params, config, perturb_features(x[None, :], spec))[0], metric)
+
     def test_constant_model_bi_zero(self):
         params, config = self._zero_model(4)
         spec = PerturbationSpec(6, "gaussian", 0.5, rng=np.random.default_rng(0))
-        assert score_sample(params, config, perturb_features(np.ones(3), spec), "bi") == 0.0
+        assert self._score(params, config, np.ones(3), spec, "bi") == 0.0
 
     def test_constant_model_entropy_log_c(self):
         params, config = self._zero_model(4)
         spec = PerturbationSpec(6, "gaussian", 0.5, rng=np.random.default_rng(0))
-        assert score_sample(params, config, perturb_features(np.ones(3), spec), "en") == pytest.approx(
-            math.log(4), abs=1e-12
-        )
+        assert self._score(params, config, np.ones(3), spec, "en") == pytest.approx(math.log(4), abs=1e-12)
 
     def test_compositional_oracle(self):
         from fedreplay.model import init_parameters
-        from fedreplay.uncertainty import (
-            entropy_score,
-            least_confidence,
-            margin_sampling,
-            ratio_confidence,
-        )
 
         config = ModelConfig(input_dim=4, hidden_dims=(5,), num_classes=3, init_seed=33)
         params = init_parameters(config)
         x = np.random.default_rng(2).normal(size=4)
 
         spec = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
-        got = score_sample(params, config, perturb_features(x, spec), "bi")
+        got = self._score(params, config, x, spec, "bi")
 
         oracle_spec = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
         copies = perturb_features(x, oracle_spec)
@@ -210,4 +208,4 @@ class TestScoreSample:
             ("en", entropy_score),
         ):
             spec2 = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
-            assert score_sample(params, config, perturb_features(x, spec2), metric) == fn(probs)
+            assert self._score(params, config, x, spec2, metric) == fn(probs)

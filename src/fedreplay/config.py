@@ -7,7 +7,9 @@ ones fail loudly. A config is frozen and validated when built, and every
 invariant violation names the offending field. An empty file yields the defaults.
 Each rule is checked once, here or, for what only the data decide (a file's
 shape and classes, a task too small to split), by the runner once it has the
-data; the modules that take these values do not check them again.
+data; the modules that take these values do not check them again. Likewise
+a value one module makes (a mini-batch, the label remap, a test split) is
+not checked again by the modules it is handed to.
 """
 
 from __future__ import annotations

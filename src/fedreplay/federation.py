@@ -36,8 +36,6 @@ class RoundReport:
     class_reports: list[set[int]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.params:
-            raise ValueError("round report needs at least one client")
         if self.class_reports and len(self.class_reports) != len(self.params):
             raise ValueError("one class report per client required")
         _check_layouts(self.params)
@@ -63,8 +61,6 @@ def _exact_mean(vectors: list[np.ndarray]) -> np.ndarray:
 
 def fedavg(params: list[ParameterVector]) -> ParameterVector:
     """Coordinate-wise mean of the client parameter vectors."""
-    if not params:
-        raise ValueError("fedavg needs at least one parameter vector")
     _check_layouts(params)
     return ParameterVector(_exact_mean([p.values for p in params]), params[0].layout)
 

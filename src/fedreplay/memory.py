@@ -50,8 +50,6 @@ def class_quota(capacity: int, classes_seen) -> dict[int, int]:
     time to the lowest class ids.
     """
     classes = sorted(classes_seen)
-    if not classes:
-        raise ValueError("classes_seen must be non-empty")
     base, rem = divmod(capacity, len(classes))
     return {c: base + (1 if i < rem else 0) for i, c in enumerate(classes)}
 
@@ -138,8 +136,6 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
         raise ValueError("scores must align one-to-one with the batch samples")
     if not np.isfinite(scores).all():
         raise ValueError("sample score must be finite")
-    if labels.size and labels.min() < 0:
-        raise ValueError("label must be >= 0")
 
     incoming = sorted(set(labels.tolist()))
     buffer.classes_seen.update(incoming)

@@ -35,8 +35,6 @@ def last_accuracy(accuracy: np.ndarray) -> float:
 def last_forgetting(accuracy: np.ndarray) -> float:
     """Mean over past tasks of peak accuracy (up to task T-1) minus final accuracy."""
     past = len(accuracy) - 1
-    if past < 1:
-        raise ValueError("forgetting requires at least two tasks")
     rows, cols = np.tril_indices(past + 1)
     _require_measured(accuracy, rows[:-1], cols[:-1])  # the lower triangle but a[T][T], which is not read
     peaks = np.where(np.tri(past, dtype=bool), accuracy[:past, :past], -np.inf).max(axis=0)
@@ -45,8 +43,6 @@ def last_forgetting(accuracy: np.ndarray) -> float:
 
 def client_mean(values) -> float:
     """Mean over clients, exactly summed, so it does not depend on client order."""
-    if not values:
-        raise ValueError("need at least one client")
     return math.fsum(values) / len(values)
 
 
@@ -55,8 +51,6 @@ def evaluate_model(params: ParameterVector, config: ModelConfig, test_sets) -> l
     accuracies = []
     for features, labels in test_sets:
         labels = np.asarray(labels)
-        if labels.size == 0:
-            raise ValueError("empty test set")
         logits = forward_logits(params, config, features)
         preds = np.argmax(logits, axis=1)
         accuracies.append(float(np.count_nonzero(preds == labels)) / labels.size)

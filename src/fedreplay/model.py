@@ -156,8 +156,6 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     feats = np.ascontiguousarray(batch.features, dtype=np.float64)
     labels = np.asarray(batch.labels)
     n = labels.size
-    if n == 0:
-        raise ValueError("empty batch")
     if feats.shape != (n, config.input_dim):
         raise ValueError(f"expected features of shape ({n}, {config.input_dim}), got {feats.shape}")
     if labels.min() < 0 or labels.max() >= config.num_classes:
@@ -217,8 +215,6 @@ class OptimizerState:
     step: int = 0
 
     def __post_init__(self):
-        if (self.m is None) != (self.v is None):
-            raise ValueError("adam state needs both moment arrays, sgd state neither")
         if self.step < 0:
             raise ValueError("step must be >= 0")
 

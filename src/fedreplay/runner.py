@@ -53,7 +53,7 @@ from .model import (
 )
 from .stream import ClientStream, MiniBatch, partition_to_clients
 from .stream import assign_classes_to_tasks, load_vector_dataset, synth_gaussian_blobs
-from .uncertainty import NonFiniteLogits, PerturbationSpec, score_sample
+from .uncertainty import PerturbationSpec, score_sample
 
 
 @dataclass
@@ -105,7 +105,7 @@ class _ClientWorker:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._train_and_offer(batch, theta_g)
-        except (FloatingPointError, OverflowError, NonFiniteLogits) as exc:
+        except (FloatingPointError, OverflowError) as exc:
             raise RuntimeError(
                 f"client {self.stream.client_id} diverged on task {batch.task_id} at bn={bn}: {exc}"
             ) from exc
@@ -129,7 +129,7 @@ class _ClientWorker:
         self.params = optimizer_step(self.params, grad, self.opt)
         if not np.all(np.isfinite(self.params.values)):
             raise FloatingPointError("updated parameters are not all finite")
-        self.observed.update(int(label) for label in batch.labels)
+        self.observed.update(batch.labels.tolist())
 
         if self.buffer.capacity > 0:
             if self.cfg.memory_policy in SCORED_POLICIES:

@@ -9,8 +9,8 @@ mini-batches, shuffled per task by a generator the caller must pass in
 at every task boundary and at the end of the stream, and ``exhausted``
 tells the two apart. Each stream counts how often every underlying
 example was yielded so the runner can audit the single-pass contract.
-Task, client, batch and synthetic-data arguments come from a validated config
-and are not checked again here; the loaders check a data file's format.
+Task, client, batch, synthetic-data and format arguments come from a validated
+config and are not checked again here; the loaders check a data file's contents.
 """
 
 from __future__ import annotations
@@ -163,8 +163,6 @@ def load_vector_dataset(path, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     label followed by dim f32 features.
     Every feature must be finite; the error names the path and the row.
     """
-    if fmt not in DATASET_FORMATS:
-        raise ValueError(f"unknown dataset format: {fmt!r}")
     if fmt == "csv":
         return _load_csv(path)
     return _load_bin(path)

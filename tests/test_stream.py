@@ -258,7 +258,3 @@ class TestDatasetIO:
         path.write_bytes(data.encode() if isinstance(data, str) else data)
         with pytest.raises(ValueError, match=f"^{path}: {error}$"):
             load_vector_dataset(path, path.suffix[1:])
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_vector_dataset(tmp_path / "x", "parquet")

@@ -13,16 +13,14 @@ are forwarded alone.
 The variance-style score is the Bregman information (mean log-sum-exp of
 the P logit rows minus log-sum-exp of the mean row); the confidence-style
 scores (least confidence, margin, ratio, entropy) act on row-wise softmax
-probabilities. Each metric has one implementation. The public scorers
-(``bregman_information`` and the four confidence scores) check their
-input and then call it; ``score_sample`` calls it directly, because its
-logits were checked with their block. Every reduction works on one
-sample's set with array operations, while sums over the P axis and over
-a row use exactly rounded summation (``math.fsum`` on Python lists), so
-scores are invariant to the order of the perturbed copies. The copies are
-drawn from the generator that the caller must pass to
-``PerturbationSpec``; a block draw leaves it where one draw per row, in
-row order, would.
+probabilities. Each metric has one implementation, and ``score_sample``
+is the one way in; it checks nothing, because its logits were checked
+with their block. Every reduction works on one sample's set with array
+operations, while sums over the P axis and over a row use exactly
+rounded summation (``math.fsum`` on Python lists), so scores are
+invariant to the order of the perturbed copies. The copies are drawn
+from the generator that the caller must pass to ``PerturbationSpec``; a
+block draw leaves it where one draw per row, in row order, would.
 
 Each reduction works on about 12 x 8 logits, so its cost is mostly the
 fixed cost of each numpy call, and the code keeps their number low: BI
@@ -57,31 +55,15 @@ def _lse_rows(z: np.ndarray) -> list[float]:
     return [mi + math.log(math.fsum(row)) for mi, row in zip(m.tolist(), shifted)]
 
 
-def _as_logit_set(logits) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 2:
-        raise ValueError(f"logit set must be (P >= 1, C >= 2), got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("logit set entries must be finite")
-    return z
-
-
-def _as_probability_set(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
-        raise ValueError(f"probability set must be (P >= 1, C >= 2), got shape {p.shape}")
-    # NaN and inf fail the range test too, so finiteness is tested only then.
-    if not (0.0 <= p.min() and p.max() <= 1.0):
-        if not np.isfinite(p).all():
-            raise ValueError("probabilities must be finite")
-        raise ValueError("probabilities must lie in [0, 1]")
-    if (abs(p.sum(axis=1) - 1.0) > 1e-9).any():
-        raise ValueError("each probability row must sum to 1 within 1e-9")
-    return p
-
-
 def _bi(z: np.ndarray) -> float:
-    """Bregman information of a finite (P, C) logit set; see ``bregman_information``."""
+    """Bregman information of a finite (P, C) logit set: the variance of its rows in logit space.
+
+    mean_i LSE(z_i) - LSE(mean_i z_i) over the P rows. Zero exactly when
+    all rows coincide (Jensen equality); tiny negative rounding residue is
+    clamped to zero. The mean row, each entry the per-column ``math.fsum``
+    divided by P, is appended to the P rows, and all P + 1 log-sum-exps
+    come from one max/exp pass over that block.
+    """
     if (z == z[0]).all():
         return 0.0
     p = z.shape[0]
@@ -95,20 +77,6 @@ def _bi(z: np.ndarray) -> float:
     return bi
 
 
-def bregman_information(logits) -> float:
-    """Variance of the predictions in logit space.
-
-    mean_i LSE(z_i) - LSE(mean_i z_i) over the P rows. Zero exactly when
-    all rows coincide (Jensen equality); tiny negative rounding residue is
-    clamped to zero.
-
-    The mean row is appended to the P rows, its entries being the
-    per-column ``math.fsum`` divided by P, and all P + 1 log-sum-exps come
-    from one max/exp pass over that block.
-    """
-    return _bi(_as_logit_set(logits))
-
-
 def _top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest and second-largest entry of each row."""
     top2 = np.partition(p, -2, axis=1)
@@ -119,19 +87,9 @@ def _lc(p: np.ndarray) -> float:
     return 1.0 - math.fsum(p.max(axis=1).tolist()) / p.shape[0]
 
 
-def least_confidence(probs) -> float:
-    """1 - mean top-class probability over the P rows."""
-    return _lc(_as_probability_set(probs))
-
-
 def _ms(p: np.ndarray) -> float:
     first, second = _top_two(p)
     return 1.0 - math.fsum((first - second).tolist()) / p.shape[0]
-
-
-def margin_sampling(probs) -> float:
-    """1 - mean margin between the two most probable classes."""
-    return _ms(_as_probability_set(probs))
 
 
 def _rc(p: np.ndarray) -> float:
@@ -140,23 +98,16 @@ def _rc(p: np.ndarray) -> float:
     return math.fsum((second / first).tolist()) / p.shape[0]
 
 
-def ratio_confidence(probs) -> float:
-    """Mean ratio of the runner-up to the top class probability."""
-    return _rc(_as_probability_set(probs))
-
-
 def _en(p: np.ndarray) -> float:
     # log(1) = 0 stands in for log(0), so zero entries add exact zeros.
     terms = p * np.log(np.where(p > 0.0, p, 1.0))
     return math.fsum([-math.fsum(row) for row in terms.tolist()]) / p.shape[0]
 
 
-def entropy_score(probs) -> float:
-    """Mean Shannon entropy of the P rows, with 0 * log 0 = 0."""
-    return _en(_as_probability_set(probs))
-
-
-# The confidence scores' implementations, on unchecked softmax rows.
+# The confidence scores, each a mean over the P softmax rows: lc is 1 - the
+# top-class probability, ms 1 - the margin between the two most probable
+# classes, rc the runner-up's ratio to the top class and en the Shannon
+# entropy with 0 * log 0 = 0.
 _SCORERS = {"lc": _lc, "ms": _ms, "rc": _rc, "en": _en}
 
 

@@ -29,14 +29,10 @@ from fedreplay.runner import emit_report, run_experiment
 from fedreplay.stream import ClientStream, MiniBatch
 from fedreplay.uncertainty import (
     METRICS,
+    _SCORERS,
     PerturbationSpec,
-    bregman_information,
     copy_logits,
-    entropy_score,
-    least_confidence,
-    margin_sampling,
     perturb_features,
-    ratio_confidence,
     score_sample,
 )
 
@@ -103,12 +99,12 @@ def test_criterion_1_bi_oracle():
         p = int(rng.integers(1, 17))
         c = int(rng.integers(2, 21))
         z = rng.uniform(-50.0, 50.0, size=(p, c))
-        got = bregman_information(z)
+        got = score_sample(z, "bi")
         naive = float(np.mean(np.log(np.sum(np.exp(z), axis=1))) - np.log(np.sum(np.exp(z.mean(axis=0)))))
         max_err = max(max_err, abs(got - naive))
         min_value = min(min_value, got)
         shifted = z + rng.uniform(-20.0, 20.0, size=(p, 1))
-        max_shift_err = max(max_shift_err, abs(bregman_information(shifted) - got))
+        max_shift_err = max(max_shift_err, abs(score_sample(shifted, "bi") - got))
     elapsed = time.perf_counter() - start
     ok = max_err <= 1e-9 and min_value >= 0.0 and max_shift_err <= 1e-9 and elapsed < 1.0
     _report(
@@ -147,12 +143,7 @@ def test_criterion_2_score_oracles():
         c = int(rng.integers(2, 15))
         probs = rng.dirichlet(np.full(c, rng.uniform(0.3, 3.0)), size=p_count)
         rows = probs.tolist()
-        values = {
-            "lc": least_confidence(probs),
-            "ms": margin_sampling(probs),
-            "rc": ratio_confidence(probs),
-            "en": entropy_score(probs),
-        }
+        values = {metric: scorer(probs) for metric, scorer in _SCORERS.items()}
         max_err = max(
             max_err,
             abs(values["lc"] - oracle_lc(rows)),

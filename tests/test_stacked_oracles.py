@@ -5,9 +5,10 @@ work on whole blocks. Each oracle below is the loop they replaced, one
 sample, one perturbed copy or one column at a time. Equality is exact
 (``==`` / ``array_equal``), not approximate. Scoring forwards the copies
 of every row of a block in one call (``copy_logits``) and reduces each
-row's (P, C) logits with ``score_sample``, which skips the input checks
-of the public scorers; both are checked here against those scorers and
-against single-row forwards.
+row's (P, C) logits with ``score_sample``, the one scoring entry; both
+are checked here against the per-copy loops and single-row forwards, and
+the confidence scores ``score_sample`` dispatches to are checked on
+probability sets with exact zeros and ties.
 """
 
 import math
@@ -25,13 +26,8 @@ from fedreplay.stream import MiniBatch
 from fedreplay.uncertainty import (
     PerturbationSpec,
     _lse_rows,
-    bregman_information,
     copy_logits,
-    entropy_score,
-    least_confidence,
-    margin_sampling,
     perturb_features,
-    ratio_confidence,
     score_sample,
     softmax_rows,
 )
@@ -142,8 +138,6 @@ def _oracle_en(p):
 
 _ORACLE_SCORERS = {"lc": _oracle_lc, "ms": _oracle_ms, "rc": _oracle_rc, "en": _oracle_en}
 
-_PUBLIC_SCORERS = {"lc": least_confidence, "ms": margin_sampling, "rc": ratio_confidence, "en": entropy_score}
-
 
 def _oracle_perturb(x, spec):
     base = np.asarray(x, dtype=np.float64)
@@ -242,6 +236,8 @@ def test_loss_and_grad_equals_per_sample_loop(model, n, seed):
 @example(_TINY, 1, "bi", "gaussian", 0.0, 0)
 @example(_TINY, 1, "en", "mask", 0.5, 0)
 @example(_TWO_LAYERS, 1, "ms", "gaussian", 0.0, 0)
+@example(_TWO_LAYERS, 4, "lc", "mask", 0.25, 0)
+@example(_TWO_LAYERS, 4, "rc", "gaussian", 0.0, 0)
 def test_score_sample_equals_per_copy_loop(model, p, metric, kind, mask_fraction, seed):
     config, params = model
     x = np.random.default_rng(seed).normal(size=config.input_dim)
@@ -344,7 +340,7 @@ def test_confidence_scores_equal_loops_with_zeros_and_ties(p, c, seed):
     raw = rng.choice([0.0, 1.0, 2.0, 0.5], size=(p, c))
     raw[:, 0] += 1.0  # every row keeps a positive top probability
     probs = raw / raw.sum(axis=1, keepdims=True)
-    for name, fn in _PUBLIC_SCORERS.items():
+    for name, fn in uncertainty._SCORERS.items():
         assert fn(probs) == _ORACLE_SCORERS[name](probs), name
 
 
@@ -383,9 +379,9 @@ def _logit_set(rng, p, c, scale, ties):
 
 @given(st.integers(2, 12), st.sampled_from(_LOGIT_SCALES), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_bregman_information_one_row_equals_oracle(c, scale, ties, seed):
+def test_bi_one_row_equals_oracle(c, scale, ties, seed):
     z = _logit_set(np.random.default_rng(seed), 1, c, scale, ties)
-    assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z)) == _bytes(0.0)
+    assert _bytes(score_sample(z, "bi")) == _bytes(_oracle_bi(z)) == _bytes(0.0)
 
 
 @given(
@@ -397,9 +393,9 @@ def test_bregman_information_one_row_equals_oracle(c, scale, ties, seed):
 )
 @settings(max_examples=200, deadline=None)
 @example(2, 2, 1.0, True, 0)
-def test_bregman_information_equals_oracle(p, c, scale, ties, seed):
+def test_bi_equals_oracle(p, c, scale, ties, seed):
     z = _logit_set(np.random.default_rng(seed), p, c, scale, ties)
-    assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))
+    assert _bytes(score_sample(z, "bi")) == _bytes(_oracle_bi(z))
 
 
 @given(
@@ -411,15 +407,15 @@ def test_bregman_information_equals_oracle(p, c, scale, ties, seed):
 )
 @settings(max_examples=200, deadline=None)
 @example(2, 2, 1.0, math.inf, 0)
-def test_bregman_information_rows_one_ulp_apart(p, c, scale, toward, seed):
+def test_bi_rows_one_ulp_apart(p, c, scale, toward, seed):
     """Rows equal but for one entry one ulp away: the edge of the early return."""
     rng = np.random.default_rng(seed)
     equal = np.tile(rng.normal(size=c) * scale, (p, 1))
-    assert _bytes(bregman_information(equal)) == _bytes(_oracle_bi(equal)) == _bytes(0.0)
+    assert _bytes(score_sample(equal, "bi")) == _bytes(_oracle_bi(equal)) == _bytes(0.0)
     z = equal.copy()
     i, j = rng.integers(p), rng.integers(c)
     z[i, j] = np.nextafter(z[i, j], toward)
-    assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))
+    assert _bytes(score_sample(z, "bi")) == _bytes(_oracle_bi(z))
 
 
 def test_log_sum_exp_rounds_with_math_log():
@@ -433,60 +429,4 @@ def test_log_sum_exp_rounds_with_math_log():
         row = np.array([0.0, ai])
         assert _bytes(_lse_rows(row[None, :])[0]) == _bytes(_oracle_stable_lse(row))
         z = np.array([[0.0, ai], [ai, 0.0], [0.5 * ai, 0.0]])
-        assert _bytes(bregman_information(z)) == _bytes(_oracle_bi(z))
-
-
-# --- the unchecked scoring path against the checked public scorers ------------
-
-@given(
-    st.integers(1, 4),
-    st.integers(1, 16),
-    st.integers(2, 12),
-    st.sampled_from(_LOGIT_SCALES),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=200, deadline=None)
-@example(1, 1, 2, 1.0, False, 0)
-@example(2, 2, 2, 1.0, True, 0)
-def test_score_sample_equals_public_scorers(n, p, c, scale, ties, seed):
-    """Each row of an (n, P, C) block, scored unchecked, gets the checked scorers' bits."""
-    rng = np.random.default_rng(seed)
-    block = np.stack([_logit_set(rng, p, c, scale, ties) for _ in range(n)])
-    for z in block:
-        assert _bytes(score_sample(z, "bi")) == _bytes(bregman_information(z.copy()))
-        probs = softmax_rows(z.copy())
-        for metric, public in _PUBLIC_SCORERS.items():
-            assert _bytes(score_sample(z, metric)) == _bytes(public(probs)), metric
-
-
-@pytest.mark.parametrize(
-    "logits, error, message",
-    [
-        (np.zeros((0, 3)), ValueError, "logit set must be"),
-        (np.zeros((3, 1)), ValueError, "logit set must be"),
-        (np.zeros(3), ValueError, "logit set must be"),
-        ([[math.nan, 0.0]], ValueError, "^logit set entries must be finite$"),
-        ([[0.0, 1.0], [math.inf, 0.0]], ValueError, "^logit set entries must be finite$"),
-    ],
-)
-def test_bregman_information_still_refuses_invalid_logits(logits, error, message):
-    with pytest.raises(error, match=message):
-        bregman_information(logits)
-
-
-@pytest.mark.parametrize("metric", sorted(_PUBLIC_SCORERS))
-@pytest.mark.parametrize(
-    "probs, message",
-    [
-        (np.zeros((0, 3)), "probability set must be"),
-        (np.ones((3, 1)), "probability set must be"),
-        ([[0.9, 0.3]], "sum to 1"),
-        ([[1.2, -0.2]], r"lie in \[0, 1\]"),
-        ([[1.0, 0.0], [math.nan, 0.5]], "finite"),
-        ([[math.inf, 0.0]], "finite"),
-    ],
-)
-def test_confidence_scorers_still_refuse_invalid_probabilities(metric, probs, message):
-    with pytest.raises(ValueError, match=message):
-        _PUBLIC_SCORERS[metric](probs)
+        assert _bytes(score_sample(z, "bi")) == _bytes(_oracle_bi(z))

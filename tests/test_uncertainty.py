@@ -7,16 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedreplay import uncertainty
 from fedreplay.model import ModelConfig, ParameterVector, forward_logits, layout_of
 from fedreplay.uncertainty import (
     PerturbationSpec,
-    bregman_information,
     copy_logits,
-    entropy_score,
-    least_confidence,
-    margin_sampling,
     perturb_features,
-    ratio_confidence,
     score_sample,
     softmax_rows,
 )
@@ -27,101 +23,82 @@ def _random_probs(rng, p, c):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
+def _confidence(metric, probs):
+    """The confidence score that ``score_sample`` dispatches to, on a probability set."""
+    return uncertainty._SCORERS[metric](np.asarray(probs, dtype=np.float64))
+
+
 class TestBregmanInformation:
     def test_identical_rows_exactly_zero(self):
         row = np.array([0.3, -1.2, 4.5])
-        assert bregman_information(np.tile(row, (5, 1))) == 0.0
+        assert score_sample(np.tile(row, (5, 1)), "bi") == 0.0
 
     def test_two_row_value(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = math.log(math.e + 1.0) - (0.5 + math.log(2.0))
-        assert bregman_information(z) == pytest.approx(expected, abs=1e-12)
-        assert bregman_information(z) == pytest.approx(0.120115, abs=1e-6)
+        assert score_sample(z, "bi") == pytest.approx(expected, abs=1e-12)
+        assert score_sample(z, "bi") == pytest.approx(0.120115, abs=1e-6)
 
     def test_per_row_constant_shift_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             z = rng.uniform(-50, 50, size=(rng.integers(2, 9), rng.integers(2, 9)))
             shifts = rng.uniform(-20, 20, size=(z.shape[0], 1))
-            assert bregman_information(z + shifts) == pytest.approx(
-                bregman_information(z), abs=1e-9
-            )
+            assert score_sample(z + shifts, "bi") == pytest.approx(score_sample(z, "bi"), abs=1e-9)
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
             z = rng.uniform(-50, 50, size=(rng.integers(1, 17), rng.integers(2, 21)))
-            assert bregman_information(z) >= 0.0
+            assert score_sample(z, "bi") >= 0.0
 
     def test_row_order_invariant_bitwise(self):
         rng = np.random.default_rng(11)
         z = rng.uniform(-10, 10, size=(6, 4))
-        base = bregman_information(z)
+        base = score_sample(z, "bi")
         for _ in range(10):
-            assert bregman_information(z[rng.permutation(6)]) == base
-
-    def test_invalid_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            bregman_information(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            bregman_information(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            bregman_information(np.array([[np.nan, 0.0]]))
+            assert score_sample(z[rng.permutation(6)], "bi") == base
 
 
 class TestConfidenceScores:
-    def test_least_confidence_values(self):
-        assert least_confidence([[0.7, 0.3]]) == pytest.approx(0.3, abs=1e-12)
-        assert least_confidence([[1.0, 0.0], [0.0, 1.0]]) == 0.0
-        assert least_confidence([[0.7, 0.3], [0.5, 0.5]]) == pytest.approx(0.4, abs=1e-12)
+    def test_lc_values(self):
+        assert _confidence("lc", [[0.7, 0.3]]) == pytest.approx(0.3, abs=1e-12)
+        assert _confidence("lc", [[1.0, 0.0], [0.0, 1.0]]) == 0.0
+        assert _confidence("lc", [[0.7, 0.3], [0.5, 0.5]]) == pytest.approx(0.4, abs=1e-12)
 
     def test_margin_values(self):
-        assert margin_sampling([[0.7, 0.3]]) == pytest.approx(0.6, abs=1e-12)
-        assert margin_sampling([[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(1.0, abs=1e-12)
-        assert margin_sampling([[1.0, 0.0]]) == 0.0
+        assert _confidence("ms", [[0.7, 0.3]]) == pytest.approx(0.6, abs=1e-12)
+        assert _confidence("ms", [[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(1.0, abs=1e-12)
+        assert _confidence("ms", [[1.0, 0.0]]) == 0.0
 
     def test_ratio_values(self):
-        assert ratio_confidence([[0.7, 0.3]]) == pytest.approx(0.3 / 0.7, abs=1e-12)
-        assert ratio_confidence([[0.25, 0.25, 0.25, 0.25]]) == pytest.approx(1.0, abs=1e-12)
-        assert ratio_confidence([[0.0, 1.0]]) == 0.0
+        assert _confidence("rc", [[0.7, 0.3]]) == pytest.approx(0.3 / 0.7, abs=1e-12)
+        assert _confidence("rc", [[0.25, 0.25, 0.25, 0.25]]) == pytest.approx(1.0, abs=1e-12)
+        assert _confidence("rc", [[0.0, 1.0]]) == 0.0
 
     def test_entropy_values(self):
-        assert entropy_score([[0.7, 0.3]]) == pytest.approx(0.6108643020548935, abs=1e-12)
-        assert entropy_score([[1.0, 0.0]]) == 0.0
+        assert _confidence("en", [[0.7, 0.3]]) == pytest.approx(0.6108643020548935, abs=1e-12)
+        assert _confidence("en", [[1.0, 0.0]]) == 0.0
         for c in (2, 5, 9):
             uniform = np.full((3, c), 1.0 / c)
-            assert entropy_score(uniform) == pytest.approx(math.log(c), abs=1e-12)
-
-    def test_invalid_probability_sets_rejected(self):
-        with pytest.raises(ValueError):
-            least_confidence([[0.9, 0.3]])  # does not sum to 1
-        with pytest.raises(ValueError):
-            entropy_score([[1.2, -0.2]])  # outside [0, 1]
-
-    @pytest.mark.parametrize("scorer", [least_confidence, margin_sampling, ratio_confidence, entropy_score])
-    def test_nonfinite_probability_sets_rejected(self, scorer):
-        # NaN passes every range and sum check, so it is rejected by name.
-        for probs in ([[math.nan, math.nan]], [[1.0, 0.0], [math.nan, 0.5]], [[math.inf, 0.0]]):
-            with pytest.raises(ValueError, match="finite"):
-                scorer(probs)
+            assert _confidence("en", uniform) == pytest.approx(math.log(c), abs=1e-12)
 
     @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_ranges(self, p, c, seed):
         probs = _random_probs(np.random.default_rng(seed), p, c)
-        assert 0.0 <= least_confidence(probs) <= 1.0
-        assert 0.0 <= margin_sampling(probs) <= 1.0
-        assert 0.0 <= ratio_confidence(probs) <= 1.0
-        assert 0.0 <= entropy_score(probs) <= math.log(c) + 1e-12
+        assert 0.0 <= _confidence("lc", probs) <= 1.0
+        assert 0.0 <= _confidence("ms", probs) <= 1.0
+        assert 0.0 <= _confidence("rc", probs) <= 1.0
+        assert 0.0 <= _confidence("en", probs) <= math.log(c) + 1e-12
 
     def test_row_order_invariant_bitwise(self):
         rng = np.random.default_rng(17)
         probs = _random_probs(rng, 7, 5)
-        scores = (least_confidence, margin_sampling, ratio_confidence, entropy_score)
-        base = [f(probs) for f in scores]
+        base = [_confidence(m, probs) for m in uncertainty._SCORERS]
         for _ in range(5):
             shuffled = probs[rng.permutation(7)]
-            assert [f(shuffled) for f in scores] == base
+            assert [_confidence(m, shuffled) for m in uncertainty._SCORERS] == base
 
 
 class TestPerturbFeatures:
@@ -198,14 +175,9 @@ class TestScoreSample:
         oracle_spec = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
         copies = perturb_features(x, oracle_spec)
         logits = np.stack([forward_logits(params, config, c) for c in copies])
-        assert got == bregman_information(logits)
+        assert got == score_sample(logits, "bi")
 
         probs = softmax_rows(logits)
-        for metric, fn in (
-            ("lc", least_confidence),
-            ("ms", margin_sampling),
-            ("rc", ratio_confidence),
-            ("en", entropy_score),
-        ):
+        for metric in ("lc", "ms", "rc", "en"):
             spec2 = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
-            assert self._score(params, config, x, spec2, metric) == fn(probs)
+            assert self._score(params, config, x, spec2, metric) == _confidence(metric, probs)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fedreplay import uncertainty
 from fedreplay.model import ModelConfig, ParameterVector, forward_logits, layout_of
 from fedreplay.uncertainty import (
+    METRICS,
     PerturbationSpec,
     copy_logits,
     perturb_features,
@@ -181,3 +182,71 @@ class TestScoreSample:
         for metric in ("lc", "ms", "rc", "en"):
             spec2 = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
             assert self._score(params, config, x, spec2, metric) == _confidence(metric, probs)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+class TestScoreSampleProperties:
+    """Properties of every metric through ``score_sample``, the one scoring entry, on (P, C) logit sets."""
+
+    def test_copy_order_invariant_bitwise(self, metric):
+        rng = np.random.default_rng(19)
+        z = rng.normal(size=(7, 5)) * 3.0
+        base = score_sample(z, metric)
+        for _ in range(5):
+            assert score_sample(z[rng.permutation(7)], metric) == base
+
+    def test_class_order_invariant(self, metric):
+        rng = np.random.default_rng(23)
+        z = rng.normal(size=(6, 5)) * 3.0
+        base = score_sample(z, metric)
+        for _ in range(5):
+            assert score_sample(z[:, rng.permutation(5)], metric) == pytest.approx(base, abs=1e-12)
+
+    @given(st.integers(1, 8), st.integers(2, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_ranges(self, metric, p, c, seed):
+        z = np.random.default_rng(seed).normal(size=(p, c)) * 5.0
+        upper = {"bi": math.inf, "lc": 1.0 - 1.0 / c, "ms": 1.0, "rc": 1.0, "en": math.log(c)}[metric]
+        assert 0.0 <= score_sample(z, metric) <= upper + 1e-12
+
+    def test_identical_copies_score_as_one_copy(self, metric):
+        row = np.array([0.4, -1.1, 2.3, 0.0])
+        assert score_sample(np.tile(row, (6, 1)), metric) == pytest.approx(
+            score_sample(row[None, :], metric), abs=1e-12
+        )
+
+    def test_leaves_its_block_unchanged(self, metric):
+        block = np.random.default_rng(29).normal(size=(3, 5, 4))
+        before = block.copy()
+        for z in block:
+            score_sample(z, metric)
+        assert np.array_equal(block, before)
+
+    def test_agreeing_confident_copies_score_zero(self, metric):
+        z = np.zeros((5, 3))
+        z[:, 1] = 1000.0
+        z += np.random.default_rng(31).normal(size=z.shape) * 0.1
+        assert score_sample(z, metric) == pytest.approx(0.0, abs=1e-12)
+
+    def test_uniform_copies(self, metric):
+        c = 4
+        expected = {"bi": 0.0, "lc": 1.0 - 1.0 / c, "ms": 1.0, "rc": 1.0, "en": math.log(c)}[metric]
+        assert score_sample(np.zeros((5, c)), metric) == pytest.approx(expected, abs=1e-12)
+
+    def test_one_copy_values(self, metric):
+        probs = [0.7, 0.2, 0.1]
+        expected = {
+            "bi": 0.0,
+            "lc": 0.3,
+            "ms": 0.5,
+            "rc": 0.2 / 0.7,
+            "en": -math.fsum(q * math.log(q) for q in probs),
+        }[metric]
+        assert score_sample(np.log([probs]), metric) == pytest.approx(expected, abs=1e-12)
+
+    def test_disagreeing_confident_copies(self, metric):
+        """Copies confident in different classes: only BI sees their disagreement."""
+        gap = 40.0
+        z = np.array([[gap, 0.0], [0.0, gap]])
+        expected = gap / 2.0 - math.log(2.0) if metric == "bi" else 0.0
+        assert score_sample(z, metric) == pytest.approx(expected, abs=1e-12)

@@ -103,7 +103,6 @@ class ExperimentConfig:
     burn_in: int = _key("federation", _parse_int, 30)
     q: int = _key("federation", _parse_int, 5)
     aggregation: str = _key("federation", _parse_str, "fedavg")
-    fedprox_mu: float = _key("federation", _parse_float, 0.01)
     hidden_dims: tuple[int, ...] = _key("model", _parse_int_list, (64,), key="hidden")
     optimizer: str = _key("model", _parse_str, "sgd")
     learning_rate: float = _key("model", _parse_float, 0.1)
@@ -167,7 +166,6 @@ class ExperimentConfig:
         require(self.burn_in >= 0, "burn_in", "must be >= 0")
         require(self.q >= 1, "q", "must be >= 1")
         require(self.aggregation in AGGREGATIONS, "aggregation", f"must be one of {AGGREGATIONS}")
-        require(self.fedprox_mu >= 0, "fedprox_mu", "must be >= 0")
         require(len(self.hidden_dims) >= 1, "hidden", "needs at least one layer width")
         require(all(h >= 1 for h in self.hidden_dims), "hidden", "widths must be >= 1")
         require(self.optimizer in OPTIMIZERS, "optimizer", f"must be one of {OPTIMIZERS}")

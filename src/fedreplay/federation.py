@@ -25,7 +25,7 @@ import numpy as np
 from .exact import fsum_columns
 from .model import ParameterVector
 
-AGGREGATIONS = ("fedavg", "class_weighted", "fedprox")
+AGGREGATIONS = ("fedavg", "class_weighted")
 
 
 @dataclass

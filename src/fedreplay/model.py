@@ -195,16 +195,6 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     return loss, grad
 
 
-def fedprox_augment(grad, params, global_params, mu: float) -> np.ndarray:
-    """Add the proximal-term gradient mu * (theta - theta_g) to ``grad``."""
-    g = np.asarray(grad, dtype=np.float64)
-    p = np.asarray(params, dtype=np.float64)
-    gp = np.asarray(global_params, dtype=np.float64)
-    if not (g.shape == p.shape == gp.shape):
-        raise ValueError("grad, params and global_params must have the same length")
-    return g + mu * (p - gp)
-
-
 @dataclass
 class OptimizerState:
     """SGD state, or Adam state when the moment arrays ``m`` and ``v`` are set."""

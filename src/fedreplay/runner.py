@@ -18,8 +18,10 @@ Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
 previous global parameters ``theta_g``, and broadcast. The loop owns
 ``theta_g`` and the round log (one line per round); each client owns the
-rest. At every task boundary each client is evaluated on the held-out
-split of all tasks seen so far, into one (clients, T, T) accuracy array.
+rest, and trains on its own loss alone, so ``theta_g`` reaches a client
+only through the broadcast. At every task boundary each client is
+evaluated on the held-out split of all tasks seen so far, into one
+(clients, T, T) accuracy array.
 
 Randomness is fanned out from the master seed into named sub-streams, and
 clients tick in a fixed order, so reruns are bit-reproducible.
@@ -42,15 +44,7 @@ from .config import ConfigError, ExperimentConfig
 from .federation import RoundReport, class_weighted_avg, fedavg, should_communicate, temporal_smooth
 from .memory import SCORED_POLICIES, MemoryBuffer, sample_replay, update_memory
 from .metrics import client_mean, evaluate_model, last_accuracy, last_forgetting
-from .model import (
-    ModelConfig,
-    OptimizerState,
-    ParameterVector,
-    fedprox_augment,
-    init_parameters,
-    loss_and_grad,
-    optimizer_step,
-)
+from .model import ModelConfig, OptimizerState, ParameterVector, init_parameters, loss_and_grad, optimizer_step
 from .stream import ClientStream, MiniBatch, partition_to_clients
 from .stream import assign_classes_to_tasks, load_vector_dataset, synth_gaussian_blobs
 from .uncertainty import PerturbationSpec, score_sample
@@ -89,8 +83,8 @@ class _ClientWorker:
         params, config, metric = self.params, self.model_config, self.cfg.uncertainty_metric
         return lambda: np.array([score_sample(z, metric) for z in uncertainty.copy_logits(params, config, copies)])
 
-    def tick(self, bn: int, theta_g: ParameterVector) -> bool:
-        """Consume batch ``bn`` of the task, ``theta_g`` anchoring FedProx; False once the task is exhausted.
+    def tick(self, bn: int) -> bool:
+        """Consume batch ``bn`` of the task; False once the task is exhausted.
 
         Raises ``RuntimeError`` naming the client, task and ``bn`` when training
         diverges: a non-finite loss or update, an exact sum that overflows, or
@@ -104,14 +98,14 @@ class _ClientWorker:
             return False
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                self._train_and_offer(batch, theta_g)
+                self._train_and_offer(batch)
         except (FloatingPointError, OverflowError) as exc:
             raise RuntimeError(
                 f"client {self.stream.client_id} diverged on task {batch.task_id} at bn={bn}: {exc}"
             ) from exc
         return True
 
-    def _train_and_offer(self, batch: MiniBatch, theta_g: ParameterVector) -> None:
+    def _train_and_offer(self, batch: MiniBatch) -> None:
         train_batch = batch
         replay = sample_replay(self.buffer, self.cfg.batch_size, batch.task_id, self.replay_rng)
         if len(replay):
@@ -124,8 +118,6 @@ class _ClientWorker:
         loss, grad = loss_and_grad(self.params, self.model_config, train_batch)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training loss is {loss}")
-        if self.cfg.aggregation == "fedprox":
-            grad = fedprox_augment(grad, self.params.values, theta_g.values, self.cfg.fedprox_mu)
         self.params = optimizer_step(self.params, grad, self.opt)
         if not np.all(np.isfinite(self.params.values)):
             raise FloatingPointError("updated parameters are not all finite")
@@ -262,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         ticked = [True] * config.clients
         for bn in itertools.count(1):
             # a client whose task is exhausted sits out the rest of the task
-            ticked = [t and w.tick(bn, theta_g) for t, w in zip(ticked, workers)]
+            ticked = [t and w.tick(bn) for t, w in zip(ticked, workers)]
             if not any(ticked):
                 break
             if should_communicate(bn, config.burn_in, config.q):

@@ -12,7 +12,7 @@ are forwarded alone.
 
 The variance-style score is the Bregman information (mean log-sum-exp of
 the P logit rows minus log-sum-exp of the mean row); the confidence-style
-scores (least confidence, margin, ratio, entropy) act on row-wise softmax
+scores (least confidence, ratio, entropy) act on row-wise softmax
 probabilities. Each metric has one implementation, and ``score_sample``
 is the one way in; it checks nothing, because its logits were checked
 with their block. Every reduction works on one sample's set with array
@@ -39,7 +39,7 @@ import numpy as np
 
 from .model import ModelConfig, ParameterVector, forward_logits
 
-METRICS = ("bi", "lc", "ms", "rc", "en")
+METRICS = ("bi", "lc", "rc", "en")
 
 PERTURBATION_KINDS = ("gaussian", "mask")
 
@@ -87,11 +87,6 @@ def _lc(p: np.ndarray) -> float:
     return 1.0 - math.fsum(p.max(axis=1).tolist()) / p.shape[0]
 
 
-def _ms(p: np.ndarray) -> float:
-    first, second = _top_two(p)
-    return 1.0 - math.fsum((first - second).tolist()) / p.shape[0]
-
-
 def _rc(p: np.ndarray) -> float:
     # A probability row sums to 1, so its top entry is positive.
     first, second = _top_two(p)
@@ -105,10 +100,9 @@ def _en(p: np.ndarray) -> float:
 
 
 # The confidence scores, each a mean over the P softmax rows: lc is 1 - the
-# top-class probability, ms 1 - the margin between the two most probable
-# classes, rc the runner-up's ratio to the top class and en the Shannon
-# entropy with 0 * log 0 = 0.
-_SCORERS = {"lc": _lc, "ms": _ms, "rc": _rc, "en": _en}
+# top-class probability, rc the runner-up's ratio to the top class and en
+# the Shannon entropy with 0 * log 0 = 0.
+_SCORERS = {"lc": _lc, "rc": _rc, "en": _en}
 
 
 def softmax_rows(logits) -> np.ndarray:

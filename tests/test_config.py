@@ -25,7 +25,6 @@ class TestDefaults:
         assert config.burn_in == 30
         assert config.q == 5
         assert config.perturbation_count == 12
-        assert config.fedprox_mu == 0.01
         assert config.test_split == 0.2
 
     def test_defaults_validate_standalone(self):
@@ -71,6 +70,15 @@ class TestReadmeGrammar:
         assert keys == set(_SCHEMA)
 
 
+_SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", _SHIPPED, ids=[p.stem for p in _SHIPPED])
+def test_shipped_config_parses(path):
+    """Every shipped config names only keys and values the parser accepts."""
+    parse_config(path)
+
+
 class TestParsing:
     def test_values_parse_and_echo(self, tmp_path):
         config = parse_config(
@@ -105,9 +113,13 @@ class TestParsing:
         config = parse_config(_write(tmp_path, "[experiment]\nclients = 4  # four of them\n"))
         assert config.clients == 4
 
-    def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config(_write(tmp_path, "[experiment]\nclinets = 5\n"))
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # fedprox_mu is no key: the program has no FedProx aggregation
+        for section, key in [("experiment", "clinets"), ("federation", "fedprox_mu")]:
+            path = _write(tmp_path, f"[{section}]\n{key} = 0.1\n")
+            assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr() == ("", f"config error: unknown config key {key!r} in section [{section}]\n")
+            assert not (tmp_path / "out").exists()
 
     def test_keys_are_case_sensitive(self, tmp_path, capsys):
         path = _write(tmp_path, "[experiment]\nCLIENTS = 2\n")
@@ -188,7 +200,9 @@ _RULES = [
     ({"perturbation_kind": "cutout"}, "kind", "must be one of ('gaussian', 'mask')"),
     ({"noise_sigma": 0.0}, "sigma", "must be > 0"),
     ({"mask_fraction": 1.0}, "mask_fraction", "must lie in [0, 1)"),
-    ({"uncertainty_metric": "variance"}, "metric", "must be one of ('bi', 'lc', 'ms', 'rc', 'en')"),
+    ({"uncertainty_metric": "variance"}, "metric", "must be one of ('bi', 'lc', 'rc', 'en')"),
+    ({"uncertainty_metric": "ms"}, "metric", "must be one of ('bi', 'lc', 'rc', 'en')"),
+    ({"aggregation": "fedprox"}, "aggregation", "must be one of ('fedavg', 'class_weighted')"),
     ({"memory_capacity": -1}, "capacity", "must be >= 0"),
     ({"memory_policy": "reservoir"}, "policy", "must be one of ('bottom_k', 'top_k', 'random', 'class_balanced_random')"),
     ({"batch_size": 0}, "batch_size", "must be >= 1"),
@@ -203,7 +217,6 @@ _RULES = [
     ({"class_sizes": (10,) * 7 + (0,)}, "class_sizes", "entries must be >= 1"),
     ({"hidden_dims": (0,)}, "hidden", "widths must be >= 1"),
     ({"learning_rate": 0.0}, "learning_rate", "must be > 0"),
-    ({"fedprox_mu": -0.1}, "fedprox_mu", "must be >= 0"),
 ]
 
 
@@ -290,7 +303,7 @@ class TestIdenticalBICopies:
         self._refused(tmp_path, capsys, text, "mask_fraction: masks 0 of 3 features, so BI copies are identical")
 
     @pytest.mark.parametrize("policy", ["bottom_k", "top_k"])
-    @pytest.mark.parametrize("metric", ["bi", "lc", "ms", "rc", "en"])
+    @pytest.mark.parametrize("metric", ["bi", "lc", "rc", "en"])
     def test_mask_of_every_feature(self, tmp_path, capsys, policy, metric):
         text = _SMALL.replace("bottom_k", policy).replace("metric = bi", f"metric = {metric}")
         text += "kind = mask\nmask_fraction = 0.9\n"
@@ -327,7 +340,6 @@ class TestNonFiniteFloats:
             "cluster_sigma",
             "sigma",
             "mask_fraction",
-            "fedprox_mu",
             "learning_rate",
         }
 

@@ -49,9 +49,8 @@ CASES = {
         "mask_fraction": 0.25,
     },
     "class_weighted": {"aggregation": "class_weighted"},
-    "fedprox": {"aggregation": "fedprox", "fedprox_mu": 0.1},
     "adam_reset": {"optimizer": "adam", "learning_rate": 0.05, "reset_optimizer_on_sync": True},
-    "bottom_k_ms": {"uncertainty_metric": "ms"},
+    "bottom_k_lc": {"uncertainty_metric": "lc"},
     "top_k_rc": {"memory_policy": "top_k", "uncertainty_metric": "rc"},
     "bottom_k_en_mask": {"uncertainty_metric": "en", "perturbation_kind": "mask", "mask_fraction": 0.25},
     "two_hidden_bi": {"hidden_dims": (8, 5)},
@@ -69,7 +68,7 @@ FILES = (
 
 GOLDEN = {
     "adam_reset": {
-        "summary.json": "162fdbf4cb5ca18a7bf30f487cdf1c220f1b373413bd1d2a95545742909bdb7c",
+        "summary.json": "c5f57c12637a5ea95b1317af1f1fa146a31e8bb4f704ca8844d048a8c5db79ed",
         "rounds.log": "9ef1a9c25fb99751926bab060bdd914f1993c2a045328693cf0cc037bbf56d82",
         "per_client.csv": "8b92b4629c255d96a522e88044a90a88cf4055aaf9a568d052a00bfcea9bf410",
         "acc_matrix_0.csv": "ab8db05d59bacb6cb29b7cb3d348901cee5a09a7b10f086303db7086b7910eb5",
@@ -78,7 +77,7 @@ GOLDEN = {
         "memory_1.csv": "3a66d4eac47c8f222734de9367f4f90f9e9903ec1a7ac05dd455558edfe77123",
     },
     "bottom_k_bi": {
-        "summary.json": "fe6db1ae7d1042d22578e8c6fa7a9dc3f05fb915f3591f107379bd8bbd662fd9",
+        "summary.json": "10f745b2c6e42a41d92f81c24cf8a920b9e7c15ae58de664c7ab8f960768dcfa",
         "rounds.log": "7c63faf612df528b950401f8dac5224e72dedb90145a2ec3ee1b059fc6a33c7f",
         "per_client.csv": "4fa5618dcb9be21824844e488288abbde7e16f628ae97cabcb7bb0469267782f",
         "acc_matrix_0.csv": "238c678670f4eb16ab3dc6e35214590b57d0738417874634fda508b5cc35cd45",
@@ -86,17 +85,17 @@ GOLDEN = {
         "memory_0.csv": "c28602da71b95faaadfd4e2ed4034f3f331d861ade32a56d69ef42efd1241a85",
         "memory_1.csv": "d8728e8ef2d7249b8fa97207b27ea3b946f6be63a93bbe64d647a43b7172847d",
     },
-    "bottom_k_ms": {
-        "summary.json": "5d83fdba15dd210c0674dfbd1c73a4d3fe7d9de6543a1f17b25d5abb4fdf709f",
-        "rounds.log": "0d860835d1040a0f0190f405df02eba222de4086cd461334a57390ad617ada45",
-        "per_client.csv": "29e28f7ce3217764fed8b2b8c2d3a375c8040baf21c10e2f1483c0988d7a2625",
-        "acc_matrix_0.csv": "2c9a99e4a340a9cda8224f6191975c6ef18579a13aa66149a0330475ae94171d",
-        "acc_matrix_1.csv": "2c9a99e4a340a9cda8224f6191975c6ef18579a13aa66149a0330475ae94171d",
-        "memory_0.csv": "4617e420c5456dc3f0950068091c4ae09625de46d17c9db4fcfbf523f5c8b08a",
-        "memory_1.csv": "7e605d57fae480621c2a177069ed56608f464311c18780abf45b11e66ab27dc5",
+    "bottom_k_lc": {
+        "summary.json": "4f66233c48adce13e0005fefb1a667c8327774ff1ed908801d4f2c7aa0028d34",
+        "rounds.log": "ea83cfdc77b181c0994975ebb3b1afd5392e02b4dc0bffffd6fb6fd5ce61fb7f",
+        "per_client.csv": "4fa5618dcb9be21824844e488288abbde7e16f628ae97cabcb7bb0469267782f",
+        "acc_matrix_0.csv": "238c678670f4eb16ab3dc6e35214590b57d0738417874634fda508b5cc35cd45",
+        "acc_matrix_1.csv": "238c678670f4eb16ab3dc6e35214590b57d0738417874634fda508b5cc35cd45",
+        "memory_0.csv": "d4a576d9cb1b08b21543698c15f6146d05f6cc3e4d241de480d7c587ce0089d7",
+        "memory_1.csv": "9970b6d766af1abfd58a243cab70fb5aef9774015393832bd1d4b57327c69918",
     },
     "bottom_k_en_mask": {
-        "summary.json": "f8ec3593ed9d69046fdd4db26c41dc058d4f88e40547f2b3c913170d55030a24",
+        "summary.json": "32f46d52ed4decd1516cca8d92e7c84817fca9e08d83ef6504131653a52bdecf",
         "rounds.log": "3e54e189e0ac5f54c373b5768c22c5817087ed4b5fb9042e8ed7d70309abe8c4",
         "per_client.csv": "fdfbd8de7edcedbdb4975f9b8e07cc1cde7a8525007af13354398d5f7eb2dbab",
         "acc_matrix_0.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
@@ -105,7 +104,7 @@ GOLDEN = {
         "memory_1.csv": "417e9a319bd1b0fdd565ff979bc7e9e81dbf9395d431e4b37dc13fbf4c002d97",
     },
     "class_balanced_random": {
-        "summary.json": "bc1e9b5edbaa9da819ffcec1a363daf6b9515d51c6080f1ee77864b4658172d8",
+        "summary.json": "bafba3814205133ec88a80f05c921f2947a8be57b8acfc1998aee158eb3305de",
         "rounds.log": "88677ef7933ab772480b2ec1baf372d289cc3093e463a9a1fae9c8c854aa2b0f",
         "per_client.csv": "2f5e1c519b6cbd5a5d8dcdddc2c383f9e14fab5d66f467ed46bf95bce3c2bae2",
         "acc_matrix_0.csv": "89c53c9648511cfa8d4f418149b362da8db7af8ae072d545cf17666f0349e48a",
@@ -114,7 +113,7 @@ GOLDEN = {
         "memory_1.csv": "4b5268f9492e5e36bda9222376086ebb77145444479cdc0474c6c1aeeee1c2f6",
     },
     "class_weighted": {
-        "summary.json": "9bc540181d6ff63d2d059011b6f05d46fb843b15c174adb1e1eec911ee8c8344",
+        "summary.json": "a1957118d50a8f6e5de98c1922c3c63ad27f874a74b012adbdc9a855cc931010",
         "rounds.log": "3ec52f3640615bf8945e21b619ddfae0c9812ef028339154b18c134e2066f1d0",
         "per_client.csv": "ef09d6fed4d014bbeeed32d7300e189da5b022f29c0cd446acab63d27771182a",
         "acc_matrix_0.csv": "6a9f66b52b2f4bc8636dad5ecf857c7f72eb7bc1ada57436dbc314adedea6019",
@@ -122,17 +121,8 @@ GOLDEN = {
         "memory_0.csv": "ef8c29b132c7743d443e855907d497274b747c770d4a5662977fc792e67ad178",
         "memory_1.csv": "01ec102bf710bbea28cf55ba75b05afda4f72a846d2b89a8fa3a10bd22e91413",
     },
-    "fedprox": {
-        "summary.json": "7e35b045b6ab899550cd96074bfe88c16d207df94fdd0f1a2a2505838e11f68d",
-        "rounds.log": "702dd9018d2c91c4344b1c87757ea6febaa4352af1ff1af620eb33ce336b9a37",
-        "per_client.csv": "4fa5618dcb9be21824844e488288abbde7e16f628ae97cabcb7bb0469267782f",
-        "acc_matrix_0.csv": "b1e6295c36eb642a3da4771b8993fb83091330ea3688400ec47e73dc41393c39",
-        "acc_matrix_1.csv": "b1e6295c36eb642a3da4771b8993fb83091330ea3688400ec47e73dc41393c39",
-        "memory_0.csv": "cb76db93b6afe2472c2db203e9ddeb2bf2f9fa536bc81cc2fd68b2a568ce126f",
-        "memory_1.csv": "e7da759abcdab3f240032abe5da719703a0d8b88ebeccf364c70a3fd31194944",
-    },
     "random": {
-        "summary.json": "714d18747c7c406172099e834ebca5cd50e6b5e5e759951dfdb0900951cf1e4d",
+        "summary.json": "f296ea87c3447fbc4c35a7054837878783d9d790fb01b830a01ec4172f6c3544",
         "rounds.log": "51447eb6846b1b9d3802e2b4a78c18bbac99047d6e2ae5738347d1330babfac4",
         "per_client.csv": "fdfbd8de7edcedbdb4975f9b8e07cc1cde7a8525007af13354398d5f7eb2dbab",
         "acc_matrix_0.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
@@ -141,7 +131,7 @@ GOLDEN = {
         "memory_1.csv": "57d31466dce72b4fa257b0ae949bbfa433832a6f4537b9f9bd03270e979e0b8d",
     },
     "top_k_lc_mask": {
-        "summary.json": "bf40900ab2217680c6edbfd33a61101c1b6c9d9bf71719b88842f8571571e657",
+        "summary.json": "4995cfa9711cf8f0b997e771bb121c849669841bebbcff94a1938812e65ea05b",
         "rounds.log": "2b2bde264c7d5bda842a91dc9ed379262be961bcab58be61b521b530ee102af0",
         "per_client.csv": "8b5decc6fe969f1a2119145f17076c9dd58f16b3b0cef2a0736a191f4abc0495",
         "acc_matrix_0.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
@@ -150,7 +140,7 @@ GOLDEN = {
         "memory_1.csv": "aad9aeb01a9fed544aa0791e76fefa61ef502f7cb4f5928bc44c42ee200e8a6a",
     },
     "top_k_rc": {
-        "summary.json": "14397678f9d91d296fe77cebf5bad2ea50dbbc1e3ebc62fc115a853694212d8c",
+        "summary.json": "155252950343ccc0c8f9c43a8438b2658ae3b2e3ddaa34865431f96602caa34e",
         "rounds.log": "1bee6a9ec3360b333999b712ce125a2e4f47c5d3f2088a1c3a59104a24db5be0",
         "per_client.csv": "8b5decc6fe969f1a2119145f17076c9dd58f16b3b0cef2a0736a191f4abc0495",
         "acc_matrix_0.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
@@ -159,7 +149,7 @@ GOLDEN = {
         "memory_1.csv": "77de4b1e112ddc01a8698d45908aa07e10fa7be34fcaef3a3b37a16781432b36",
     },
     "two_hidden_bi": {
-        "summary.json": "20ddb9160de3b0aabf4209393f52a2a13065e6cdeffd3682a8c02b938c2a5d48",
+        "summary.json": "279d036fb44efc0f917472752b28099ed63fa7be31e3ba10d1bf7779a24b2b6b",
         "rounds.log": "c6a002ca446b150e2be2e31fb4211e46b173408ae78006cdd44b38c89644826d",
         "per_client.csv": "365a10ee3d0b0bb749d4ca4f4d170181b3462a4123873242e04973dd22f0e78a",
         "acc_matrix_0.csv": "49ce304867b8a04763a182fa2372e44a732f93b463218a8a8aef943ea03f8203",

@@ -1,4 +1,4 @@
-"""Model core: init, forward, loss/gradient, FedProx term, optimizers."""
+"""Model core: init, forward, loss/gradient, optimizers."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -10,7 +10,6 @@ from fedreplay.model import (
     ModelConfig,
     OptimizerState,
     ParameterVector,
-    fedprox_augment,
     forward_logits,
     init_parameters,
     layout_of,
@@ -203,26 +202,6 @@ class TestLossAndGrad:
             batch = _batch(rng.normal(size=(5, 2)) * 10, rng.integers(0, 2, size=5))
             loss, _ = loss_and_grad(params, config, batch)
             assert loss >= 0.0
-
-
-class TestFedprox:
-    def test_zero_mu_unchanged(self):
-        g = np.array([1.0, -2.0])
-        out = fedprox_augment(g, np.array([5.0, 5.0]), np.array([0.0, 0.0]), 0.0)
-        assert np.array_equal(out, g)
-
-    def test_zero_displacement_unchanged(self):
-        g = np.array([1.0, -2.0])
-        p = np.array([3.0, 4.0])
-        assert np.array_equal(fedprox_augment(g, p, p.copy(), 0.7), g)
-
-    def test_direct_formula(self):
-        out = fedprox_augment(np.array([1.0]), np.array([3.0]), np.array([1.0]), 0.5)
-        assert np.array_equal(out, np.array([2.0]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            fedprox_augment(np.zeros(2), np.zeros(3), np.zeros(2), 0.1)
 
 
 class TestOptimizerStep:

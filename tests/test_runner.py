@@ -134,7 +134,7 @@ class TestRunExperiment:
         "key, values",
         [
             ("memory_policy", ("bottom_k", "top_k", "random", "class_balanced_random")),
-            ("aggregation", ("fedavg", "class_weighted", "fedprox")),
+            ("aggregation", ("fedavg", "class_weighted")),
         ],
     )
     def test_variants_change_the_outcome(self, key, values):

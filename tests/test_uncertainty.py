@@ -67,11 +67,6 @@ class TestConfidenceScores:
         assert _confidence("lc", [[1.0, 0.0], [0.0, 1.0]]) == 0.0
         assert _confidence("lc", [[0.7, 0.3], [0.5, 0.5]]) == pytest.approx(0.4, abs=1e-12)
 
-    def test_margin_values(self):
-        assert _confidence("ms", [[0.7, 0.3]]) == pytest.approx(0.6, abs=1e-12)
-        assert _confidence("ms", [[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(1.0, abs=1e-12)
-        assert _confidence("ms", [[1.0, 0.0]]) == 0.0
-
     def test_ratio_values(self):
         assert _confidence("rc", [[0.7, 0.3]]) == pytest.approx(0.3 / 0.7, abs=1e-12)
         assert _confidence("rc", [[0.25, 0.25, 0.25, 0.25]]) == pytest.approx(1.0, abs=1e-12)
@@ -89,7 +84,6 @@ class TestConfidenceScores:
     def test_ranges(self, p, c, seed):
         probs = _random_probs(np.random.default_rng(seed), p, c)
         assert 0.0 <= _confidence("lc", probs) <= 1.0
-        assert 0.0 <= _confidence("ms", probs) <= 1.0
         assert 0.0 <= _confidence("rc", probs) <= 1.0
         assert 0.0 <= _confidence("en", probs) <= math.log(c) + 1e-12
 
@@ -179,7 +173,7 @@ class TestScoreSample:
         assert got == score_sample(logits, "bi")
 
         probs = softmax_rows(logits)
-        for metric in ("lc", "ms", "rc", "en"):
+        for metric in ("lc", "rc", "en"):
             spec2 = PerturbationSpec(9, "gaussian", 0.2, rng=np.random.default_rng(99))
             assert self._score(params, config, x, spec2, metric) == _confidence(metric, probs)
 
@@ -206,7 +200,7 @@ class TestScoreSampleProperties:
     @settings(max_examples=50, deadline=None)
     def test_ranges(self, metric, p, c, seed):
         z = np.random.default_rng(seed).normal(size=(p, c)) * 5.0
-        upper = {"bi": math.inf, "lc": 1.0 - 1.0 / c, "ms": 1.0, "rc": 1.0, "en": math.log(c)}[metric]
+        upper = {"bi": math.inf, "lc": 1.0 - 1.0 / c, "rc": 1.0, "en": math.log(c)}[metric]
         assert 0.0 <= score_sample(z, metric) <= upper + 1e-12
 
     def test_identical_copies_score_as_one_copy(self, metric):
@@ -230,7 +224,7 @@ class TestScoreSampleProperties:
 
     def test_uniform_copies(self, metric):
         c = 4
-        expected = {"bi": 0.0, "lc": 1.0 - 1.0 / c, "ms": 1.0, "rc": 1.0, "en": math.log(c)}[metric]
+        expected = {"bi": 0.0, "lc": 1.0 - 1.0 / c, "rc": 1.0, "en": math.log(c)}[metric]
         assert score_sample(np.zeros((5, c)), metric) == pytest.approx(expected, abs=1e-12)
 
     def test_one_copy_values(self, metric):
@@ -238,7 +232,6 @@ class TestScoreSampleProperties:
         expected = {
             "bi": 0.0,
             "lc": 0.3,
-            "ms": 0.5,
             "rc": 0.2 / 0.7,
             "en": -math.fsum(q * math.log(q) for q in probs),
         }[metric]

@@ -4,15 +4,14 @@ All clients advance one mini-batch per global tick. A client trains on
 the incoming batch joined with a replay draw of past-task rows from its
 memory (one gradient step per tick); on the first task the memory holds
 no such rows, so the draw is empty. After training, the batch is scored
-under the updated model and offered to the memory. Each offer also
-draws fresh perturbed copies of the stored rows of each touched class,
-one class at a time in ascending order, and hands the memory one
-deferred call per class that scores those copies under that offer's
-parameters. The memory makes the call only when retention compares the
-class, so retention ranks the merged set by fresh scores without
-computing the ones it never reads. Every scoring call, for a new batch
-or a stored class, forwards the copies of all its rows as one block and
-then reduces each row's logits with one ``score_sample`` call.
+under the updated model and offered to the memory. When retention
+compares a class that the offer touches (it is over quota), the memory
+has the runner score that class's stored rows under the same parameters:
+it draws their perturbed copies then, one compared class at a time in
+ascending order, so copies are drawn only for rows that are scored.
+Every scoring, of a new batch or of a stored class, forwards the copies
+of all its rows as one block and then reduces each row's logits with one
+``score_sample`` call.
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
@@ -74,14 +73,14 @@ class _ClientWorker:
     replay_rng: np.random.Generator
     observed: set[int] = field(default_factory=set)
 
-    def _fresh(self, rows):
-        """A call computing the uncertainty of each row of ``rows`` (n, d) under the current model, copies drawn now.
+    def _fresh(self, rows) -> np.ndarray:
+        """The uncertainty of each row of ``rows`` (n, d) under the current model.
 
-        The call forwards all the rows' copies as one block, then scores each row from its logits.
+        Draws the rows' copies, forwards them as one block, then scores each row from its logits.
         """
         copies = uncertainty.perturb_features(rows, self.pert_spec)
-        params, config, metric = self.params, self.model_config, self.cfg.uncertainty_metric
-        return lambda: np.array([score_sample(z, metric) for z in uncertainty.copy_logits(params, config, copies)])
+        logits = uncertainty.copy_logits(self.params, self.model_config, copies)
+        return np.array([score_sample(z, self.cfg.uncertainty_metric) for z in logits])
 
     def tick(self, bn: int) -> bool:
         """Consume batch ``bn`` of the task; False once the task is exhausted.
@@ -89,7 +88,7 @@ class _ClientWorker:
         Raises ``RuntimeError`` naming the client, task and ``bn`` when training
         diverges: a non-finite loss or update, an exact sum that overflows, or
         non-finite logits met in scoring (a stored sample's fresh score is
-        computed, so can fail, at the offer that first compares it). Those
+        computed, so can fail, at an offer that compares its class). Those
         checks name the failure, so numpy's overflow and invalid-value
         warnings on the way are silenced.
         """
@@ -125,7 +124,7 @@ class _ClientWorker:
 
         if self.buffer.capacity > 0:
             if self.cfg.memory_policy in SCORED_POLICIES:
-                update_memory(self.buffer, batch, self._fresh(batch.features)(), rescore=self._fresh)
+                update_memory(self.buffer, batch, self._fresh(batch.features), rescore=self._fresh)
             else:
                 update_memory(self.buffer, batch, np.zeros(len(batch)))
 

@@ -5,8 +5,7 @@ separate steps. ``perturb_features`` draws the P copies of every row of
 an (n, d) block in one call; ``copy_logits`` forwards all n x P copies
 as one (n * P, d) block, checks the block's logits for finiteness once and
 returns them as (n, P, C); ``score_sample`` scores one sample from its
-(P, C) logit set. A caller can therefore draw copies now and forward and
-score them later (or never). The block forward is per-row exact (see
+(P, C) logit set. The block forward is per-row exact (see
 ``model``), so each sample's logits are the same bits as when its copies
 are forwarded alone.
 

@@ -26,6 +26,17 @@ def _scores(buffer, label):
     return sorted(buffer.scores[buffer.labels == label].tolist())
 
 
+def _columns(buffer):
+    """Copies of the buffer's row columns, by name."""
+    return {name: getattr(buffer, name).copy() for name in ("features", "labels", "task_ids", "scores", "arrivals")}
+
+
+def _assert_columns_equal(got, expected):
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert np.array_equal(got[name], expected[name]), name
+
+
 def _class_rows(buffer, label):
     """Sorted ``(score, arrival)`` pairs of the stored rows of one class."""
     mask = buffer.labels == label
@@ -95,7 +106,7 @@ class TestUpdateMemory:
         buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
         # fresh model ranks the stored samples the other way around
-        update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [0.9, 0.05])
+        update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.9, 0.05])
         assert _scores(buf, 0) == [0.05, 0.15]
 
     def test_rescore_receives_stored_rows_in_arrival_order(self):
@@ -105,7 +116,7 @@ class TestUpdateMemory:
 
         def rescore(stored):
             seen.append(stored.copy())
-            return lambda: [0.4, 0.6]
+            return [0.4, 0.6]
 
         update_memory(buf, _batch([1]), [0.5], rescore=rescore)
         # class 1 holds arrivals 0 and 2, whose features are rows 0 and 2 of the first batch
@@ -115,7 +126,7 @@ class TestUpdateMemory:
         assert _class_rows(buf, 1) == [(0.4, 0), (0.5, 3)]
 
     def test_one_rescore_call_per_touched_class(self):
-        buf = MemoryBuffer(9, "bottom_k", np.random.default_rng(0))
+        buf = MemoryBuffer(7, "bottom_k", np.random.default_rng(0))
         first = _batch([2, 1, 0, 2, 0, 1])
         update_memory(buf, first, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         seen = []
@@ -123,44 +134,49 @@ class TestUpdateMemory:
         def rescore(stored):
             start = sum(map(len, seen))
             seen.append(stored.copy())
-            return lambda: start + np.arange(len(stored), dtype=float)
+            return start + np.arange(len(stored), dtype=float)
 
-        update_memory(buf, _batch([2, 0]), [0.7, 0.8], rescore=rescore)
-        # class 0 holds arrivals 2 and 4, class 2 arrivals 0 and 3; class 1 is untouched
+        # quotas {0: 3, 1: 2, 2: 2}: classes 1 and 2 go over quota, class 0 fits
+        update_memory(buf, _batch([2, 1, 0]), [0.7, 0.8, 0.9], rescore=rescore)
+        # one call per compared class in ascending class order: class 1 (arrivals 1, 5), then class 2 (0, 3)
         assert len(seen) == 2
-        assert np.array_equal(seen[0], first.features[[2, 4]])
+        assert np.array_equal(seen[0], first.features[[1, 5]])
         assert np.array_equal(seen[1], first.features[[0, 3]])
-        assert _class_rows(buf, 0) == [(0.0, 2), (0.8, 7), (1.0, 4)]
-        assert _class_rows(buf, 1) == [(0.2, 1), (0.6, 5)]
-        assert _class_rows(buf, 2) == [(0.7, 6), (2.0, 0), (3.0, 3)]
-        # a touched class with no stored rows gets no call
-        update_memory(buf, _batch([3]), [0.9], rescore=rescore)
+        assert _class_rows(buf, 1) == [(0.0, 1), (0.8, 7)]
+        assert _class_rows(buf, 2) == [(0.7, 6), (2.0, 0)]
+        # the touched class that fits keeps its admission-time scores
+        assert _class_rows(buf, 0) == [(0.3, 2), (0.5, 4), (0.9, 8)]
+        # a new class shrinks class 0's quota to 2: the untouched class is trimmed by its stored scores,
+        # and the touched class, with no stored rows, gets no call
+        update_memory(buf, _batch([3]), [0.05], rescore=rescore)
         assert len(seen) == 2
+        assert _class_rows(buf, 0) == [(0.3, 2), (0.5, 4)]
+        assert _class_rows(buf, 3) == [(0.05, 9)]
 
     def test_non_finite_rescore_rejected(self):
         buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
+        before = _columns(buf)
         with pytest.raises(ValueError, match="rescored sample scores must be finite"):
-            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [float("nan"), 0.05])
+            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [float("nan"), 0.05])
         with pytest.raises(ValueError, match="rescored sample scores must be finite"):
-            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [0.3, float("-inf")])
-        assert _class_rows(buf, 0) == [(0.1, 0), (0.2, 1)]
+            update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.3, float("-inf")])
+        _assert_columns_equal(_columns(buf), before)
 
     def test_rescore_of_wrong_length_rejected_when_read(self):
         for returned in ([0.05], [0.3, 0.05, 0.4]):
             buf = MemoryBuffer(2, "bottom_k", np.random.default_rng(0))
             update_memory(buf, _batch([0, 0]), [0.1, 0.2])
-            # class 0 holds 3 rows under a quota of 2, so retention reads the call at this offer
+            before = _columns(buf)
+            # class 0 holds 3 rows under a quota of 2, so retention reads the fresh scores at this offer
             with pytest.raises(ValueError, match="rescore must return one score per stored sample"):
-                update_memory(buf, _batch([0]), [0.15], rescore=lambda stored, r=returned: lambda: r)
-            assert _class_rows(buf, 0) == [(0.1, 0), (0.2, 1)]
-        # a class that fits its quota is not compared, so the call fails only when the scores are read
+                update_memory(buf, _batch([0]), [0.15], rescore=lambda stored, r=returned: r)
+            _assert_columns_equal(_columns(buf), before)
+        # a class that fits its quota is not compared, so it is not rescored and nothing raises
         buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
-        update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: lambda: [0.05])
-        assert len(buf) == 3
-        with pytest.raises(ValueError, match="rescore must return one score per stored sample"):
-            buf.scores
+        update_memory(buf, _batch([0]), [0.15], rescore=lambda stored: [0.05])
+        assert _class_rows(buf, 0) == [(0.1, 0), (0.15, 2), (0.2, 1)]
 
     def test_non_finite_score_rejected(self):
         buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
@@ -228,92 +244,68 @@ class TestBruteForceOracle:
             self._run("top_k", seed + 100)
 
 
-class _EagerBuffer:
-    """Eager reference for the scored policies: every score is an array entry, rescored all at once.
+class _ScoredReference:
+    """The scored policies on plain per-class lists of ``[score, arrival, task_id, features]`` rows.
 
-    ``tags`` records where each row's score came from: ``offer * 1000 + i``
-    for item i of that offer's rescore, -1 for an admission-time score.
+    Each touched class, in ascending class order, merges its stored rows
+    with its new ones; when the merged class is over a positive quota, its
+    stored rows first get fresh scores from one ``rescore`` call, in arrival
+    order. Then every untouched class over quota is trimmed by its stored
+    scores. Retention keeps the quota with the lowest (bottom-k) or highest
+    (top-k) scores, ties to the earlier arrival.
     """
 
     def __init__(self, capacity, policy):
         self.capacity = capacity
-        self.policy = policy
-        self.features = np.empty((0, 0))
-        self.labels = np.empty(0, dtype=np.int64)
-        self.task_ids = np.empty(0, dtype=np.int64)
-        self.scores = np.empty(0)
-        self.arrivals = np.empty(0, dtype=np.int64)
-        self.tags = np.empty(0, dtype=np.int64)
-        self.classes_seen = set()
-        self._next_arrival = 0
+        self.sign = 1.0 if policy == "bottom_k" else -1.0
+        self.per_class = {}
+        self.seen = set()
+        self.arrival = 0
 
-    def __len__(self):
-        return self.labels.size
-
-    def _keep(self, idx, pool, quota, offer, compared):
-        if len(idx) <= quota:
-            return idx
-        if quota <= 0:
-            return idx[:0]
-        # retention compares these rows' scores: note the first offer that compares each rescored one
-        for tag in pool["tags"][idx].tolist():
-            if tag >= 0:
-                compared.setdefault(tag, offer)
-        if self.policy == "bottom_k":
-            return idx[np.lexsort((pool["arrivals"][idx], pool["scores"][idx]))[:quota]]
-        return idx[np.lexsort((pool["arrivals"][idx], -pool["scores"][idx]))[:quota]]
-
-    def offer(self, batch, scores, rescore, offer, compared):
-        """The eager ``update_memory``: ``rescore`` returns every fresh score of the stored touched rows at once."""
-        scores = np.asarray(scores, dtype=np.float64)
-        labels = np.asarray(batch.labels, dtype=np.int64)
-        incoming = sorted(set(labels.tolist()))
-        self.classes_seen.update(incoming)
-        first = self._next_arrival
-        self._next_arrival += labels.size
-        order = np.argsort(labels, kind="stable")
-        new = {
-            "features": np.asarray(batch.features, dtype=np.float64)[order],
-            "labels": labels[order],
-            "task_ids": np.full(labels.size, batch.task_id, dtype=np.int64),
-            "scores": scores[order],
-            "arrivals": first + order,
-            "tags": np.full(labels.size, -1, dtype=np.int64),
+    def columns(self):
+        """The reference rows as the buffer's columns, ordered by class then arrival."""
+        rows = [(c, *r) for c in sorted(self.per_class) for r in self.per_class[c]]
+        return {
+            "features": np.array([r[4] for r in rows]).reshape(len(rows), -1),
+            "labels": np.array([r[0] for r in rows], dtype=np.int64),
+            "task_ids": np.array([r[3] for r in rows], dtype=np.int64),
+            "scores": np.array([r[1] for r in rows], dtype=np.float64),
+            "arrivals": np.array([r[2] for r in rows], dtype=np.int64),
         }
-        pool = {name: np.concatenate([getattr(self, name), rows]) for name, rows in new.items()} if len(self) else new
-        stored = np.flatnonzero((self.labels[:, None] == np.array(incoming)).any(axis=1))
-        if stored.size:
-            pool["scores"][stored] = np.asarray(rescore(pool["features"][stored]), dtype=np.float64)
-            pool["tags"][stored] = offer * 1000 + np.arange(stored.size)
-        untouched = sorted(set(self.labels.tolist()) - set(incoming))
-        quota = class_quota(self.capacity, self.classes_seen)
-        keep = [
-            self._keep(np.flatnonzero(pool["labels"] == c), pool, quota[c], offer, compared)
-            for c in incoming + untouched
-        ]
-        keep = np.concatenate(keep)
-        keep = keep[np.lexsort((pool["arrivals"][keep], pool["labels"][keep]))]
-        for name, rows in pool.items():
-            setattr(self, name, rows[keep])
+
+    def _keep(self, rows, quota):
+        if len(rows) <= quota:
+            return rows
+        kept = sorted(rows, key=lambda r: (self.sign * r[0], r[1]))[:quota]
+        return sorted(kept, key=lambda r: r[1])
+
+    def offer(self, batch, scores, rescore):
+        incoming = {}
+        for x, label, score in zip(batch.features, batch.labels.tolist(), scores):
+            incoming.setdefault(label, []).append([float(score), self.arrival, batch.task_id, x])
+            self.arrival += 1
+        self.seen.update(incoming)
+        quota = class_quota(self.capacity, self.seen)
+        for c in sorted(incoming):
+            stored = self.per_class.get(c, [])
+            if stored and len(stored) + len(incoming[c]) > quota[c] > 0:
+                fresh = rescore(np.array([r[3] for r in stored]))
+                stored = [[float(f), *r[1:]] for f, r in zip(fresh, stored)]
+            self.per_class[c] = self._keep(stored + incoming[c], quota[c])
+        for c in sorted(set(self.per_class) - set(incoming)):
+            self.per_class[c] = self._keep(self.per_class[c], quota[c])
+        self.per_class = {c: rows for c, rows in self.per_class.items() if rows}
 
 
-def _counted_rescore(offer, fresh, reads):
-    """A ``rescore`` whose calls number their items across one offer as ``offer * 1000 + i``.
-
-    Successive calls take successive items of ``fresh``; a call logs its
-    items in ``reads`` each time it is made.
-    """
+def _counted_rescore(fresh, calls):
+    """A ``rescore`` for one offer: successive calls take successive items of ``fresh``; each call's rows go to ``calls``."""
     taken = []
 
     def rescore(rows):
-        items = range(len(taken), len(taken) + len(rows))
+        calls.append(rows.copy())
+        items = fresh[len(taken) : len(taken) + len(rows)]
         taken.extend(items)
-
-        def call():
-            reads.extend(offer * 1000 + i for i in items)
-            return [fresh[i] for i in items]
-
-        return call
+        return items
 
     return rescore
 
@@ -326,9 +318,8 @@ _SCORE_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0])
 def _offer_streams(draw):
     """Offers of ``(labels, task_id, scores, fresh)``; ``fresh`` covers every stored row at capacity <= 12.
 
-    The eager reference takes one block of fresh scores for every stored
-    row of the touched classes, in buffer order; the per-class calls of one
-    offer take its items one class after another, in ascending class order.
+    The ``rescore`` calls of one offer take the items of its ``fresh`` one
+    class after another, in ascending class order.
     """
     offers = []
     for _ in range(draw(st.integers(1, 25))):
@@ -339,62 +330,68 @@ def _offer_streams(draw):
     return offers
 
 
-class TestLazyRescoreOracle:
-    """Per-class deferred fresh scores against the eager reference ``_EagerBuffer``."""
+def _unique_batch(labels, task_id, offset):
+    """``_batch`` with features that no other offer repeats, so each ``rescore`` call shows which rows it got."""
+    batch = _batch(labels, task_id=task_id)
+    return MiniBatch(features=batch.features + 100.0 * offset, labels=batch.labels, task_id=task_id)
+
+
+class TestRescoreOracle:
+    """Fresh scores for the compared touched classes only, against the list reference ``_ScoredReference``."""
 
     @given(st.sampled_from(SCORED_POLICIES), st.integers(1, 12), _offer_streams(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_rows_scores_and_reads_match_eager_oracle(self, policy, capacity, offers, data):
-        oracle = _EagerBuffer(capacity, policy)
+    def test_rows_scores_and_calls_match_reference(self, policy, capacity, offers, data):
+        ref = _ScoredReference(capacity, policy)
         buf = MemoryBuffer(capacity, policy, np.random.default_rng(0))
-        compared, reads = {}, []
+        taken = []  # items of each offer's fresh that its rescore calls took
         for t, (labels, task_id, scores, fresh) in enumerate(offers):
-            batch = _batch(labels, task_id=task_id)
-            oracle.offer(batch, scores, lambda rows, f=fresh: f[: len(rows)], t, compared)
-            update_memory(buf, batch, scores, rescore=_counted_rescore(t, fresh, reads))
-            for name in ("features", "labels", "task_ids", "arrivals"):
-                assert np.array_equal(getattr(buf, name), getattr(oracle, name))
-            # a class's call is made at most once, and only when retention compares the class
-            assert sorted(reads) == sorted(compared)
-            buf.samples()
-            assert len(reads) == len(compared)
-        assert np.array_equal(buf.scores, oracle.scores)
+            batch = _unique_batch(labels, task_id, t)
+            ref_calls, calls = [], []
+            ref.offer(batch, scores, _counted_rescore(fresh, ref_calls))
+            update_memory(buf, batch, scores, rescore=_counted_rescore(fresh, calls))
+            # the same calls, in the same order, each with the same stored rows
+            assert len(calls) == len(ref_calls)
+            assert all(np.array_equal(a, b) for a, b in zip(calls, ref_calls))
+            _assert_columns_equal(_columns(buf), ref.columns())
+            taken.append(sum(map(len, calls)))
 
-        # one item turned infinite raises at the offer that first compares it, and never if none does
+        # one item turned infinite raises at its offer, leaving the buffer as it was, if a call takes it
         t_bad, i_bad = data.draw(st.tuples(st.integers(0, len(offers) - 1), st.integers(0, 11)))
-        raises_at = compared.get(t_bad * 1000 + i_bad)
         buf = MemoryBuffer(capacity, policy, np.random.default_rng(0))
         for t, (labels, task_id, scores, fresh) in enumerate(offers):
             fresh = [float("inf") if (t, i) == (t_bad, i_bad) else v for i, v in enumerate(fresh)]
-            offer = (buf, _batch(labels, task_id=task_id), scores)
-            rescore = _counted_rescore(t, fresh, [])
-            if t == raises_at:
+            offer = (buf, _unique_batch(labels, task_id, t), scores)
+            if t == t_bad and i_bad < taken[t]:
+                before = _columns(buf)
                 with pytest.raises(ValueError, match="rescored sample scores must be finite"):
-                    update_memory(*offer, rescore=rescore)
+                    update_memory(*offer, rescore=_counted_rescore(fresh, []))
+                _assert_columns_equal(_columns(buf), before)
                 break
-            update_memory(*offer, rescore=rescore)
+            update_memory(*offer, rescore=_counted_rescore(fresh, []))
 
-    def test_unread_non_finite_score_raises_only_when_scores_are_read(self):
+    def test_touched_class_that_fits_is_not_rescored(self):
         buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
         update_memory(buf, _batch([0, 0]), [0.1, 0.2])
-        reads = []
-        # class 0 holds 3 rows under a quota of 4, so nothing is compared and nothing is read
-        update_memory(buf, _batch([0]), [0.3], rescore=_counted_rescore(1, [float("nan"), 0.5], reads))
-        assert reads == []
-        assert [s.arrival for s in buf.samples()] == [0, 1, 2]
-        with pytest.raises(ValueError, match="rescored sample scores must be finite"):
-            buf.scores
-        assert sorted(reads) == [1000, 1001]
+        calls = []
+        # class 0 holds 3 rows under a quota of 4, so nothing is compared: a NaN it would give is never drawn
+        update_memory(buf, _batch([0]), [0.3], rescore=_counted_rescore([float("nan")] * 2, calls))
+        assert calls == []
+        assert _class_rows(buf, 0) == [(0.1, 0), (0.2, 1), (0.3, 2)]
+        # 5 rows under a quota of 4: the 3 stored rows are rescored in one call, in arrival order
+        update_memory(buf, _batch([0, 0]), [0.4, 0.0], rescore=_counted_rescore([0.9, 0.8, 0.7], calls))
+        assert [len(rows) for rows in calls] == [3]
+        assert _class_rows(buf, 0) == [(0.0, 4), (0.4, 3), (0.7, 2), (0.8, 1)]
 
-    def test_next_touching_offer_replaces_pending_scores_unread(self):
-        buf = MemoryBuffer(4, "bottom_k", np.random.default_rng(0))
-        update_memory(buf, _batch([0]), [0.1])
-        reads = []
-        update_memory(buf, _batch([0]), [0.2], rescore=_counted_rescore(1, [0.9], reads))
-        update_memory(buf, _batch([0]), [0.3], rescore=_counted_rescore(2, [0.7, 0.8], reads))
-        assert reads == []
-        assert _class_rows(buf, 0) == [(0.3, 2), (0.7, 0), (0.8, 1)]
-        assert sorted(reads) == [2000, 2001]
+    def test_untouched_class_trimmed_by_a_new_class_is_not_rescored(self):
+        buf = MemoryBuffer(4, "top_k", np.random.default_rng(0))
+        update_memory(buf, _batch([0, 0, 0, 0]), [0.1, 0.2, 0.3, 0.4])
+        calls = []
+        # class 1 shrinks class 0's quota to 2: class 0 keeps its two highest stored scores, unrescored
+        update_memory(buf, _batch([1, 1]), [0.5, 0.6], rescore=_counted_rescore([0.0] * 4, calls))
+        assert calls == []
+        assert _class_rows(buf, 0) == [(0.3, 2), (0.4, 3)]
+        assert _class_rows(buf, 1) == [(0.5, 4), (0.6, 5)]
 
 
 class _RandomReference:

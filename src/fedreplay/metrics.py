@@ -47,11 +47,16 @@ def client_mean(values) -> float:
 
 
 def evaluate_model(params: ParameterVector, config: ModelConfig, test_sets) -> list[float]:
-    """Argmax accuracy on each task's held-out set; ties go to the lowest class id."""
+    """Argmax accuracy on each task's held-out set; ties go to the lowest class id.
+
+    Raises ``FloatingPointError`` when the logits are not all finite, since their argmax would mean nothing.
+    """
     accuracies = []
     for features, labels in test_sets:
         labels = np.asarray(labels)
         logits = forward_logits(params, config, features)
+        if not np.all(np.isfinite(logits)):
+            raise FloatingPointError("held-out logits are not all finite")
         preds = np.argmax(logits, axis=1)
         accuracies.append(float(np.count_nonzero(preds == labels)) / labels.size)
     return accuracies

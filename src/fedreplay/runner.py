@@ -20,7 +20,8 @@ previous global parameters ``theta_g``, and broadcast. The loop owns
 rest, and trains on its own loss alone, so ``theta_g`` reaches a client
 only through the broadcast. At every task boundary each client is
 evaluated on the held-out split of all tasks seen so far, into one
-(clients, T, T) accuracy array.
+(clients, T, T) accuracy array; non-finite held-out logits stop the run
+as divergence, as non-finite training values do.
 
 Randomness is fanned out from the master seed into named sub-streams, and
 clients tick in a fixed order, so reruns are bit-reproducible.
@@ -163,7 +164,7 @@ def _build_dataset(config: ExperimentConfig):
 
 
 def _split_task(indices, config: ExperimentConfig, task_id: int):
-    """``(test, parts)`` of one task's ``indices``: a seeded test share, the rest dealt out one part per client."""
+    """``(test, parts)`` of one task's ``indices``: one seeded permutation's head is held out, its rest dealt out."""
     n = len(indices)
     if n < 2:
         raise ConfigError(f"invalid value for tasks: task {task_id} has {n} example, too few for a train/test split")
@@ -171,8 +172,7 @@ def _split_task(indices, config: ExperimentConfig, task_id: int):
     n_test = max(1, min(int(round(config.test_split * n)), n - 1))
     if n - n_test < config.clients:
         raise ConfigError(f"invalid value for clients: task {task_id} has only {n - n_test} training examples")
-    rng = seeds.substream(config.seed, seeds.CLIENT_PARTITION, task_id)
-    return indices[perm[:n_test]], partition_to_clients(indices[perm[n_test:]], config.clients, rng)
+    return indices[perm[:n_test]], partition_to_clients(indices[perm[n_test:]], config.clients)
 
 
 def _checksum(params) -> str:
@@ -216,8 +216,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     workers = []
     for k in range(config.clients):
-        order_rngs = [seeds.substream(seed, seeds.BATCH_ORDER, k, spec.task_id) for spec in tasks]
-        stream = ClientStream(k, features, labels, per_client_tasks[k], config.batch_size, order_rngs)
+        stream = ClientStream(k, features, labels, per_client_tasks[k], config.batch_size)
         if config.optimizer == "sgd":
             opt = OptimizerState.sgd(config.learning_rate)
         else:
@@ -272,7 +271,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                     f"reports={_format_reports(report.class_reports)} checksum={_checksum(theta_g)}"
                 )
         for k, w in enumerate(workers):
-            accuracy[k, t_idx, : t_idx + 1] = evaluate_model(w.params, model_config, test_sets[: t_idx + 1])
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    accuracy[k, t_idx, : t_idx + 1] = evaluate_model(w.params, model_config, test_sets[: t_idx + 1])
+            except FloatingPointError as exc:
+                raise RuntimeError(f"client {k} diverged on task {spec.task_id} at evaluation: {exc}") from exc
 
     for w in workers:
         counts_arr = w.stream.consumption_counts()

@@ -2,11 +2,11 @@
 
 A dataset is a pair of parallel arrays: ``features`` (n, d) float64 and
 ``labels`` (n,) int64. It is split into tasks with disjoint class sets,
-each task's rows are partitioned disjointly across clients as index
-arrays, and every client consumes its share as a single-pass sequence of
-mini-batches, shuffled per task by a generator the caller must pass in
-(the runner derives it from the master seed). ``next_batch`` returns None
-at every task boundary and at the end of the stream, and ``exhausted``
+each task's rows are dealt disjointly across clients as index arrays,
+and every client consumes its share once, as mini-batches in the order
+given: the runner deals and orders a task's rows by one seeded
+permutation, so nothing here draws. ``next_batch`` returns None at every
+task boundary and at the end of the stream, and ``exhausted``
 tells the two apart. Each stream counts how often every underlying
 example was yielded so the runner can audit the single-pass contract.
 Task, client, batch, synthetic-data and format arguments come from a validated
@@ -80,30 +80,27 @@ def assign_classes_to_tasks(class_sizes: dict[int, int], num_tasks: int, mode: s
     return specs
 
 
-def partition_to_clients(indices: np.ndarray, num_clients: int, rng) -> list[np.ndarray]:
-    """Seeded shuffle of ``indices``, then a round-robin split into ``num_clients`` disjoint arrays."""
-    shuffled = indices[rng.permutation(len(indices))]
-    return [shuffled[k::num_clients] for k in range(num_clients)]
+def partition_to_clients(indices: np.ndarray, num_clients: int) -> list[np.ndarray]:
+    """Round-robin split of ``indices`` into ``num_clients`` disjoint arrays, each in the order given."""
+    return [indices[k::num_clients] for k in range(num_clients)]
 
 
 class ClientStream:
     """Single-pass mini-batch iterator over one client's task sequence.
 
     ``per_task`` lists ``(task_id, rows)`` per task in stream order, where
-    ``rows`` indexes this client's examples in ``features`` and ``labels``.
-    ``order_rngs`` holds one generator per task, to shuffle that task's rows.
-    Each underlying example is yielded exactly once over the stream's
-    lifetime; ``consumption_counts`` exposes the per-example tally for the
-    single-pass audit.
+    ``rows`` indexes this client's examples in ``features`` and ``labels``
+    in the order the batches yield them. Each underlying example is yielded
+    exactly once over the stream's lifetime; ``consumption_counts`` exposes
+    the per-example tally for the single-pass audit.
     """
 
-    def __init__(self, client_id: int, features, labels, per_task, batch_size: int, order_rngs):
+    def __init__(self, client_id: int, features, labels, per_task, batch_size: int):
         self.client_id = client_id
         self._task_batches: list[list[MiniBatch]] = []
         next_id = 0
-        for (task_id, rows), rng in zip(per_task, order_rngs, strict=True):
-            perm = rng.permutation(len(rows))
-            rows, ids = rows[perm], np.arange(next_id, next_id + len(rows))[perm]
+        for task_id, rows in per_task:
+            ids = np.arange(next_id, next_id + len(rows))
             next_id += len(rows)
             batches = []
             for i in range(0, len(rows), batch_size):
@@ -223,18 +220,32 @@ def _load_bin(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_vector_dataset(path, features, labels, fmt: str) -> None:
-    """Write ``(features, labels)`` in one of the formats read by ``load_vector_dataset``."""
+    """Write ``(features, labels)`` in one of the formats read by ``load_vector_dataset``.
+
+    Refuses, before writing, what would not load back as given: a ``bin``
+    label outside [0, 2**32), and a feature that is not finite (for ``bin``,
+    as the 32-bit float the file holds).
+    """
     if fmt not in DATASET_FORMATS:
         raise ValueError(f"unknown dataset format: {fmt!r}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if fmt == "bin":
+        if labels.size and labels.min() < 0:
+            raise ValueError("bin labels must be >= 0")
+        if labels.size and labels.max() >= 2**32:
+            raise ValueError("bin labels must be < 2**32")
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            features = features.astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))
+    if bad.size:
+        held = " as a 32-bit float" if fmt == "bin" else ""
+        raise ValueError(f"row {bad[0] + 1} has a feature that is not finite{held}")
     if fmt == "csv":
         with open(path, "w") as fh:
             for label, row in zip(labels.tolist(), features.tolist()):
                 fh.write(",".join([str(label)] + [repr(v) for v in row]) + "\n")
         return
-    if labels.size and labels.min() < 0:
-        raise ValueError("bin labels must be >= 0")
     records = np.rec.fromarrays([labels, features], dtype=_bin_record(features.shape[1]))
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(labels.size, features.shape[1]))

@@ -68,94 +68,94 @@ FILES = (
 
 GOLDEN = {
     "adam_reset": {
-        "summary.json": "0ad3f7f2da940a15866ee8ac852819077b3b85f99539e332fc8c51787a198c5a",
-        "rounds.log": "f24163fe4568c237c989baeeb91f51fdde8a2585aa8aea71703f3ab94233d71f",
-        "per_client.csv": "e47d5185bae35aa3b63c4a41bbae746f355a40706ff6ca1f262d42bfa32be2a7",
-        "acc_matrix_0.csv": "2435a8190859199ed99c142c16f3dc3a05a3956ac80de23123c4d1fbecf7958a",
-        "acc_matrix_1.csv": "2435a8190859199ed99c142c16f3dc3a05a3956ac80de23123c4d1fbecf7958a",
-        "memory_0.csv": "7617c18d202474a73350cef84e0d8c3857e72b5ab32f79fad30e696fcafd2a6e",
-        "memory_1.csv": "1a66888ef68ba36b2486370535f25ef9f657e7eab9a3b7cfc6e1104ade67f253",
+        "summary.json": "bb1e847fa931207b5126d96a4925d872e7361fc60a880132819bd9e72c6dd579",
+        "rounds.log": "cb59c8c496f8d5187f84e5bd84a8151a719f03b029fc89598688f3f0cbf96546",
+        "per_client.csv": "f962d9eec84de1aa3f1d78c663ade9a38938e00a2d52a2429380d4b443991525",
+        "acc_matrix_0.csv": "b1087400f4460d9a2a81bd9232f73009c58cffd2ed21b5d5d8245374066bcc70",
+        "acc_matrix_1.csv": "b1087400f4460d9a2a81bd9232f73009c58cffd2ed21b5d5d8245374066bcc70",
+        "memory_0.csv": "669da52aa704a83f611cc0a4cf15ca630b641c2e7a563023adff8d00575d8ef1",
+        "memory_1.csv": "4b9bb3fc23949739ad10b87c3c23845d235e238294845ce8946793c8ef0ec319",
     },
     "bottom_k_bi": {
-        "summary.json": "92ac8051b62ae94dd91e68779b00eac55c6315c9bf030675b0d771fe8c458c33",
-        "rounds.log": "49b8ab32b5c7ce973dcd61c72d3df9a5b0d973a70b88c18d382ae67c83529192",
-        "per_client.csv": "2f5e1c519b6cbd5a5d8dcdddc2c383f9e14fab5d66f467ed46bf95bce3c2bae2",
-        "acc_matrix_0.csv": "461d7201fbd055aa7e2e935ba3d0051f9ba490e6ad9719e64e562918152a09d9",
-        "acc_matrix_1.csv": "461d7201fbd055aa7e2e935ba3d0051f9ba490e6ad9719e64e562918152a09d9",
-        "memory_0.csv": "82696149bd103136b1b36f5ffa14f94e46537357f92c2309ec35d5a149ba5c8f",
-        "memory_1.csv": "dc502c51bc130b271fe7c61c091ec4771a931cb6aee4560aab46ea35528ad887",
+        "summary.json": "a582f4df30aab8b36aaf2a4d79cb6570550dde7c0e5adeef1ab32e6d6eadc921",
+        "rounds.log": "3e91c22c4000ae753b6fcf843347f2d238e2a356605d1c865c9b54bb4d1f8178",
+        "per_client.csv": "4cad5b3a2599bce55303b551ffab5afe9c17135dc68395b36362c641072cf800",
+        "acc_matrix_0.csv": "d8ad987418cd025f3895fbebd483a454c7fc4ce5e5ef236c9fcbcc981bcf7979",
+        "acc_matrix_1.csv": "d8ad987418cd025f3895fbebd483a454c7fc4ce5e5ef236c9fcbcc981bcf7979",
+        "memory_0.csv": "c6b14b1bb96d425dd738d17a96deacf1d860aa141e5b6050634a3b9da0e12a1d",
+        "memory_1.csv": "c875ae3cf5848c7f50b9d4d957458f586e270cbe638bd17b32fcf7518c1d23de",
     },
     "bottom_k_en_mask": {
-        "summary.json": "1e0bbca746318763e3bfde7c7e90aee85de8ded173932c52ea0e6cee72c09036",
-        "rounds.log": "8ed66a32c2d4fd9aa05f5e56546bb9258db76dfb2dceb47aebda64923231e6fd",
-        "per_client.csv": "7ce3710d4ccd60a586b9ac464fbbc57ee4de6e61fbbda332f542610cf98a0241",
-        "acc_matrix_0.csv": "5bfaaa6252abc761399cf614abb3679a2970dcb04c7368a3807c2e289f7d700e",
-        "acc_matrix_1.csv": "5bfaaa6252abc761399cf614abb3679a2970dcb04c7368a3807c2e289f7d700e",
-        "memory_0.csv": "9fbe4554056e2884a1bfd3b2de27a30060003c38bfc692f2a6573cfe7ff1715a",
-        "memory_1.csv": "4575dbea5b4620c1d9ae15aca6e2b3574cb1377811a96041cf57f31bd4ff7c27",
+        "summary.json": "356b97ca2e5193d651429f6762e80754e3eb543f35f40aa74bea47874af2f868",
+        "rounds.log": "a90f9fc443d875bc11a89c32422c82947db4de32ac0dd4889908b52cf059b037",
+        "per_client.csv": "83ad1aa5d7ffde8d8f6cd43689ec9edf478e4f9cf593fc50452292180743968b",
+        "acc_matrix_0.csv": "0ca5f0882be2ac889ec3e56263ebbfc802b506ddbbf5992d7d2ddb4f66005377",
+        "acc_matrix_1.csv": "0ca5f0882be2ac889ec3e56263ebbfc802b506ddbbf5992d7d2ddb4f66005377",
+        "memory_0.csv": "9c3964ff9915bb4dfa0c46c80834855647d12838781b45127ad3d171411548c6",
+        "memory_1.csv": "9207d91c0ba2a3f951f7e42738be30a21091fe23961d4985952d8134701fbb16",
     },
     "bottom_k_lc": {
-        "summary.json": "9cdea88b81b163a435fd2b2d7ccbb8457fdf1eb59401e12e30da7e04936f8910",
-        "rounds.log": "fa21d32aed1ea8caaacec9ff3a0b73495b8d3d616497e599ea8c570b1b143f6e",
-        "per_client.csv": "2f5e1c519b6cbd5a5d8dcdddc2c383f9e14fab5d66f467ed46bf95bce3c2bae2",
-        "acc_matrix_0.csv": "89c53c9648511cfa8d4f418149b362da8db7af8ae072d545cf17666f0349e48a",
-        "acc_matrix_1.csv": "89c53c9648511cfa8d4f418149b362da8db7af8ae072d545cf17666f0349e48a",
-        "memory_0.csv": "8aa8cbdfb0f99a54e7d6aa16c3a76756c56d56561c5d158a2ed09e64c1e64ad0",
-        "memory_1.csv": "acf373cb8b33bbdeb13db09bc90f628f3d510228df383620900a3c5d0d72f441",
+        "summary.json": "4e2fc5558f916fe0beaba3587e25d3cdddf18116a84b5ab4d1c33250539bda75",
+        "rounds.log": "34bec4717eda73ded89d05fe6e304f692bef3a0a8aea94a01256653507f74d6d",
+        "per_client.csv": "50b712749523b56954729702f80114176e7e512ddd5d668507092cdd264111f4",
+        "acc_matrix_0.csv": "e96a17a3938d219a1e5e35d0ed7e57c1522af0c31e2958ce79f839f47b703c48",
+        "acc_matrix_1.csv": "e96a17a3938d219a1e5e35d0ed7e57c1522af0c31e2958ce79f839f47b703c48",
+        "memory_0.csv": "e6bc2116b5134228afb8864cad93204916daeb866d319f2592e9f51261d4937a",
+        "memory_1.csv": "0925720db59fa8a320fe4e89302a340359a3ac015487f81212aa79187e1b4704",
     },
     "class_balanced_random": {
-        "summary.json": "bafba3814205133ec88a80f05c921f2947a8be57b8acfc1998aee158eb3305de",
-        "rounds.log": "88677ef7933ab772480b2ec1baf372d289cc3093e463a9a1fae9c8c854aa2b0f",
-        "per_client.csv": "2f5e1c519b6cbd5a5d8dcdddc2c383f9e14fab5d66f467ed46bf95bce3c2bae2",
-        "acc_matrix_0.csv": "89c53c9648511cfa8d4f418149b362da8db7af8ae072d545cf17666f0349e48a",
-        "acc_matrix_1.csv": "89c53c9648511cfa8d4f418149b362da8db7af8ae072d545cf17666f0349e48a",
-        "memory_0.csv": "223b78cc4f099e5386189487544647ead51e1205915fe1451940ec289413f731",
-        "memory_1.csv": "4b5268f9492e5e36bda9222376086ebb77145444479cdc0474c6c1aeeee1c2f6",
+        "summary.json": "a352ce5ae0ef87321c84eefaef9e2224c910f166ffa688f0a64c88d394fd2235",
+        "rounds.log": "52d2fa2161574a36e1526ba3c9bdb1f3f0e6fa12d23033f035d207663ea6d6b8",
+        "per_client.csv": "6836fe2ee95c20d19d860b42a1ccde379a7a7267360c3f82fa8184cbc12f8af5",
+        "acc_matrix_0.csv": "337eb4ad49bf12dff86f99c7ebc10e5974f6f2c51850af7ad2becb248a9b48cd",
+        "acc_matrix_1.csv": "337eb4ad49bf12dff86f99c7ebc10e5974f6f2c51850af7ad2becb248a9b48cd",
+        "memory_0.csv": "0a3615d43c720b119013bdfad9a9004de9bef17cf03869bda00e0473c62ae7c2",
+        "memory_1.csv": "2adf9a5c1b54be2137380fd4c0427f186a439207cc208948e0cd21d1b1b139b0",
     },
     "class_weighted": {
-        "summary.json": "e978cb0e549ccd5e47aaff5b386caaaec9fb3c3cef3dfee89ee2532d4989b059",
-        "rounds.log": "2bdf20fe9e684bf648cddd763799c5c4671e5414de0ca87ad7aebd35d90ea0a8",
-        "per_client.csv": "2f5e1c519b6cbd5a5d8dcdddc2c383f9e14fab5d66f467ed46bf95bce3c2bae2",
-        "acc_matrix_0.csv": "461d7201fbd055aa7e2e935ba3d0051f9ba490e6ad9719e64e562918152a09d9",
-        "acc_matrix_1.csv": "461d7201fbd055aa7e2e935ba3d0051f9ba490e6ad9719e64e562918152a09d9",
-        "memory_0.csv": "242438aaa65d7e9f9c8edb2a786d9f58147dbbd97f398988bea997a84d992b99",
-        "memory_1.csv": "2d408e1105910f62d8d21c18617ed5fe4ec8aaaf759596d7cf46fbd2589b9e90",
+        "summary.json": "b7c60da5a5150918e097238a45ac5fb44d9e1be5caf0ff0721b293168f3644bc",
+        "rounds.log": "25ab3cb4fe70571f4d88771fb1cbbd9c105290fdc9b092527bfc6dee1119de96",
+        "per_client.csv": "036314256375c20bee81b068c1756b9b47972f0ba9565772010f26fcfd5001f8",
+        "acc_matrix_0.csv": "870f1f1a44aa2e825d62125a14b948bbb74839400839777b934ff461bd9d43be",
+        "acc_matrix_1.csv": "870f1f1a44aa2e825d62125a14b948bbb74839400839777b934ff461bd9d43be",
+        "memory_0.csv": "a8571be2f922436007116512236d6a47aed1990d506a398e7542f356db680b5a",
+        "memory_1.csv": "c15480b17c576e64c597d747898d4e1885b42468e180ef0f75baf004faf1da33",
     },
     "random": {
-        "summary.json": "f296ea87c3447fbc4c35a7054837878783d9d790fb01b830a01ec4172f6c3544",
-        "rounds.log": "51447eb6846b1b9d3802e2b4a78c18bbac99047d6e2ae5738347d1330babfac4",
-        "per_client.csv": "fdfbd8de7edcedbdb4975f9b8e07cc1cde7a8525007af13354398d5f7eb2dbab",
-        "acc_matrix_0.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
-        "acc_matrix_1.csv": "fb24aebb47d5321be43028fb2b8d333c3c4a1a177a2d9db9c3b6d8709559b5a2",
-        "memory_0.csv": "5b0bfecfcf54bf09c90e593ef4db3ef579cb7352c0fe710c4a7a5e92365b10af",
-        "memory_1.csv": "57d31466dce72b4fa257b0ae949bbfa433832a6f4537b9f9bd03270e979e0b8d",
+        "summary.json": "c700f2ca7040846041a60454fbd1c482c2af60e6b6b022d7b942aec12bb06976",
+        "rounds.log": "6355651c9db5a7e0270a670225a948d270e693bc7776e7a18b1836231782f2c5",
+        "per_client.csv": "14a9ed129e5a3dea181851b55bdd9474f226d8128e0dcefd00e6313efa4e165c",
+        "acc_matrix_0.csv": "45ed4bd8833c178b19073d4a7b6939740fa008d3864c49d350a8be7a470b8268",
+        "acc_matrix_1.csv": "45ed4bd8833c178b19073d4a7b6939740fa008d3864c49d350a8be7a470b8268",
+        "memory_0.csv": "2399b7ad609462c1fe894bc4b1f67ef46928f3d3397d872fdb4dc17ecf77c1dd",
+        "memory_1.csv": "470033ab9dbd95b0f72722c302384b535e9d1014f0ed824875d5930dbc4c4084",
     },
     "top_k_lc_mask": {
-        "summary.json": "0325068d30642fba1607cf4a09c5a961730d87f79c629777ab2b627d8594f6d5",
-        "rounds.log": "a045b8962a1e1299bdd115c4c01f867937f55a226eac6624dc32bb05cd71dfee",
-        "per_client.csv": "7dcada511fbe08023d8ab659fe9262f25614263cff2ac538149526d67b5ff1f2",
-        "acc_matrix_0.csv": "bce81e40682373f94d8087874b5710e599e4f4fa18cb6d4ddc4923afb1980819",
-        "acc_matrix_1.csv": "bce81e40682373f94d8087874b5710e599e4f4fa18cb6d4ddc4923afb1980819",
-        "memory_0.csv": "2c2c72d91829249d67c07ee93f7ca62112a347e7e14b9eed628635cba9272b4d",
-        "memory_1.csv": "67e1a56241c2677a8621aca94f0d3addb2ba34ddee5ded94d962a728807d0f49",
+        "summary.json": "7c29119b7bc838db9cf9300e13a0b3cbb34786fcdfbaf843206dfab59ba6f11b",
+        "rounds.log": "57f498ef3d30fcab81c074eece432b731c7cc8f943ec72252fd69e62c1fee046",
+        "per_client.csv": "301b528028108bb367c4bb7929a5f3c99e226c50bbcac847044063410db49dbd",
+        "acc_matrix_0.csv": "ac9285cf675aeb3c36ee02a81f706bd68db948c6d501fe7ba05896a5939a538c",
+        "acc_matrix_1.csv": "ac9285cf675aeb3c36ee02a81f706bd68db948c6d501fe7ba05896a5939a538c",
+        "memory_0.csv": "75fd67be38d176d439c04d0475dc7a69238f8d43572521bddc519e419103869f",
+        "memory_1.csv": "5ed9cd1c39838c984386b4ec910dbaf3d892ce785faebbfb8e8f8980cb7615e3",
     },
     "top_k_rc": {
-        "summary.json": "155252950343ccc0c8f9c43a8438b2658ae3b2e3ddaa34865431f96602caa34e",
-        "rounds.log": "f19e96467905f951aa163b23ccba61fbe571ef835076b220d5e46d63750e2309",
-        "per_client.csv": "8b5decc6fe969f1a2119145f17076c9dd58f16b3b0cef2a0736a191f4abc0495",
-        "acc_matrix_0.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
-        "acc_matrix_1.csv": "8f18a39ac7476f777010dc9a4b6703b1bd05e1445dcf11f4ab2a7212344aa207",
-        "memory_0.csv": "544ad2ded1f8943307b403c1e5ebcd2751d45fbec88dfa3a98e78eec7fd77ac8",
-        "memory_1.csv": "46846c03bfa3013da18067b931e16a9f5be900c5f3d2be45efc756b1a4058dba",
+        "summary.json": "f0a1922a982506a0860a95c01f496b04bc3d093cc2280a03409905659ea612fb",
+        "rounds.log": "6cabecc1bc435fba1b8316c34722389b8f54f431eb1343a4578b493a566bbe64",
+        "per_client.csv": "1cebd944e8abcf5b372c3bdb1d57156981e815c02bc07a29284f54e374b950bb",
+        "acc_matrix_0.csv": "a6c7305b25a3256a7cdcec3fa6dc774c376361a2e9953191ebccd8460eefe2c0",
+        "acc_matrix_1.csv": "a6c7305b25a3256a7cdcec3fa6dc774c376361a2e9953191ebccd8460eefe2c0",
+        "memory_0.csv": "6ef534b11dc137c6f3d96d3df4f48a3b9db79713a0ad55561c9f6b339da9309f",
+        "memory_1.csv": "deca8e77364a7f278e1ef0214b3ad1ec996a5d4aecd04d20a2d597ac546956ed",
     },
     "two_hidden_bi": {
-        "summary.json": "d4e301d009ccabc1e1e9aa46cc441c1a446e3f41147736ac90fc3f5a194bfada",
-        "rounds.log": "4a6257e02a48538768fa56c6b870240a7b200821602243ab1548b719bb2163d0",
-        "per_client.csv": "39bdf20a144917440f395d87dc4fe25e94e05fd6472217a45a80410d9946691c",
-        "acc_matrix_0.csv": "142f3a9853b1218e0c0462cbb2250a16349c3e2b40d3de259f11c54b3b8a1623",
-        "acc_matrix_1.csv": "142f3a9853b1218e0c0462cbb2250a16349c3e2b40d3de259f11c54b3b8a1623",
-        "memory_0.csv": "28f0883c3f05ce14cb613f07c94d13249f840314162e596e05e56306bd569e04",
-        "memory_1.csv": "0dc660d9efc91b266fb01009499cc58da33b4593987f519e2032369a5e004627",
+        "summary.json": "3f79f14ca4dc67b2b61a8d85eb397cc125c0b4cfa1d96be2a9b0462ca0eab5fe",
+        "rounds.log": "2f638066c36b1037b87db5141041d35db9ad7ac97f505eeeddba4db7617474d7",
+        "per_client.csv": "cec71fb1c1001bd208761e7e7b067438d4c329bca89b7ff60b720c3771d4edc8",
+        "acc_matrix_0.csv": "48c88d0119b821d6c3cefddf638ebf7fb9474d9f5be1a60c2de3bd708193b3ad",
+        "acc_matrix_1.csv": "48c88d0119b821d6c3cefddf638ebf7fb9474d9f5be1a60c2de3bd708193b3ad",
+        "memory_0.csv": "1e314d613dee2464be20563a6af2da5f2d601054d4194548c8cde8bcc38b586c",
+        "memory_1.csv": "0e3ddf7a3be7edb192a482d2a107f101a843884358258f752d2afaf0b1955c83",
     },
 }
 
@@ -232,17 +232,19 @@ def test_bottom_k_bi_score_count(monkeypatch):
 
     It scores 144 new rows and 204 stored rows afresh, one ``score_sample``
     call per row. Their copies are forwarded in one ``forward_logits`` call
-    per scored block: the 48 new batches and the 52 stored classes that
-    retention compared, so 100 calls of P x (144 + 204) = 1,044 rows. These
-    counts are the same as when a stored class's scores came from a deferred
-    call made only when retention compared the class, but that schedule drew
-    copies of 412 rows to score 348. When each row's copies were forwarded
-    alone, the same 1,044 rows took 348 calls.
+    per scored block: the 48 new batches and the 53 stored classes that
+    retention compared, so 101 calls of P x (144 + 204) = 1,044 rows. When
+    the clients' deal and batch order came from generators of their own, the
+    same rows were scored in 48 new and 52 stored blocks: 100 calls. Under
+    that layout, scores of a stored class that came from a deferred call,
+    made only when retention compared the class, drew copies of 412 rows to
+    score 348. When each row's copies were forwarded alone, the same 1,044
+    rows took 348 calls.
     """
     config, counts = _count_scoring(monkeypatch)
     assert counts["calls"] == {"new": 144, "stored": 204}
-    assert counts["blocks"] == {"new": 48, "stored": 52}
-    assert counts["forwards"] == {"calls": 100, "rows": config.perturbation_count * (144 + 204)}
+    assert counts["blocks"] == {"new": 48, "stored": 53}
+    assert counts["forwards"] == {"calls": 101, "rows": config.perturbation_count * (144 + 204)}
 
 
 def test_bottom_k_bi_scores_every_drawn_copy(monkeypatch):

@@ -180,3 +180,13 @@ class TestEvaluateModel:
         a = evaluate_model(params, config, [(feats, labels)])
         b = evaluate_model(params, config, [(feats, labels)])
         assert a == b
+
+    def test_overflowing_logits_raise(self):
+        # finite parameters, but 1e300 * 1e10 overflows the logits of the second task's rows
+        config = ModelConfig(input_dim=2, hidden_dims=(), num_classes=2)
+        params = ParameterVector(np.array([1e300, -1.0, 0.0, 0.0, 0.0, 0.0]), layout_of(config))
+        fine = (np.array([[1e-10, 0.0]]), np.array([0]))
+        overflowing = (np.array([[1e10, 0.0]]), np.array([0]))
+        assert evaluate_model(params, config, [fine]) == [1.0]
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="held-out logits are not all finite"):
+            evaluate_model(params, config, [fine, overflowing])

@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from fedreplay import runner, seeds
+from fedreplay.config import ExperimentConfig
 from fedreplay.stream import (
     ClientStream,
     assign_classes_to_tasks,
@@ -15,17 +17,13 @@ from fedreplay.stream import (
 )
 
 
-def _stream(tasks, batch_size, seed=0, dim=3):
-    """A stream over ``(task_id, n)`` tasks of consecutive dataset rows; row i is filled with float(i).
-
-    Task t's rows are shuffled by ``default_rng(seed + t)``.
-    """
+def _stream(tasks, batch_size, dim=3):
+    """A stream over ``(task_id, n)`` tasks of consecutive dataset rows; row i is filled with float(i)."""
     total = sum(n for _, n in tasks)
     features = np.repeat(np.arange(total, dtype=float)[:, None], dim, axis=1)
     bounds = np.cumsum([0] + [n for _, n in tasks])
     per_task = [(task_id, np.arange(lo, hi)) for (task_id, _), lo, hi in zip(tasks, bounds, bounds[1:])]
-    order_rngs = [np.random.default_rng(seed + t) for t in range(len(tasks))]
-    return ClientStream(0, features, np.zeros(total, dtype=int), per_task, batch_size, order_rngs)
+    return ClientStream(0, features, np.zeros(total, dtype=int), per_task, batch_size)
 
 
 class TestAssignClassesToTasks:
@@ -61,17 +59,17 @@ class TestAssignClassesToTasks:
 
 class TestPartitionToClients:
     def test_even_split(self):
-        parts = partition_to_clients(np.arange(10), 5, np.random.default_rng(0))
+        parts = partition_to_clients(np.arange(10), 5)
         assert [len(p) for p in parts] == [2, 2, 2, 2, 2]
 
     def test_round_robin_remainder(self):
-        parts = partition_to_clients(np.arange(11), 5, np.random.default_rng(0))
+        parts = partition_to_clients(np.arange(11), 5)
         assert sorted((len(p) for p in parts), reverse=True) == [3, 2, 2, 2, 2]
         assert len(parts[0]) == 3
 
     def test_multiset_partition(self):
         indices = np.arange(100, 123)
-        parts = partition_to_clients(indices, 4, np.random.default_rng(1))
+        parts = partition_to_clients(indices, 4)
         seen = [int(i) for p in parts for i in p]
         assert sorted(seen) == indices.tolist()
         assert len(set(seen)) == len(seen)
@@ -109,31 +107,33 @@ class TestClientStream:
         assert stream.consumption_counts().tolist() == [1] * 25
         assert stream.exhausted()
 
-    def test_one_order_rng_per_task(self):
-        per_task = [(1, np.arange(2)), (2, np.arange(2, 4))]
-        with pytest.raises(ValueError):
-            ClientStream(0, np.zeros((4, 2)), np.zeros(4, dtype=int), per_task, 2, [np.random.default_rng(0)])
-
     def test_task_batches_carry_task_id(self):
         stream = _stream([(4, 3)], batch_size=2)
         batch = stream.next_batch()
         assert batch.task_id == 4
 
-    def test_shuffle_reproducible(self):
-        a = _stream([(1, 12)], 4, seed=9)
-        b = _stream([(1, 12)], 4, seed=9)
-        rows = []
-        while not a.exhausted():
-            ba, bb = a.next_batch(), b.next_batch()
-            if ba is None:
-                assert bb is None
-                continue
-            assert np.array_equal(ba.features, bb.features)
-            assert np.array_equal(ba.labels, bb.labels)
-            rows.extend(ba.features[:, 0].tolist())
-        assert b.exhausted()
-        # the batches follow the order rng's permutation of the task's rows
-        assert rows == np.random.default_rng(9).permutation(12).tolist()
+    def test_batches_follow_the_given_row_order(self):
+        features = np.arange(12, dtype=float)[:, None]
+        labels = np.arange(12) % 3
+        per_task = [(1, np.array([7, 2, 9, 0, 4])), (2, np.array([11, 5, 8]))]
+        stream = ClientStream(0, features, labels, per_task, 2)
+        drawn = {1: [], 2: []}
+        while not stream.exhausted():
+            if (batch := stream.next_batch()) is not None:
+                drawn[batch.task_id].append(batch.features[:, 0].astype(int).tolist())
+                assert batch.labels.tolist() == [r % 3 for r in drawn[batch.task_id][-1]]
+        assert drawn == {1: [[7, 2], [9, 0], [4]], 2: [[11, 5], [8]]}
+
+
+class TestSplitTask:
+    @pytest.mark.parametrize("seed,clients", [(0, 2), (5, 3)])
+    def test_one_permutation_holds_out_deals_and_orders(self, seed, clients):
+        config = ExperimentConfig(clients=clients, tasks=2, classes=4, samples_per_class=10, test_split=0.3, seed=seed)
+        idx = np.arange(100, 120)
+        test, parts = runner._split_task(idx, config, 2)
+        perm = seeds.substream(seed, seeds.TEST_SPLIT, 2).permutation(20)
+        assert test.tolist() == idx[perm[:6]].tolist()
+        assert [p.tolist() for p in parts] == [idx[perm[6:]][k::clients].tolist() for k in range(clients)]
 
 
 class TestSynthGaussianBlobs:
@@ -234,16 +234,44 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_bin_non_finite_feature_names_path_and_row(self, tmp_path, value):
-        features = np.ones((4, 3))
+        # written by hand: save_vector_dataset refuses such a file
+        features = np.ones((4, 3), dtype=np.float32)
         features[2, 1] = value
         path = tmp_path / "nf.bin"
-        save_vector_dataset(path, features, np.zeros(4), "bin")
+        records = np.rec.fromarrays([np.zeros(4), features], dtype=[("label", "<u4"), ("features", "<f4", (3,))])
+        path.write_bytes(struct.pack("<II", 4, 3) + records.tobytes())
         with pytest.raises(ValueError, match=f"{path}: row 3 has a non-finite feature"):
             load_vector_dataset(path, "bin")
 
     def test_bin_negative_label_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bin labels must be >= 0"):
             save_vector_dataset(tmp_path / "n.bin", np.ones((2, 3)), np.array([0, -1]), "bin")
+
+    def test_bin_label_beyond_u32_rejected(self, tmp_path):
+        # a u32 field would have held 2**32 as 0
+        path = tmp_path / "big.bin"
+        with pytest.raises(ValueError, match=r"bin labels must be < 2\*\*32"):
+            save_vector_dataset(path, np.ones((2, 3)), np.array([0, 2**32]), "bin")
+        assert not path.exists()
+        save_vector_dataset(path, np.ones((2, 3)), np.array([0, 2**32 - 1]), "bin")
+        assert load_vector_dataset(path, "bin")[1].tolist() == [0, 2**32 - 1]
+
+    @pytest.mark.parametrize(
+        "fmt,value,held",
+        [
+            # 1e300 is finite in float64 but not as the 32-bit float the file holds
+            ("bin", 1e300, " as a 32-bit float"),
+            ("csv", np.nan, ""),
+            ("csv", np.inf, ""),
+            ("csv", -np.inf, ""),
+        ],
+        ids=["bin-1e300", "csv-nan", "csv-inf", "csv--inf"],
+    )
+    def test_non_finite_feature_rejected(self, tmp_path, fmt, value, held):
+        path = tmp_path / f"nf.{fmt}"
+        with pytest.raises(ValueError, match=f"^row 2 has a feature that is not finite{held}$"):
+            save_vector_dataset(path, np.array([[1.0, 2.0], [3.0, value]]), np.zeros(2), fmt)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "name,data,error",

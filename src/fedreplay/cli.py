@@ -1,7 +1,7 @@
 """Command-line entry point: ``fedreplay {run,grid,dump-memory} PATH [--seed N] [--out DIR] [--force]``.
 
 ``run`` and ``dump-memory`` take one config file; ``grid`` takes a directory and
-runs each ``.ini``/``.cfg`` file in it as ``run`` would, into ``OUT/<stem>``. All
+runs each ``.ini`` file in it as ``run`` would, into ``OUT/<stem>``. All
 three go through one loop: parse, check the output directory, run, write, print.
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -24,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = "run: one config; grid: each config in a directory; dump-memory: run one config, dump its memory buffers"
     parser.add_argument("command", choices=("run", "grid", "dump-memory"), help=commands)
-    parser.add_argument("path", help="experiment config file (grid: directory of .ini/.cfg config files)")
+    parser.add_argument("path", help="experiment config file (grid: directory of .ini config files)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory (grid: one subdir per config)")
     parser.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
@@ -34,23 +34,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _runs(args) -> list[tuple]:
     """``(stem, config path, output dir)`` per run; an output dir of None means the config's ``output_dir``.
 
-    ``grid`` refuses clashing stems and checks every target before its first parse.
+    ``grid`` checks every target before its first parse.
     """
     if args.command != "grid":
         return [(None, args.path, args.out)]
     config_dir = Path(args.path)
     try:
-        files = sorted(p for p in config_dir.iterdir() if p.suffix in (".ini", ".cfg") and p.is_file())
+        files = sorted(p for p in config_dir.iterdir() if p.suffix == ".ini" and p.is_file())
     except OSError as exc:
         raise ConfigError(f"cannot read config directory: {exc}") from None
     if not files:
-        raise ConfigError(f"no .ini or .cfg config files in {config_dir}")
+        raise ConfigError(f"no .ini config files in {config_dir}")
     parent = Path("out" if args.out is None else args.out)
-    first_of_stem = {}
     for path in files:
-        other = first_of_stem.setdefault(path.stem, path)
-        if other != path:
-            raise ConfigError(f"config files {other} and {path} would both write to {parent / path.stem}")
         check_output_dir(parent / path.stem, args.force)
     return [(path.stem, path, parent / path.stem) for path in files]
 

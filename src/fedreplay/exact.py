@@ -15,17 +15,14 @@ Ogita and Oishi 2008):
   exactly, so the column sum equals the root s plus the n - 1 errors.
 - The errors are added by the same tree, giving their rounded sum t and
   n - 2 second-order errors e2. The exact sum is s + t + sum(e2).
-- A column keeps r = fl(s + t) when that is provably the correctly
-  rounded sum: when every e2 is zero (then s + t is the exact sum and
-  one addition rounds it), or when |d| + 2 sum|e2| is below half the
-  spacing of the floats just under |r|, where d = (s + t) - r is the
-  TwoSum error of the final addition.
+- A column keeps r = fl(s + t) when every e2 is zero: then s + t is the
+  exact sum and one addition rounds it correctly.
 - The path runs only on columns whose n entries are at most 2**1000 / n
   in magnitude, where no partial sum can overflow, neither here nor in
   ``math.fsum``.
 
-Every other column goes to ``math.fsum``: those a proof did not cover,
-and those with inf, NaN or larger entries (so ``OverflowError`` on an
+Every other column goes to ``math.fsum``: those with a nonzero e2, and
+those with inf, NaN or larger entries (so ``OverflowError`` on an
 intermediate overflow, ``ValueError`` on inf - inf and NaN results are
 ``math.fsum``'s own).
 """
@@ -88,17 +85,7 @@ def fsum_columns(x: np.ndarray) -> np.ndarray:
     # A TwoSum error is never -0.0, so neither is t, and an exact zero
     # comes out +0.0 as in math.fsum.
     r = s + t
-    proven = ~e2.any(axis=0)
-    if not proven.all():
-        # |exact - r| <= |d| + sum|e2|, with d = s + t - r from TwoSum; the
-        # factor 2 covers the rounding of the computed sum|e2|.
-        bb = r - s
-        d = (s - (r - bb)) + (t - bb)
-        ar = np.abs(r)
-        half_gap = (ar - np.nextafter(ar, 0.0)) * 0.5
-        proven |= np.abs(d) + 2.0 * np.abs(e2).sum(axis=0) < half_gap
-    proven &= safe
-    slow = np.flatnonzero(~proven)
+    slow = np.flatnonzero(e2.any(axis=0) | ~safe)
     if slow.size:
         r[slow] = [math.fsum(col) for col in x[:, slow].T.tolist()]
     return r

@@ -18,7 +18,7 @@ bit, and identical class reports collapse exactly to the plain average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,10 @@ class RoundReport:
     """Per-client parameters and the class ids each observed since the last round."""
 
     params: list[ParameterVector]
-    class_reports: list[set[int]] = field(default_factory=list)
+    class_reports: list[set[int]]
 
     def __post_init__(self):
-        if self.class_reports and len(self.class_reports) != len(self.params):
+        if len(self.class_reports) != len(self.params):
             raise ValueError("one class report per client required")
         _check_layouts(self.params)
 
@@ -68,17 +68,13 @@ def fedavg(params: list[ParameterVector]) -> ParameterVector:
 def class_weighted_avg(report: RoundReport) -> ParameterVector:
     """Average per-class aggregated models so each reported class counts once.
 
-    Clients that report no classes are excluded; with no classes reported
-    at all the result falls back to a plain average over every client.
+    Clients that report no classes are excluded; at least one client must
+    report a class, as every client that trained since the last round does.
     Identical (non-empty) reports make every per-class model coincide, so
     that case returns the shared client mean directly, which is also what
     makes the reduction to the plain average exact.
     """
-    if not report.class_reports:
-        raise ValueError("class_weighted_avg needs class reports")
     active = [(p, s) for p, s in zip(report.params, report.class_reports) if s]
-    if not active:
-        return fedavg(report.params)
     first = active[0][1]
     if all(s == first for _, s in active[1:]):
         return fedavg([p for p, _ in active])

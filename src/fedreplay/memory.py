@@ -133,8 +133,6 @@ def update_memory(buffer: MemoryBuffer, batch, scores, rescore=None) -> None:
     buffer.classes_seen.update(incoming)
     first = buffer._next_arrival
     buffer._next_arrival += labels.size
-    if buffer.capacity == 0:
-        return
 
     # new rows join after the stored ones, grouped by class in arrival order
     order = np.argsort(labels, kind="stable")

@@ -28,10 +28,6 @@ DATASET_FORMATS = ("csv", "bin")
 _BIN_HEADER = struct.Struct("<II")
 
 
-def _bin_record(dim: int) -> np.dtype:
-    return np.dtype([("label", "<u4"), ("features", "<f4", (dim,))])
-
-
 @dataclass(frozen=True)
 class TaskSpec:
     """Task ids are 1-based; class sets of distinct tasks are disjoint."""
@@ -179,6 +175,8 @@ def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 features = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row {lineno}: {exc}") from None
+            if not -(2**63) <= label < 2**63:
+                raise ValueError(f"{path}: malformed row {lineno}: label {label} is outside the int64 range")
             if not features:
                 raise ValueError(f"{path}: row {lineno} has no features")
             if rows and len(features) != len(rows[0]):
@@ -211,42 +209,11 @@ def _load_bin(path) -> tuple[np.ndarray, np.ndarray]:
         return np.empty((0, 0)), np.empty(0, dtype=np.int64)
     if dim == 0:
         raise ValueError(f"{path}: header gives dim 0, so records have no features")
-    records = np.frombuffer(data, dtype=_bin_record(dim), count=count, offset=_BIN_HEADER.size)
+    record_type = np.dtype([("label", "<u4"), ("features", "<f4", (dim,))])
+    records = np.frombuffer(data, dtype=record_type, count=count, offset=_BIN_HEADER.size)
     features = records["features"].astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0] + 1} has a non-finite feature")
     return features, records["label"].astype(np.int64)
 
-
-def save_vector_dataset(path, features, labels, fmt: str) -> None:
-    """Write ``(features, labels)`` in one of the formats read by ``load_vector_dataset``.
-
-    Refuses, before writing, what would not load back as given: a ``bin``
-    label outside [0, 2**32), and a feature that is not finite (for ``bin``,
-    as the 32-bit float the file holds).
-    """
-    if fmt not in DATASET_FORMATS:
-        raise ValueError(f"unknown dataset format: {fmt!r}")
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if fmt == "bin":
-        if labels.size and labels.min() < 0:
-            raise ValueError("bin labels must be >= 0")
-        if labels.size and labels.max() >= 2**32:
-            raise ValueError("bin labels must be < 2**32")
-        with np.errstate(over="ignore"):  # an overflow to inf is refused below
-            features = features.astype(np.float32)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))
-    if bad.size:
-        held = " as a 32-bit float" if fmt == "bin" else ""
-        raise ValueError(f"row {bad[0] + 1} has a feature that is not finite{held}")
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            for label, row in zip(labels.tolist(), features.tolist()):
-                fh.write(",".join([str(label)] + [repr(v) for v in row]) + "\n")
-        return
-    records = np.rec.fromarrays([labels, features], dtype=_bin_record(features.shape[1]))
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(labels.size, features.shape[1]))
-        fh.write(records.tobytes())

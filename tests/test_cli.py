@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 from test_golden import _BASE
+from test_stream import write_csv
 
 from fedreplay.cli import main as cli_main
 from fedreplay.config import _SCHEMA, ExperimentConfig, parse_config
-from fedreplay.stream import save_vector_dataset
 
 
 def _ini(**overrides):
@@ -50,7 +50,8 @@ class TestStdout:
     def test_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid"
         _write(grid / "a.ini", _ini())
-        _write(grid / "b.cfg", _ini(memory_policy="random"))
+        _write(grid / "b.ini", _ini(memory_policy="random"))
+        _write(grid / "a.cfg", _ini())  # only .ini files are grid configs
         _write(grid / "notes.txt", "not a config")
         (grid / "c.ini").mkdir()  # a directory is not a config file, whatever its name
         out = tmp_path / "gout"
@@ -135,7 +136,7 @@ class TestValuesAreLiteral:
 
     def test_data_file_name_with_percent(self, tmp_path, capsys):
         data = tmp_path / "100%_data.csv"
-        save_vector_dataset(data, np.random.default_rng(0).normal(size=(60, 4)), np.repeat(np.arange(6), 10), "csv")
+        write_csv(data, np.random.default_rng(0).normal(size=(60, 4)), np.repeat(np.arange(6), 10))
         config = _write(tmp_path / "exp.ini", _ini(data_source="file", data_path=str(data)))
         assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_stream import write_csv
 
 from fedreplay.cli import main as cli_main
 from fedreplay.config import _SCHEMA, ConfigError, ExperimentConfig, _parse_float, parse_config
@@ -111,6 +112,8 @@ class TestParsing:
 
     def test_inline_comments_allowed(self, tmp_path):
         config = parse_config(_write(tmp_path, "[experiment]\nclients = 4  # four of them\n"))
+        assert config.clients == 4
+        config = parse_config(_write(tmp_path, "; a full-line comment\n[experiment]\nclients = 4 ; four\n"))
         assert config.clients == 4
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -283,10 +286,8 @@ class TestIdenticalBICopies:
 
     def _file_data(self, tmp_path, text):
         """``text`` reading a 3-feature, 4-class CSV file in place of synthetic data."""
-        from fedreplay.stream import save_vector_dataset
-
         data = tmp_path / "data.csv"
-        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 3)), np.repeat(np.arange(4), 10), "csv")
+        write_csv(data, np.random.default_rng(0).normal(size=(40, 3)), np.repeat(np.arange(4), 10))
         return text.replace("[data]", f"[data]\nsource = file\npath = {data}")
 
     @pytest.mark.parametrize("policy", ["bottom_k", "top_k"])

@@ -262,3 +262,15 @@ def test_gradient_columns_rarely_fall_back_to_fsum(monkeypatch):
         fsum_columns(x)
         columns += x.shape[1]
     assert columns > 0 and len(calls) < 0.1 * columns
+
+
+def test_nonzero_second_order_errors_go_to_fsum(monkeypatch):
+    """A column whose second-order TwoSum errors are not all zero is summed by ``math.fsum``."""
+    column = [
+        502395063505.4828, 1.269293741088596e16, 7.215857914057838e-10, -1.2249459186113696e-07, -30848128839129.45,
+    ]
+    calls = []
+    monkeypatch.setattr(fedreplay.exact, "math", SimpleNamespace(fsum=lambda col: calls.append(col) or math.fsum(col)))
+    got = fsum_columns(np.array(column)[:, None])
+    assert got.tobytes() == np.array([math.fsum(column)]).tobytes()
+    assert calls == [column]

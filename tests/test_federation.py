@@ -86,12 +86,6 @@ class TestClassWeightedAvg:
         )
         assert np.array_equal(class_weighted_avg(report).values, np.array([2.0]))
 
-    def test_no_reports_falls_back_to_fedavg(self):
-        report = RoundReport(
-            params=[_pv([0.0]), _pv([4.0])], class_reports=[set(), set()]
-        )
-        assert np.array_equal(class_weighted_avg(report).values, np.array([2.0]))
-
     def test_client_and_class_order_invariant_bitwise(self):
         rng = np.random.default_rng(2)
         vecs = [_pv(rng.normal(size=7)) for _ in range(4)]

@@ -4,13 +4,13 @@ import json
 import math
 import os
 import re
-import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_stream import write_bin, write_csv
 
 import fedreplay
 from fedreplay.cli import main as cli_main
@@ -85,12 +85,15 @@ class TestRunExperiment:
         assert a.accuracy.shape == (2, 3, 3)
         assert np.array_equal(a.accuracy, b.accuracy, equal_nan=True)
 
-    def test_zero_memory_degenerates_to_memoryless(self):
-        # with no memory, the admission policy cannot matter
+    def test_zero_memory_degenerates_to_memoryless(self, monkeypatch):
+        # with no memory, the admission policy cannot matter, and nothing is offered to the buffer
+        offers = []
+        monkeypatch.setattr(fedreplay.runner, "update_memory", lambda *args, **kwargs: offers.append(args))
         results = [
             run_experiment(_small_config(memory_capacity=0, memory_policy=policy))
             for policy in ("random", "bottom_k", "class_balanced_random")
         ]
+        assert offers == []
         for r in results[1:]:
             assert r.avg_last_accuracy == results[0].avg_last_accuracy
             assert r.avg_last_forgetting == results[0].avg_last_forgetting
@@ -112,6 +115,16 @@ class TestRunExperiment:
         assert result.round_log[0].startswith("round=1 task=1 bn=2 ")
         assert result.round_log[-1].startswith("round=12 task=3 bn=8 ")
         assert "checksum=" in result.round_log[0]
+
+    def test_every_class_weighted_round_has_a_reporting_client(self, monkeypatch):
+        # 5 clients deal 48 rows as 10, 10, 10, 9, 9: at bn=4 two clients are exhausted and report nothing
+        reports = []
+        aggregate = fedreplay.runner.class_weighted_avg
+        monkeypatch.setattr(fedreplay.runner, "class_weighted_avg", lambda r: reports.append(r) or aggregate(r))
+        result = run_experiment(_small_config(clients=5, q=1, aggregation="class_weighted"))
+        assert len(reports) == len(result.round_log) > 0
+        assert any(set() in r.class_reports for r in reports)
+        assert all(any(r.class_reports) for r in reports)
 
     def test_burn_in_suppresses_rounds(self):
         result = run_experiment(_small_config(burn_in=100))
@@ -159,23 +172,19 @@ class TestRunExperiment:
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
     def test_file_dataset_source(self, tmp_path):
-        from fedreplay.stream import save_vector_dataset
-
         rng = np.random.default_rng(0)
         labels = np.repeat(np.arange(4), 20)
         path = tmp_path / "data.csv"
-        save_vector_dataset(path, rng.normal(size=(80, 3)) + 5 * labels[:, None], labels, "csv")
+        write_csv(path, rng.normal(size=(80, 3)) + 5 * labels[:, None], labels)
         config = _small_config(data_source="file", data_path=str(path), data_format="csv")
         result = run_experiment(config)
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
     def test_file_dataset_noncontiguous_labels_remapped(self, tmp_path):
-        from fedreplay.stream import save_vector_dataset
-
         rng = np.random.default_rng(1)
         labels = np.repeat([10, 25, 40, 55], 20)
         path = tmp_path / "data.bin"
-        save_vector_dataset(path, rng.normal(size=(80, 3)) + labels[:, None], labels, "bin")
+        write_bin(path, rng.normal(size=(80, 3)) + labels[:, None], labels)
         config = _small_config(data_source="file", data_path=str(path), data_format="bin")
         result = run_experiment(config)
         assert 0.0 <= result.avg_last_accuracy <= 1.0
@@ -347,12 +356,7 @@ class TestCli:
         features[7, 2] = np.nan
         labels = np.repeat(np.arange(4), 10)
         data = tmp_path / f"data.{fmt}"
-        # written by hand: save_vector_dataset refuses a non-finite feature
-        if fmt == "csv":
-            data.write_text("".join(f"{y}," + ",".join(map(repr, x)) + "\n" for y, x in zip(labels, features.tolist())))
-        else:
-            records = np.rec.fromarrays([labels, features], dtype=[("label", "<u4"), ("features", "<f4", (4,))])
-            data.write_bytes(struct.pack("<II", 40, 4) + records.tobytes())
+        (write_csv if fmt == "csv" else write_bin)(data, features, labels)
         text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = {fmt}")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
@@ -360,11 +364,21 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {data}: row 8 has a non-finite feature\n"
         assert not (tmp_path / "out").exists()
 
-    def test_file_data_with_fewer_classes_than_tasks(self, tmp_path, capsys):
-        from fedreplay.stream import save_vector_dataset
-
+    def test_csv_label_beyond_int64_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 4)), np.repeat([0, 1], 20), "csv")
+        data.write_text("0,1.0\n1,2.0\n0,3.0\n100000000000000000000000,4.0\n")
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: malformed row 4: label 100000000000000000000000 is outside the int64 range\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_file_data_with_fewer_classes_than_tasks(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_csv(data, np.random.default_rng(0).normal(size=(40, 4)), np.repeat([0, 1], 20))
         text = _config_text().replace("tasks = 2", "tasks = 3")
         text = text.replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
         config_path = tmp_path / "exp.ini"
@@ -376,10 +390,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_file_data_with_one_class(self, tmp_path, capsys):
-        from fedreplay.stream import save_vector_dataset
-
         data = tmp_path / "data.csv"
-        save_vector_dataset(data, np.random.default_rng(0).normal(size=(40, 4)), np.zeros(40, dtype=int), "csv")
+        write_csv(data, np.random.default_rng(0).normal(size=(40, 4)), np.zeros(40, dtype=int))
         text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
@@ -451,20 +463,6 @@ class TestCliChecksBeforeRunning:
         assert capsys.readouterr().err == f"error: output directory {blocked} is not empty (pass --force to overwrite)\n"
         assert runs == []
         assert sorted(p.name for p in (tmp_path / "gout").iterdir()) == ["b"]
-
-    @pytest.mark.parametrize("force", [False, True])
-    def test_grid_duplicate_stems(self, tmp_path, capsys, runs, force):
-        grid_dir = tmp_path / "grid"
-        grid_dir.mkdir()
-        (grid_dir / "a.ini").write_text(_config_text())
-        (grid_dir / "a.cfg").write_text(_config_text())
-        out = tmp_path / "gout"
-        assert cli_main(["grid", str(grid_dir), "--out", str(out)] + ["--force"] * force) == 1
-        assert capsys.readouterr().err == (
-            f"config error: config files {grid_dir / 'a.cfg'} and {grid_dir / 'a.ini'} would both write to {out / 'a'}\n"
-        )
-        assert runs == []
-        assert not out.exists()
 
     @pytest.mark.parametrize("force", [False, True])
     @pytest.mark.parametrize("command", ["run", "grid", "dump-memory"])

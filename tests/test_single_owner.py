@@ -3,10 +3,11 @@
 Each case hands a module a value its owner never lets through: the
 config (``tasks >= 2``, ``clients >= 1``, a known ``format``), the
 ``MiniBatch`` constructor (no empty batch), the runner (labels remapped to
-``0..C-1``, a test split of at least one row), ``update_memory`` (classes
-added before their quota is taken) and the ``sgd``/``adam`` constructors
-(moments in pairs). The module does not check it, and the call raises
-rather than returning a quiet wrong value.
+``0..C-1``, a test split of at least one row, a round only in a tick where
+some client trained), ``RoundReport`` (one class report per client),
+``update_memory`` (classes added before their quota is taken) and the
+``sgd``/``adam`` constructors (moments in pairs). The module does not
+check it, and the call raises rather than returning a quiet wrong value.
 """
 
 from types import SimpleNamespace
@@ -14,13 +15,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedreplay.federation import RoundReport, fedavg
+from fedreplay.federation import RoundReport, class_weighted_avg, fedavg
 from fedreplay.memory import MemoryBuffer, class_quota, update_memory
 from fedreplay.metrics import client_mean, evaluate_model, last_forgetting
 from fedreplay.model import ModelConfig, OptimizerState, ParameterVector, init_parameters, loss_and_grad, optimizer_step
 from fedreplay.stream import MiniBatch, load_vector_dataset
 
 _CONFIG = ModelConfig(input_dim=2, hidden_dims=(3,), num_classes=2, init_seed=1)
+_PARAMS = init_parameters(_CONFIG)
 
 
 def _csv_read_as(tmp_path, fmt):
@@ -49,7 +51,19 @@ CASES = [
         lambda _: evaluate_model(init_parameters(_CONFIG), _CONFIG, [(np.zeros((0, 2)), np.zeros(0, dtype=int))]),
         ZeroDivisionError,
     ),
-    ("RoundReport no clients", "config clients >= 1", lambda _: RoundReport(params=[]), IndexError),
+    ("RoundReport no clients", "config clients >= 1", lambda _: RoundReport(params=[], class_reports=[]), IndexError),
+    (
+        "class_weighted_avg no class reports",
+        "RoundReport requires one class report per client",
+        lambda _: class_weighted_avg(SimpleNamespace(params=[_PARAMS], class_reports=[])),
+        IndexError,
+    ),
+    (
+        "class_weighted_avg no reporting client",
+        "the runner fires a round only in a tick where some client trained",
+        lambda _: class_weighted_avg(RoundReport(params=[_PARAMS, _PARAMS], class_reports=[set(), set()])),
+        IndexError,
+    ),
     ("fedavg no clients", "config clients >= 1", lambda _: fedavg([]), IndexError),
     (
         "loss_and_grad empty batch",

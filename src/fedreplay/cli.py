@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .memory import dump_csv
-from .runner import check_output_dir, emit_report, run_experiment
+from .runner import check_output_dir, emit_report, remove_stale, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,6 +65,7 @@ def main(argv=None) -> int:
                 target.mkdir(parents=True, exist_ok=True)
                 for k, buffer in enumerate(result.buffers):
                     dump_csv(buffer, target / f"memory_{k}.csv")
+                remove_stale(target, "memory", len(result.buffers))
                 total = sum(map(len, result.buffers))
                 print(f"dumped {len(result.buffers)} memory snapshots to {target} (total stored: {total})")
                 continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 from .federation import AGGREGATIONS
 from .memory import POLICIES, SCORED_POLICIES
-from .stream import ASSIGNMENT_MODES, DATASET_FORMATS
+from .stream import ASSIGNMENT_MODES, DATASET_FORMATS, parse_ascii
 from .uncertainty import METRICS, PERTURBATION_KINDS
 
 DATA_SOURCES = ("synthetic", "file")
@@ -37,14 +37,14 @@ class ConfigError(Exception):
 
 def _parse_int(raw: str, name: str) -> int:
     try:
-        return int(raw)
+        return parse_ascii(raw, int)
     except ValueError:
         raise ConfigError(f"invalid value for {name}: {raw!r} is not an integer") from None
 
 
 def _parse_float(raw: str, name: str) -> float:
     try:
-        return float(raw)
+        return parse_ascii(raw, float)
     except ValueError:
         raise ConfigError(f"invalid value for {name}: {raw!r} is not a number") from None
 
@@ -60,7 +60,7 @@ def _parse_bool(raw: str, name: str) -> bool:
 
 def _parse_int_list(raw: str, name: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+        return tuple(parse_ascii(part.strip(), int) for part in raw.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"invalid value for {name}: {raw!r} is not a comma-separated int list") from None
 

@@ -1,30 +1,19 @@
-"""Exactly rounded reductions over arrays.
+"""Exactly rounded column sums, for the client and class means of ``federation``.
 
-Column sums that must not depend on the order of their terms (gradient
-sums over a batch, client and class averages) go through here, so the
-summation algorithm lives in one place.
+Those means must not depend on client or class order, and ``class_weighted``
+over identical class reports must equal ``fedavg`` bit for bit, so they are
+exactly rounded. (``model`` sums the training gradient in a canonical row
+order instead, which is order-free but not exactly rounded.)
 
-``fsum_columns`` returns, column for column, the bits of ``math.fsum``:
-the sum rounded once, to nearest with ties to even, and ``+0.0`` for an
-exact zero. It takes an array path built on TwoSum, the error-free
-transformation that ``math.fsum`` also rests on (Shewchuk 1997; Rump,
-Ogita and Oishi 2008):
-
-- The rows are added pairwise in a tree of TwoSums over all columns at
-  once. Every node turns a, b into s = fl(a + b) and e = (a + b) - s
-  exactly, so the column sum equals the root s plus the n - 1 errors.
-- The errors are added by the same tree, giving their rounded sum t and
-  n - 2 second-order errors e2. The exact sum is s + t + sum(e2).
-- A column keeps r = fl(s + t) when every e2 is zero: then s + t is the
-  exact sum and one addition rounds it correctly.
-- The path runs only on columns whose n entries are at most 2**1000 / n
-  in magnitude, where no partial sum can overflow, neither here nor in
-  ``math.fsum``.
-
-Every other column goes to ``math.fsum``: those with a nonzero e2, and
-those with inf, NaN or larger entries (so ``OverflowError`` on an
-intermediate overflow, ``ValueError`` on inf - inf and NaN results are
-``math.fsum``'s own).
+``fsum_columns`` returns, column for column, the bits of ``math.fsum``. Its
+array path rests on TwoSum, as ``math.fsum`` does (Shewchuk 1997; Rump,
+Ogita and Oishi 2008): a pairwise tree of TwoSums over all columns at once
+gives each column's rounded sum s and its n - 1 exact errors; the same tree
+over the errors gives their sum t and n - 2 second-order errors. A column
+keeps fl(s + t) when those are all zero, as s + t is then its exact sum, and
+when its n entries are at most 2**1000 / n in magnitude, so nothing
+overflows. Every other column goes to ``math.fsum``, whose ``OverflowError``
+and ``ValueError`` (inf - inf) it keeps.
 """
 
 from __future__ import annotations
@@ -74,11 +63,8 @@ def fsum_columns(x: np.ndarray) -> np.ndarray:
         return np.zeros(m)
 
     safe = np.abs(x).max(axis=0) <= _SAFE_COLUMN_TOTAL / n  # False for inf and NaN
-    # One block for the rows and the scratch: as separate arrays they were
-    # handed back to the OS and faulted in afresh on every call.
-    work = np.empty((n + 2 * (n // 2), m))
-    w, tmp = work[:n], work[n:]
-    np.copyto(w, x if safe.all() else np.where(safe, x, 0.0))
+    w = np.where(safe, x, 0.0)  # a copy, added up in place
+    tmp = np.empty((2 * (n // 2), m))
     _two_sum_tree(w, tmp)  # w[-1] = s, w[:-1] = errors
     _two_sum_tree(w[:-1], tmp)  # w[-2] = t, w[:-2] = second-order errors
     s, t, e2 = w[-1], (w[-2] if n > 1 else 0.0), w[:-2]

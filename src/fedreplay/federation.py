@@ -11,9 +11,9 @@ These functions hold no round state: the runner owns the global
 parameters and the round log, and its ``broadcast`` hands each client a
 copy of the smoothed vector.
 
-Coordinate sums go through ``exact.fsum_columns`` and are exactly rounded,
-so both averages are invariant to client order (and class order) bit for
-bit, and identical class reports collapse exactly to the plain average.
+Coordinate sums go through ``exact.fsum_columns`` and are exactly rounded (the
+training gradient's are not), so both averages are invariant to client order
+(and class order) bit for bit, and identical class reports collapse exactly.
 """
 
 from __future__ import annotations

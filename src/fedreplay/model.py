@@ -2,17 +2,19 @@
 
 The network is a plain MLP (ReLU hidden layers, linear output head) whose
 weights live in one flat array with an explicit layout, so exchanging
-parameters between clients and server is an array copy. The batch loss is
-summed by ``math.fsum`` and the gradient by ``exact.fsum_columns``, both
-exactly rounded, which makes them bit-identical under any reordering or
-duplication of the batch samples.
+parameters between clients and server is an array copy.
 
-Per-row work is stacked but stays per-row exact: a (P, d) block is run as
-P vector-matrix products (``x[:, None, :] @ w``, one BLAS gemv per row),
-and the backward pass stacks matrix-vector products and forms outer
-products by broadcasting. Each row therefore gets the same bits as when it
-is computed alone. One routine computes every activation, so scoring,
-training and evaluation all take their logits from the same per-row path.
+Forward passes are stacked but stay per-row exact: a (P, d) block is run as
+P vector-matrix products (``x[:, None, :] @ w``, one BLAS gemv per row), so
+each row gets the same bits as when it is computed alone. One routine
+computes every activation, so scoring, training and evaluation all take
+their logits from the same per-row path.
+
+``loss_and_grad`` first sorts the batch's rows by their bytes, so any order
+of the same rows gives the same bits. The loss is summed by ``math.fsum``;
+the gradient sums over the sorted rows with one matrix product per layer
+(BLAS gemm), so it is not exactly rounded, and a batch of every row twice
+can differ from the batch in the last bits.
 
 A ``ParameterVector`` is frozen, and its per-layer (weight, bias) views
 are built on first use and cached with it. Every optimizer step and every
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .exact import fsum_columns
 
 # ((shape, offset), ...) alternating weight matrices and bias vectors.
 Layout = tuple[tuple[tuple[int, ...], int], ...]
@@ -148,10 +148,8 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     """Mean cross-entropy and its gradient over ``batch``.
 
     ``batch`` needs ``features`` (n, input_dim) and integer ``labels`` (n,).
-    Every sample's forward and backward pass is a stack of per-sample
-    mat-vec products, so its contribution does not depend on the others;
-    contributions are reduced with exactly rounded summation so the result
-    does not depend on sample order.
+    The rows are put in one canonical order first, so the result does not
+    depend on the order they came in (equal rows are interchangeable).
     """
     feats = np.ascontiguousarray(batch.features, dtype=np.float64)
     labels = np.asarray(batch.labels)
@@ -160,11 +158,15 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
         raise ValueError(f"expected features of shape ({n}, {config.input_dim}), got {feats.shape}")
     if labels.min() < 0 or labels.max() >= config.num_classes:
         raise ValueError(f"labels must lie in [0, {config.num_classes})")
+    # Sort by the bytes of each row's (features, label): a void view compares them as strings.
+    keys = np.column_stack((feats, labels.astype(np.int64).view(np.float64)))
+    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1] * 8)))[:, 0])
+    feats, labels = feats[order], labels[order]
 
     layers = params.layer_views
     # (n, 1, k) activations: each sample is its own (1, k) @ (k, k') gemv.
-    *acts, logits = _activations(layers, feats[:, None, :])
-    logits = logits[:, 0, :]
+    acts = [a[:, 0, :] for a in _activations(layers, feats[:, None, :])]
+    logits = acts.pop()
 
     rows = np.arange(n)
     m = logits.max(axis=1)
@@ -177,20 +179,17 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     dz = ex / se[:, None]
     dz[rows, labels] -= 1.0
 
-    contribs = np.empty((n, params.values.size))
+    grad = np.empty(params.values.size)
     for li in range(len(layers) - 1, -1, -1):
         (w_shape, w_off), (_, b_off) = params.layout[2 * li], params.layout[2 * li + 1]
-        # Outer products by broadcasting, written straight into the rows.
-        dw = contribs[:, w_off : w_off + w_shape[0] * w_shape[1]].reshape(n, *w_shape)
-        np.multiply(acts[li][:, 0, :, None], dz[:, None, :], out=dw)
-        contribs[:, b_off : b_off + w_shape[1]] = dz
+        dw = grad[w_off : w_off + w_shape[0] * w_shape[1]].reshape(w_shape)
+        np.matmul(acts[li].T, dz, out=dw)
+        np.add.reduce(dz, axis=0, out=grad[b_off : b_off + w_shape[1]])
         if li:
-            upstream = (layers[li][0] @ dz[:, :, None])[:, :, 0]
             # ReLU' from the output: relu(z) > 0 exactly where z > 0, NaN included.
-            dz = upstream * (acts[li][:, 0, :] > 0.0)
+            dz = (dz @ layers[li][0].T) * (acts[li] > 0.0)
 
     loss = math.fsum(losses.tolist()) / n
-    grad = fsum_columns(contribs)
     grad /= n
     return loss, grad
 

@@ -87,7 +87,7 @@ class _ClientWorker:
         """Consume batch ``bn`` of the task; False once the task is exhausted.
 
         Raises ``RuntimeError`` naming the client, task and ``bn`` when training
-        diverges: a non-finite loss or update, an exact sum that overflows, or
+        diverges: a non-finite loss or update, a loss sum that overflows, or
         non-finite logits met in scoring (a stored sample's fresh score is
         computed, so can fail, at an offer that compares its class). Those
         checks name the failure, so numpy's overflow and invalid-value
@@ -317,8 +317,14 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def remove_stale(out: Path, prefix: str, count: int) -> None:
+    """Remove the ``<prefix>_*.csv`` files in ``out`` that a run of ``count`` clients did not write."""
+    for path in set(out.glob(f"{prefix}_*.csv")) - {out / f"{prefix}_{k}.csv" for k in range(count)}:
+        path.unlink()
+
+
 def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
-    """Write summary.json, per_client.csv, acc_matrix_<k>.csv and rounds.log.
+    """Write summary.json, per_client.csv, acc_matrix_<k>.csv and rounds.log; remove any other acc_matrix_*.csv.
 
     Each file appears whole or not at all: it is written to a temp file in
     ``out_dir`` and renamed into place.
@@ -345,5 +351,6 @@ def emit_report(result: RunResult, out_dir, force: bool = False) -> None:
         for t, row in enumerate(matrix, start=1):
             rows.extend(f"{t},{i},{acc!r}" for i, acc in enumerate(row[:t], start=1))
         _write_atomic(out / f"acc_matrix_{k}.csv", "\n".join(rows) + "\n")
+    remove_stale(out, "acc_matrix", len(result.accuracy))
 
     _write_atomic(out / "rounds.log", "\n".join(result.round_log) + ("\n" if result.round_log else ""))

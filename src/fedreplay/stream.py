@@ -161,6 +161,13 @@ def load_vector_dataset(path, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     return _load_bin(path)
 
 
+def parse_ascii(text: str, kind):
+    """``kind(text)`` for ``kind`` ``int`` or ``float``, refusing the ``_`` separators and non-ASCII digits they accept."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII {kind.__name__}")
+    return kind(text)
+
+
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     rows = []
     labels = []
@@ -171,8 +178,8 @@ def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             fields = line.split(",")
             try:
-                label = int(fields[0])
-                features = [float(f) for f in fields[1:]]
+                label = parse_ascii(fields[0], int)
+                features = [parse_ascii(f, float) for f in fields[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row {lineno}: {exc}") from None
             if not -(2**63) <= label < 2**63:

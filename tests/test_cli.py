@@ -73,6 +73,19 @@ class TestStdout:
         assert stored > 0
         assert capsys.readouterr().out == f"dumped 2 memory snapshots to {out} (total stored: {stored})\n"
 
+    @pytest.mark.parametrize("command,prefix", [("run", "acc_matrix"), ("dump-memory", "memory")])
+    def test_force_removes_an_earlier_runs_client_files(self, tmp_path, capsys, command, prefix):
+        """A 2-client rerun under ``--force`` over a 3-client output leaves no third client's file, and only those go."""
+        out = tmp_path / "out"
+        config = _write(tmp_path / "c3.ini", _ini(clients=3))
+        assert cli_main([command, str(config), "--out", str(out)]) == 0
+        assert (out / f"{prefix}_2.csv").exists()
+        (out / "notes.txt").write_text("kept")
+        config = _write(tmp_path / "c2.ini", _ini(clients=2))
+        assert cli_main([command, str(config), "--out", str(out), "--force"]) == 0
+        assert sorted(p.name for p in out.glob(f"{prefix}_*.csv")) == [f"{prefix}_0.csv", f"{prefix}_1.csv"]
+        assert (out / "notes.txt").read_text() == "kept"
+
     def test_help_names_every_command(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             cli_main(["--help"])
@@ -124,6 +137,21 @@ class TestConfigErrors:
         config = _write(tmp_path / "exp.ini", _ini(clients=5, classes=2, samples_per_class=3, tasks=2))
         err = "config error: invalid value for clients: task 1 has only 2 training examples\n"
         self._refused(tmp_path, capsys, ["run", str(config)], err)
+
+    @pytest.mark.parametrize(
+        "field,value,err",
+        [
+            ("clients", "1_0", "clients: '1_0' is not an integer"),
+            ("learning_rate", "0.1_5", "learning_rate: '0.1_5' is not a number"),
+            ("seed", "\u0663", "seed: '\u0663' is not an integer"),
+            ("hidden_dims", "6_4", "hidden: '6_4' is not a comma-separated int list"),
+        ],
+    )
+    def test_number_with_separator_or_non_ascii_digit(self, tmp_path, capsys, field, value, err):
+        """Python's ``int`` and ``float`` read ``1_0`` as 10 and Arabic-Indic digits as digits; a config refuses both."""
+        config = tmp_path / "exp.ini"
+        config.write_text(_ini(**{field: value}), encoding="utf-8")
+        self._refused(tmp_path, capsys, ["run", str(config)], f"config error: invalid value for {err}\n")
 
     @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n\n[data]\nclasses = 6\n"])
     def test_default_section_rejected(self, tmp_path, capsys, text):

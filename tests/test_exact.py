@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedreplay.exact
-import fedreplay.model
+import fedreplay.federation
 from fedreplay.config import ExperimentConfig
 from fedreplay.exact import fsum_columns
 from fedreplay.runner import run_experiment
@@ -236,32 +236,33 @@ def test_special_columns_match_fsum(column, width):
     _assert_same_as_fsum(x)
 
 
-def test_gradient_columns_rarely_fall_back_to_fsum(monkeypatch):
-    """Real gradient contributions pass the gate: a gate that silently sends
+def test_federation_means_rarely_fall_back_to_fsum(monkeypatch):
+    """Real client and class means pass the gate: a gate that silently sends
     every column to ``math.fsum`` keeps the bits and loses the speed."""
-    contributions = []
+    stacks = []
 
     def capture(x):
-        contributions.append(x.copy())
+        stacks.append(x.copy())
         return fsum_columns(x)
 
-    monkeypatch.setattr(fedreplay.model, "fsum_columns", capture)
-    # The bottom_k_bi case of test_golden: 4 -> 8 -> 6, so 94 parameter columns.
+    monkeypatch.setattr(fedreplay.federation, "fsum_columns", capture)
+    # The class_weighted case of test_golden with four clients: 4 -> 8 -> 6, so 94 parameter columns.
     run_experiment(
         ExperimentConfig(
-            clients=2, tasks=3, batch_size=3, test_split=0.2, seed=0, classes=6, samples_per_class=30,
+            clients=4, tasks=3, batch_size=3, test_split=0.2, seed=0, classes=6, samples_per_class=30,
             dim=4, center_spread=2.0, cluster_sigma=1.0, memory_capacity=16, memory_policy="bottom_k",
             uncertainty_metric="bi", perturbation_count=3, burn_in=1, q=2, hidden_dims=(8,), learning_rate=0.5,
+            aggregation="class_weighted",
         )
     )
     calls = []
     counting = SimpleNamespace(fsum=lambda col: calls.append(None) or math.fsum(col))
     monkeypatch.setattr(fedreplay.exact, "math", counting)
     columns = 0
-    for x in contributions:
+    for x in stacks:
         fsum_columns(x)
         columns += x.shape[1]
-    assert columns > 0 and len(calls) < 0.1 * columns
+    assert max(len(x) for x in stacks) > 2 and len(calls) < 0.1 * columns
 
 
 def test_nonzero_second_order_errors_go_to_fsum(monkeypatch):

@@ -69,43 +69,43 @@ FILES = (
 GOLDEN = {
     "adam_reset": {
         "summary.json": "bb1e847fa931207b5126d96a4925d872e7361fc60a880132819bd9e72c6dd579",
-        "rounds.log": "cb59c8c496f8d5187f84e5bd84a8151a719f03b029fc89598688f3f0cbf96546",
+        "rounds.log": "d385149d2857bdbba0a5db982b74c864800606fb5e8e1920514c2990fb673d4a",
         "per_client.csv": "f962d9eec84de1aa3f1d78c663ade9a38938e00a2d52a2429380d4b443991525",
         "acc_matrix_0.csv": "b1087400f4460d9a2a81bd9232f73009c58cffd2ed21b5d5d8245374066bcc70",
         "acc_matrix_1.csv": "b1087400f4460d9a2a81bd9232f73009c58cffd2ed21b5d5d8245374066bcc70",
-        "memory_0.csv": "669da52aa704a83f611cc0a4cf15ca630b641c2e7a563023adff8d00575d8ef1",
-        "memory_1.csv": "4b9bb3fc23949739ad10b87c3c23845d235e238294845ce8946793c8ef0ec319",
+        "memory_0.csv": "4a8b2ba59bf20335371d0bb11803fd51c47cdc5101be10c604777ea6cd568488",
+        "memory_1.csv": "e24d2c35382599a64c2bf2443af8e07a1cce3fb52156f440d869f5d2698c560e",
     },
     "bottom_k_bi": {
         "summary.json": "a582f4df30aab8b36aaf2a4d79cb6570550dde7c0e5adeef1ab32e6d6eadc921",
-        "rounds.log": "3e91c22c4000ae753b6fcf843347f2d238e2a356605d1c865c9b54bb4d1f8178",
+        "rounds.log": "36d98eb9dcdb84e48c4899cdfd1ccd543e2ecbe0e74feaa15abc4c114bcb685a",
         "per_client.csv": "4cad5b3a2599bce55303b551ffab5afe9c17135dc68395b36362c641072cf800",
         "acc_matrix_0.csv": "d8ad987418cd025f3895fbebd483a454c7fc4ce5e5ef236c9fcbcc981bcf7979",
         "acc_matrix_1.csv": "d8ad987418cd025f3895fbebd483a454c7fc4ce5e5ef236c9fcbcc981bcf7979",
-        "memory_0.csv": "c6b14b1bb96d425dd738d17a96deacf1d860aa141e5b6050634a3b9da0e12a1d",
-        "memory_1.csv": "c875ae3cf5848c7f50b9d4d957458f586e270cbe638bd17b32fcf7518c1d23de",
+        "memory_0.csv": "75a296d02d47c5e66ea6be3d061a42893e9933746fb117e9964e338cf6f087a2",
+        "memory_1.csv": "0db723848a343a417359979fc3a3d707164ff391655e39da4b7889a3aa1a9d1c",
     },
     "bottom_k_en_mask": {
         "summary.json": "356b97ca2e5193d651429f6762e80754e3eb543f35f40aa74bea47874af2f868",
-        "rounds.log": "a90f9fc443d875bc11a89c32422c82947db4de32ac0dd4889908b52cf059b037",
+        "rounds.log": "e2a851aceda8f730f7fb72fae99f57e0420b6d79253394bf8cb136eae1a161df",
         "per_client.csv": "83ad1aa5d7ffde8d8f6cd43689ec9edf478e4f9cf593fc50452292180743968b",
         "acc_matrix_0.csv": "0ca5f0882be2ac889ec3e56263ebbfc802b506ddbbf5992d7d2ddb4f66005377",
         "acc_matrix_1.csv": "0ca5f0882be2ac889ec3e56263ebbfc802b506ddbbf5992d7d2ddb4f66005377",
-        "memory_0.csv": "9c3964ff9915bb4dfa0c46c80834855647d12838781b45127ad3d171411548c6",
-        "memory_1.csv": "9207d91c0ba2a3f951f7e42738be30a21091fe23961d4985952d8134701fbb16",
+        "memory_0.csv": "5f154a33d6fb14a4789edfe40e98925b6302fefc21dd63983a6799845afbd50b",
+        "memory_1.csv": "74f90734a9c029b18ead2b6fe7e43854b619122a47dd5d1af1d52da75c4da220",
     },
     "bottom_k_lc": {
         "summary.json": "4e2fc5558f916fe0beaba3587e25d3cdddf18116a84b5ab4d1c33250539bda75",
-        "rounds.log": "34bec4717eda73ded89d05fe6e304f692bef3a0a8aea94a01256653507f74d6d",
+        "rounds.log": "4aac411d71a2551947b923dfbd758b89e38de76d7ab8baa6d2eb5a014b584864",
         "per_client.csv": "50b712749523b56954729702f80114176e7e512ddd5d668507092cdd264111f4",
         "acc_matrix_0.csv": "e96a17a3938d219a1e5e35d0ed7e57c1522af0c31e2958ce79f839f47b703c48",
         "acc_matrix_1.csv": "e96a17a3938d219a1e5e35d0ed7e57c1522af0c31e2958ce79f839f47b703c48",
-        "memory_0.csv": "e6bc2116b5134228afb8864cad93204916daeb866d319f2592e9f51261d4937a",
-        "memory_1.csv": "0925720db59fa8a320fe4e89302a340359a3ac015487f81212aa79187e1b4704",
+        "memory_0.csv": "917d2266b09f9d8abf3c9f4e4c30e9e26447532bb0be33e21bfe53f311c9f8cc",
+        "memory_1.csv": "22d3e3b358dc2cc30b4c965172cd5713db8d55e37dc457fa2560b92084d502df",
     },
     "class_balanced_random": {
         "summary.json": "a352ce5ae0ef87321c84eefaef9e2224c910f166ffa688f0a64c88d394fd2235",
-        "rounds.log": "52d2fa2161574a36e1526ba3c9bdb1f3f0e6fa12d23033f035d207663ea6d6b8",
+        "rounds.log": "71e6cf9a3d1ea8f60a2e7f2e3a072474207585b3f62f0035385c6ec4ff952395",
         "per_client.csv": "6836fe2ee95c20d19d860b42a1ccde379a7a7267360c3f82fa8184cbc12f8af5",
         "acc_matrix_0.csv": "337eb4ad49bf12dff86f99c7ebc10e5974f6f2c51850af7ad2becb248a9b48cd",
         "acc_matrix_1.csv": "337eb4ad49bf12dff86f99c7ebc10e5974f6f2c51850af7ad2becb248a9b48cd",
@@ -114,16 +114,16 @@ GOLDEN = {
     },
     "class_weighted": {
         "summary.json": "b7c60da5a5150918e097238a45ac5fb44d9e1be5caf0ff0721b293168f3644bc",
-        "rounds.log": "25ab3cb4fe70571f4d88771fb1cbbd9c105290fdc9b092527bfc6dee1119de96",
+        "rounds.log": "c442a1af0b8304a36f570b0244f332c28708bcf7e5541f974a48a0d1ddb9e649",
         "per_client.csv": "036314256375c20bee81b068c1756b9b47972f0ba9565772010f26fcfd5001f8",
         "acc_matrix_0.csv": "870f1f1a44aa2e825d62125a14b948bbb74839400839777b934ff461bd9d43be",
         "acc_matrix_1.csv": "870f1f1a44aa2e825d62125a14b948bbb74839400839777b934ff461bd9d43be",
-        "memory_0.csv": "a8571be2f922436007116512236d6a47aed1990d506a398e7542f356db680b5a",
-        "memory_1.csv": "c15480b17c576e64c597d747898d4e1885b42468e180ef0f75baf004faf1da33",
+        "memory_0.csv": "3985284d2f1482e9a96a8f7604ecad9f7eff77a4b316232ecfbaf77b4d1b6769",
+        "memory_1.csv": "2c5c67b46f6f4d36314108f91b2d4f0dc35631cdf162deef15341f484f8a97d2",
     },
     "random": {
         "summary.json": "c700f2ca7040846041a60454fbd1c482c2af60e6b6b022d7b942aec12bb06976",
-        "rounds.log": "6355651c9db5a7e0270a670225a948d270e693bc7776e7a18b1836231782f2c5",
+        "rounds.log": "f9739a3fdf385f775f6ebbc005ec179a75f6a20325d003ca693369fee2475675",
         "per_client.csv": "14a9ed129e5a3dea181851b55bdd9474f226d8128e0dcefd00e6313efa4e165c",
         "acc_matrix_0.csv": "45ed4bd8833c178b19073d4a7b6939740fa008d3864c49d350a8be7a470b8268",
         "acc_matrix_1.csv": "45ed4bd8833c178b19073d4a7b6939740fa008d3864c49d350a8be7a470b8268",
@@ -132,30 +132,30 @@ GOLDEN = {
     },
     "top_k_lc_mask": {
         "summary.json": "7c29119b7bc838db9cf9300e13a0b3cbb34786fcdfbaf843206dfab59ba6f11b",
-        "rounds.log": "57f498ef3d30fcab81c074eece432b731c7cc8f943ec72252fd69e62c1fee046",
+        "rounds.log": "cb409e6147bcd388d5ed36d6a49db17d709fe0843583cb7a4882e993e44b3128",
         "per_client.csv": "301b528028108bb367c4bb7929a5f3c99e226c50bbcac847044063410db49dbd",
         "acc_matrix_0.csv": "ac9285cf675aeb3c36ee02a81f706bd68db948c6d501fe7ba05896a5939a538c",
         "acc_matrix_1.csv": "ac9285cf675aeb3c36ee02a81f706bd68db948c6d501fe7ba05896a5939a538c",
-        "memory_0.csv": "75fd67be38d176d439c04d0475dc7a69238f8d43572521bddc519e419103869f",
-        "memory_1.csv": "5ed9cd1c39838c984386b4ec910dbaf3d892ce785faebbfb8e8f8980cb7615e3",
+        "memory_0.csv": "51cae872498ac7cb6021bfb1a1f2e7d3a18a2dbe4e15ab1c405a88d19b4e5ea5",
+        "memory_1.csv": "06702cfa7a0fc88492329d142c5a6d763fe399071d14ae251d229542572ba123",
     },
     "top_k_rc": {
         "summary.json": "f0a1922a982506a0860a95c01f496b04bc3d093cc2280a03409905659ea612fb",
-        "rounds.log": "6cabecc1bc435fba1b8316c34722389b8f54f431eb1343a4578b493a566bbe64",
+        "rounds.log": "a7c8f901da184477fb2370b833557502cb7fd5bd5ec1572ce70b40ca6644cf71",
         "per_client.csv": "1cebd944e8abcf5b372c3bdb1d57156981e815c02bc07a29284f54e374b950bb",
         "acc_matrix_0.csv": "a6c7305b25a3256a7cdcec3fa6dc774c376361a2e9953191ebccd8460eefe2c0",
         "acc_matrix_1.csv": "a6c7305b25a3256a7cdcec3fa6dc774c376361a2e9953191ebccd8460eefe2c0",
-        "memory_0.csv": "6ef534b11dc137c6f3d96d3df4f48a3b9db79713a0ad55561c9f6b339da9309f",
-        "memory_1.csv": "deca8e77364a7f278e1ef0214b3ad1ec996a5d4aecd04d20a2d597ac546956ed",
+        "memory_0.csv": "0c966e922adebef04aaa40082725ad5ee0318c35c85a04d7887bec44837a8822",
+        "memory_1.csv": "82396924a46f2b3e6a3428b93afff64c8ddd3b2b1b91b36116113927f04ac8b0",
     },
     "two_hidden_bi": {
         "summary.json": "3f79f14ca4dc67b2b61a8d85eb397cc125c0b4cfa1d96be2a9b0462ca0eab5fe",
-        "rounds.log": "2f638066c36b1037b87db5141041d35db9ad7ac97f505eeeddba4db7617474d7",
+        "rounds.log": "46c8bd00d770e38b1ea7548d69dc17b91b87a5ea9623684dd7982b44ea4b1b51",
         "per_client.csv": "cec71fb1c1001bd208761e7e7b067438d4c329bca89b7ff60b720c3771d4edc8",
         "acc_matrix_0.csv": "48c88d0119b821d6c3cefddf638ebf7fb9474d9f5be1a60c2de3bd708193b3ad",
         "acc_matrix_1.csv": "48c88d0119b821d6c3cefddf638ebf7fb9474d9f5be1a60c2de3bd708193b3ad",
-        "memory_0.csv": "1e314d613dee2464be20563a6af2da5f2d601054d4194548c8cde8bcc38b586c",
-        "memory_1.csv": "0e3ddf7a3be7edb192a482d2a107f101a843884358258f752d2afaf0b1955c83",
+        "memory_0.csv": "e7f5db5a46042c0918fb3e9625b3cdd8b697940f49dc23c86605f78e1c1680e1",
+        "memory_1.csv": "18bf08f4fd58ccd0dfb35a5f9c9c2941d59c93a40171a07596ffa2fff16812a2",
     },
 }
 

@@ -376,6 +376,16 @@ class TestCli:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_csv_number_with_separator_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0,1.0\n1_0,4_0.5\n0,3.0\n")
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {data}: malformed row 2: '1_0' is not an ASCII int\n"
+        assert not (tmp_path / "out").exists()
+
     def test_file_data_with_fewer_classes_than_tasks(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         write_csv(data, np.random.default_rng(0).normal(size=(40, 4)), np.repeat([0, 1], 20))
@@ -564,10 +574,10 @@ class TestDivergence:
         assert "client 0 diverged on task 1 at bn=1: updated parameters are not all finite" in err
 
     def test_exact_sum_overflow(self, tmp_path, capsys, monkeypatch):
-        import fedreplay.model
+        import fedreplay.exact
 
         def overflowing(params, config, batch):
-            return fedreplay.model.fsum_columns(np.array([[1e308], [1e308], [-1e308]]))
+            return fedreplay.exact.fsum_columns(np.array([[1e308], [1e308], [-1e308]]))
 
         monkeypatch.setattr("fedreplay.runner.loss_and_grad", overflowing)
         err = self._run(tmp_path, capsys, _config_text())

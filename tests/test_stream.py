@@ -1,5 +1,6 @@
 """Streams: task assignment, client partitioning, iteration, dataset I/O."""
 
+import re
 import struct
 
 import numpy as np
@@ -219,6 +220,18 @@ class TestDatasetIO:
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0,2.0\n1,oops,2.0\n")
         with pytest.raises(ValueError, match="row 2"):
+            load_vector_dataset(path, "csv")
+
+    @pytest.mark.parametrize(
+        "row,refused",
+        [("1_0,4.5", "'1_0' is not an ASCII int"), ("1,4_0.5", "'4_0.5' is not an ASCII float"),
+         ("\u0663,1.0", "'\u0663' is not an ASCII int"), ("1,\u0661.5", "'\u0661.5' is not an ASCII float")],
+    )
+    def test_csv_refuses_separators_and_non_ascii_digits(self, tmp_path, row, refused):
+        """Python's ``int`` and ``float`` read ``1_0`` as 10 and Arabic-Indic digits as digits; the loader refuses both."""
+        path = tmp_path / "u.csv"
+        path.write_text(f"0,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed row 2: {refused}')}$"):
             load_vector_dataset(path, "csv")
 
     @pytest.mark.parametrize("label", [2**63, -(2**63) - 1, 10**23])

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, _parse_int, parse_config
 from .memory import dump_csv
 from .runner import check_output_dir, emit_report, remove_stale, run_experiment
 
@@ -25,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = "run: one config; grid: each config in a directory; dump-memory: run one config, dump its memory buffers"
     parser.add_argument("command", choices=("run", "grid", "dump-memory"), help=commands)
     parser.add_argument("path", help="experiment config file (grid: directory of .ini config files)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory (grid: one subdir per config)")
     parser.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     return parser
@@ -56,8 +56,9 @@ def main(argv=None) -> int:
     try:
         if args.out == "":
             raise ConfigError("invalid value for output_dir: must not be empty")
+        seed = None if args.seed is None else _parse_int(args.seed, "seed")
         for stem, path, out in _runs(args):
-            config = parse_config(path, seed=args.seed)
+            config = parse_config(path, seed=seed)
             out = config.output_dir if out is None else out
             target = check_output_dir(out, args.force)
             result = run_experiment(config)

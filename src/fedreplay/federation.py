@@ -11,9 +11,10 @@ These functions hold no round state: the runner owns the global
 parameters and the round log, and its ``broadcast`` hands each client a
 copy of the smoothed vector.
 
-Coordinate sums go through ``exact.fsum_columns`` and are exactly rounded (the
-training gradient's are not), so both averages are invariant to client order
-(and class order) bit for bit, and identical class reports collapse exactly.
+Each mean adds every coordinate's values in ascending order, as the training
+gradient adds its rows in one canonical order, so both averages are invariant
+to client order (and class order) bit for bit, and identical class reports
+collapse exactly. The sums are not exactly rounded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import fsum_columns
 from .model import ParameterVector
 
 AGGREGATIONS = ("fedavg", "class_weighted")
@@ -53,8 +53,11 @@ def should_communicate(bn: int, burn_in: int, q: int) -> bool:
     return bn > burn_in and bn % q == 0
 
 
-def _exact_mean(vectors: list[np.ndarray]) -> np.ndarray:
-    out = fsum_columns(np.stack(vectors))
+def _sorted_mean(vectors: list[np.ndarray]) -> np.ndarray:
+    """Coordinate mean of ``vectors``, each coordinate's values added in ascending order."""
+    stack = np.stack(vectors)
+    stack.sort(axis=0)
+    out = np.add.reduce(stack, axis=0)
     out /= len(vectors)
     return out
 
@@ -62,7 +65,7 @@ def _exact_mean(vectors: list[np.ndarray]) -> np.ndarray:
 def fedavg(params: list[ParameterVector]) -> ParameterVector:
     """Coordinate-wise mean of the client parameter vectors."""
     _check_layouts(params)
-    return ParameterVector(_exact_mean([p.values for p in params]), params[0].layout)
+    return ParameterVector(_sorted_mean([p.values for p in params]), params[0].layout)
 
 
 def class_weighted_avg(report: RoundReport) -> ParameterVector:
@@ -71,8 +74,9 @@ def class_weighted_avg(report: RoundReport) -> ParameterVector:
     Clients that report no classes are excluded; at least one client must
     report a class, as every client that trained since the last round does.
     Identical (non-empty) reports make every per-class model coincide, so
-    that case returns the shared client mean directly, which is also what
-    makes the reduction to the plain average exact.
+    that case returns the shared client mean directly: the reduction to the
+    plain average holds bit for bit, although a mean of equal sorted-order
+    sums need not give back their bits.
     """
     active = [(p, s) for p, s in zip(report.params, report.class_reports) if s]
     first = active[0][1]
@@ -80,9 +84,9 @@ def class_weighted_avg(report: RoundReport) -> ParameterVector:
         return fedavg([p for p, _ in active])
     classes = sorted(set().union(*(s for _, s in active)))
     class_models = [
-        _exact_mean([p.values for p, s in active if c in s]) for c in classes
+        _sorted_mean([p.values for p, s in active if c in s]) for c in classes
     ]
-    return ParameterVector(_exact_mean(class_models), report.params[0].layout)
+    return ParameterVector(_sorted_mean(class_models), report.params[0].layout)
 
 
 def temporal_smooth(theta_new: ParameterVector, theta_prev: ParameterVector | None) -> ParameterVector:

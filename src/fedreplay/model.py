@@ -11,10 +11,10 @@ computes every activation, so scoring, training and evaluation all take
 their logits from the same per-row path.
 
 ``loss_and_grad`` first sorts the batch's rows by their bytes, so any order
-of the same rows gives the same bits. The loss is summed by ``math.fsum``;
-the gradient sums over the sorted rows with one matrix product per layer
-(BLAS gemm), so it is not exactly rounded, and a batch of every row twice
-can differ from the batch in the last bits.
+of the same rows gives the same bits. The loss adds the sorted rows' losses
+in that order, and the gradient sums over the sorted rows with one matrix
+product per layer (BLAS gemm); neither is exactly rounded, and a batch of
+every row twice can differ from the batch in the last bits.
 
 A ``ParameterVector`` is frozen, and its per-layer (weight, bias) views
 are built on first use and cached with it. Every optimizer step and every
@@ -172,9 +172,7 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
     m = logits.max(axis=1)
     ex = np.exp(logits - m[:, None])
     se = ex.sum(axis=1)
-    # math.log per sample, as in scalar code: np.log need not round the same.
-    log_se = np.array([math.log(s) for s in se.tolist()])
-    losses = m + log_se - logits[rows, labels]
+    losses = m + np.log(se) - logits[rows, labels]
 
     dz = ex / se[:, None]
     dz[rows, labels] -= 1.0
@@ -189,7 +187,7 @@ def loss_and_grad(params: ParameterVector, config: ModelConfig, batch):
             # ReLU' from the output: relu(z) > 0 exactly where z > 0, NaN included.
             dz = (dz @ layers[li][0].T) * (acts[li] > 0.0)
 
-    loss = math.fsum(losses.tolist()) / n
+    loss = float(np.add.reduce(losses)) / n
     grad /= n
     return loss, grad
 

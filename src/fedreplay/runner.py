@@ -21,7 +21,8 @@ rest, and trains on its own loss alone, so ``theta_g`` reaches a client
 only through the broadcast. At every task boundary each client is
 evaluated on the held-out split of all tasks seen so far, into one
 (clients, T, T) accuracy array; non-finite held-out logits stop the run
-as divergence, as non-finite training values do.
+as divergence, as non-finite training values and a round's non-finite
+global parameters do.
 
 Randomness is fanned out from the master seed into named sub-streams, and
 clients tick in a fixed order, so reruns are bit-reproducible.
@@ -260,11 +261,17 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                     params=[w.params for w in workers],
                     class_reports=[set(w.observed) for w in workers],
                 )
-                if config.aggregation == "class_weighted":
-                    theta_new = class_weighted_avg(report)
-                else:
-                    theta_new = fedavg(report.params)
-                theta_g = temporal_smooth(theta_new, theta_g if round_log else None)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if config.aggregation == "class_weighted":
+                        theta_new = class_weighted_avg(report)
+                    else:
+                        theta_new = fedavg(report.params)
+                    theta_g = temporal_smooth(theta_new, theta_g if round_log else None)
+                if not np.all(np.isfinite(theta_g.values)):
+                    raise RuntimeError(
+                        f"round {len(round_log) + 1} diverged on task {spec.task_id} at bn={bn}: "
+                        "global parameters are not all finite"
+                    )
                 broadcast(theta_g, workers)
                 round_log.append(
                     f"round={len(round_log) + 1} task={spec.task_id} bn={bn} "

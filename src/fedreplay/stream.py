@@ -96,13 +96,16 @@ class ClientStream:
         self._task_batches: list[list[MiniBatch]] = []
         next_id = 0
         for task_id, rows in per_task:
+            # One gather per task: its batches are slices of these arrays.
+            x, y = features[rows], labels[rows]
             ids = np.arange(next_id, next_id + len(rows))
             next_id += len(rows)
-            batches = []
-            for i in range(0, len(rows), batch_size):
-                chunk = rows[i : i + batch_size]
-                batches.append(MiniBatch(features[chunk], labels[chunk], task_id, ids[i : i + batch_size]))
-            self._task_batches.append(batches)
+            self._task_batches.append(
+                [
+                    MiniBatch(x[i : i + batch_size], y[i : i + batch_size], task_id, ids[i : i + batch_size])
+                    for i in range(0, len(rows), batch_size)
+                ]
+            )
         self._counts = np.zeros(next_id, dtype=np.int64)
         self._task_idx = 0
         self._batch_idx = 0

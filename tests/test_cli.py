@@ -1,12 +1,17 @@
 """The command line: what each command prints, and that every command takes one path."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_golden import _BASE
 from test_stream import write_csv
 
+import fedreplay
 from fedreplay.cli import main as cli_main
 from fedreplay.config import _SCHEMA, ExperimentConfig, parse_config
 
@@ -86,6 +91,13 @@ class TestStdout:
         assert sorted(p.name for p in out.glob(f"{prefix}_*.csv")) == [f"{prefix}_0.csv", f"{prefix}_1.csv"]
         assert (out / "notes.txt").read_text() == "kept"
 
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_seed_option(self, tmp_path, capsys, command):
+        config = _write(tmp_path / "grid" / "exp.ini", _ini(seed=0))
+        path, summary = (config.parent, "out/exp/summary.json") if command == "grid" else (config, "out/summary.json")
+        assert cli_main([command, str(path), "--seed", "3", "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / summary).read_text())["seed"] == 3
+
     def test_help_names_every_command(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             cli_main(["--help"])
@@ -106,6 +118,25 @@ def test_grid_writes_the_bytes_of_run(tmp_path, capsys):
     grid_tree, run_tree = _tree(tmp_path / "g"), _tree(tmp_path / "r")
     assert len(grid_tree) == 2 * 5  # summary.json, per_client.csv, 2 accuracy matrices, rounds.log
     assert grid_tree == run_tree
+
+
+def test_run_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    """A 3-client run where rounds fire writes the same bytes on one and on two BLAS threads."""
+    config = _write(tmp_path / "exp.ini", _ini(clients=3))
+    src = str(Path(fedreplay.__file__).parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "fedreplay.cli", "run", str(config), "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        assert (out / "rounds.log").read_text().count("\n") > 0
+        trees.append(_tree(out))
+    assert sorted(trees[0]) == [
+        "acc_matrix_0.csv", "acc_matrix_1.csv", "acc_matrix_2.csv", "per_client.csv", "rounds.log", "summary.json"
+    ]
+    assert trees[0] == trees[1]
 
 
 class TestConfigErrors:
@@ -152,6 +183,15 @@ class TestConfigErrors:
         config = tmp_path / "exp.ini"
         config.write_text(_ini(**{field: value}), encoding="utf-8")
         self._refused(tmp_path, capsys, ["run", str(config)], f"config error: invalid value for {err}\n")
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize("seed", ["1_0", "\u0663"])
+    def test_seed_option_with_separator_or_non_ascii_digit(self, tmp_path, capsys, command, seed):
+        """``--seed`` is read as the config's ``seed`` is: ``1_0`` and ``\u0663`` are refused, not read as 10 and 3."""
+        config = _write(tmp_path / "grid" / "exp.ini", _ini())
+        path = config.parent if command == "grid" else config
+        err = f"config error: invalid value for seed: {seed!r} is not an integer\n"
+        self._refused(tmp_path, capsys, [command, str(path), "--seed", seed], err)
 
     @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n\n[data]\nclasses = 6\n"])
     def test_default_section_rejected(self, tmp_path, capsys, text):

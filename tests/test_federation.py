@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fedreplay.federation import RoundReport, class_weighted_avg, fedavg, should_communicate, temporal_smooth
@@ -98,6 +98,36 @@ class TestClassWeightedAvg:
                 class_reports=[set(reports[i]) for i in perm],
             )
             assert _same(class_weighted_avg(shuffled), base)
+
+
+# Finite values small enough that no sum of a few overflows: signed zeros, subnormals and
+# half-ulps of 1.0 among them, so that sums cancel and land on rounding ties.
+_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 2.0**-52, 2.0**-53, -(2.0**-53), 5e-324, -5e-324]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@given(st.data())
+def test_means_same_bytes_under_any_client_and_class_order(data):
+    """Each coordinate's values are added in sorted order, so neither mean depends on the order
+    of the clients or of the class ids, duplicate client vectors included."""
+    dim = data.draw(st.integers(1, 6))
+    distinct = data.draw(st.lists(st.lists(_coordinates, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    # Picks with repeats, so some clients hold the same vector.
+    vecs = [_pv(distinct[i]) for i in data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))]
+    reports = data.draw(st.lists(st.sets(st.integers(0, 4), max_size=3), min_size=len(vecs), max_size=len(vecs)))
+    assume(any(reports))
+    clients = data.draw(st.permutations(range(len(vecs))))
+    relabel = data.draw(st.permutations(range(5)))
+
+    assert fedavg([vecs[i] for i in clients]).values.tobytes() == fedavg(vecs).values.tobytes()
+    shuffled = RoundReport(
+        params=[vecs[i] for i in clients],
+        class_reports=[{relabel[c] for c in reports[i]} for i in clients],
+    )
+    base = class_weighted_avg(RoundReport(params=vecs, class_reports=reports))
+    assert class_weighted_avg(shuffled).values.tobytes() == base.values.tobytes()
 
 
 class TestTemporalSmooth:

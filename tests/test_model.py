@@ -19,7 +19,7 @@ from fedreplay.model import (
     optimizer_step,
 )
 from fedreplay.stream import MiniBatch
-from test_stacked_oracles import gradient_error_bound
+from test_stacked_oracles import error_bounds
 
 
 def _zero_params(config):
@@ -171,8 +171,8 @@ class TestLossAndGrad:
             assert rel.max() < 1e-4
 
     def test_duplicated_batch_within_rounding_bound(self):
-        """Duplicating every row keeps the loss bits (``math.fsum``); the gradient's
-        row sums round differently, within the error bound of each."""
+        """Duplicating every row rounds the loss and gradient sums differently,
+        each within the error bound of both batches."""
         config = ModelConfig(input_dim=3, hidden_dims=(5,), num_classes=3, init_seed=11)
         params = init_parameters(config)
         feats = np.random.default_rng(8).normal(size=(4, 3))
@@ -181,9 +181,12 @@ class TestLossAndGrad:
         dup_feats = np.repeat(feats, 2, axis=0)
         dup_labels = np.repeat(labels, 2)
         loss2, grad2 = loss_and_grad(params, config, _batch(dup_feats, dup_labels))
-        assert loss == loss2
-        bound = gradient_error_bound(params, feats, labels) + gradient_error_bound(params, dup_feats, dup_labels)
-        assert np.all(np.abs(grad - grad2) <= bound)
+        (loss_bound, grad_bound), (loss_bound2, grad_bound2) = (
+            error_bounds(params, feats, labels),
+            error_bounds(params, dup_feats, dup_labels),
+        )
+        assert abs(loss - loss2) <= loss_bound + loss_bound2
+        assert np.all(np.abs(grad - grad2) <= grad_bound + grad_bound2)
 
     def test_permutation_invariance_bit_identical(self):
         config = ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=3, init_seed=21)

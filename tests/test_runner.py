@@ -15,7 +15,8 @@ from test_stream import write_bin, write_csv
 import fedreplay
 from fedreplay.cli import main as cli_main
 from fedreplay.config import ExperimentConfig
-from fedreplay.model import ModelConfig, OptimizerState, init_parameters, optimizer_step
+from fedreplay.federation import fedavg, temporal_smooth
+from fedreplay.model import ModelConfig, OptimizerState, ParameterVector, init_parameters, optimizer_step
 from fedreplay.runner import _ClientWorker, broadcast, emit_report, run_experiment
 
 
@@ -574,11 +575,30 @@ class TestDivergence:
         assert "client 0 diverged on task 1 at bn=1: updated parameters are not all finite" in err
 
     def test_exact_sum_overflow(self, tmp_path, capsys, monkeypatch):
-        import fedreplay.exact
-
+        # Scoring sums with math.fsum, whose partial sums can leave the float range.
         def overflowing(params, config, batch):
-            return fedreplay.exact.fsum_columns(np.array([[1e308], [1e308], [-1e308]]))
+            return math.fsum([1e308, 1e308, -1e308])
 
         monkeypatch.setattr("fedreplay.runner.loss_and_grad", overflowing)
         err = self._run(tmp_path, capsys, _config_text())
         assert "client 0 diverged on task 1 at bn=1: intermediate overflow in fsum" in err
+
+    @staticmethod
+    def _huge(theta):
+        return ParameterVector(np.full(len(theta), 1e308), theta.layout)
+
+    def test_client_mean_overflow_names_the_round(self, tmp_path, capsys, monkeypatch):
+        """Two clients at 1e308 sum to inf: the first round (task 1, bn=2) diverges."""
+        monkeypatch.setattr("fedreplay.runner.fedavg", lambda params: fedavg([self._huge(p) for p in params]))
+        err = self._run(tmp_path, capsys, _config_text())
+        assert err == "error: round 1 diverged on task 1 at bn=2: global parameters are not all finite\n"
+
+    def test_smoothing_overflow_names_the_round(self, tmp_path, capsys, monkeypatch):
+        """The midpoint of two vectors at 1e308 overflows at the second round (task 1, bn=4), not at a client's tick."""
+
+        def smooth(new, prev):
+            return temporal_smooth(new, None) if prev is None else temporal_smooth(self._huge(new), self._huge(prev))
+
+        monkeypatch.setattr("fedreplay.runner.temporal_smooth", smooth)
+        err = self._run(tmp_path, capsys, _config_text())
+        assert err == "error: round 2 diverged on task 1 at bn=4: global parameters are not all finite\n"

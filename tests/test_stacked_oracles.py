@@ -1,13 +1,13 @@
 """Stacked array code against the per-row loops it replaced.
 
-The forward pass, the backward pass, the scorers and the exact column sum
-work on whole blocks. Each oracle below is the loop they replaced, one
-sample, one perturbed copy or one column at a time. Equality is exact
-(``==`` / ``array_equal``), not approximate, except for the gradient:
-``loss_and_grad`` sums over the rows with one matrix product per layer,
-so its gradient is checked against the per-row loop within a
-forward-error bound that the test computes from the same loop run on
-absolute values. Scoring forwards the copies
+The forward pass, the backward pass and the scorers work on whole blocks.
+Each oracle below is the loop they replaced, one sample or one perturbed
+copy at a time. Equality is exact (``==`` / ``array_equal``), not
+approximate, except for the loss and the gradient: ``loss_and_grad`` adds
+the rows' losses in sorted order and sums the gradient over the rows with
+one matrix product per layer, so both are checked against the per-row
+loop within a forward-error bound that the test computes from the same
+loop run on absolute values. Scoring forwards the copies
 of every row of a block in one call (``copy_logits``) and reduces each
 row's (P, C) logits with ``score_sample``, the one scoring entry; both
 are checked here against the per-copy loops and single-row forwards, and
@@ -24,7 +24,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedreplay import uncertainty
-from fedreplay.exact import fsum_columns
 from fedreplay.model import ModelConfig, ParameterVector, forward_logits, init_parameters, loss_and_grad
 from fedreplay.stream import MiniBatch
 from fedreplay.uncertainty import (
@@ -39,7 +38,7 @@ from fedreplay.uncertainty import (
 # --- oracles: the per-row loops --------------------------------------------
 
 
-def _oracle_fsum_columns(x):
+def _oracle_column_fsums(x):
     return np.array([math.fsum(x[:, j]) for j in range(x.shape[1])])
 
 
@@ -59,6 +58,8 @@ def _oracle_sample_loss_grad(layers, layout, x, y, magnitudes=False):
     ex = np.exp(logits - m)
     se = float(ex.sum())
     loss = m + math.log(se) - logits[y]
+    if magnitudes:
+        loss = abs(m) + abs(math.log(se)) + abs(logits[y])
 
     dz = ex / se
     dz[y] -= 1.0
@@ -92,7 +93,7 @@ def _oracle_loss_and_grad(params, feats, labels, magnitudes=False):
         losses[i], contribs[i] = _oracle_sample_loss_grad(
             layers, params.layout, feats[i], int(labels[i]), magnitudes
         )
-    grad = _oracle_fsum_columns(contribs)
+    grad = _oracle_column_fsums(contribs)
     grad /= n
     return math.fsum(losses) / n, grad
 
@@ -103,10 +104,22 @@ def _gamma(k):
     return ku / (1.0 - ku)
 
 
-def gradient_error_bound(params, feats, labels):
-    """Per-coordinate bound on how far ``loss_and_grad``'s gradient, or the
-    per-row oracle's, lies from the exact gradient at the same output-layer
-    error terms and ReLU masks (both computations share those bits).
+def error_bounds(params, feats, labels):
+    """``(loss bound, gradient bound)`` for ``loss_and_grad`` against the per-row oracle.
+
+    The loss: in either computation each row's loss ``m + log(se) - z_y``
+    lies within gamma_10 of its exact value, relative to
+    |m| + |log(se)| + |z_y| (its log within 4 units in the last place, then
+    two additions); ``loss_and_grad`` adds the n rows in sorted order (at
+    most n - 1 roundings) where the oracle's ``math.fsum`` rounds once, and
+    each divides by n. So the two losses lie within 2 gamma_(n + 16) of the
+    same computation on |m|, |log(se)| and |z_y|, which the oracle runs on
+    magnitudes.
+
+    The gradient: a per-coordinate bound on how far ``loss_and_grad``'s
+    gradient, or the per-row oracle's, lies from the exact gradient at the
+    same output-layer error terms and ReLU masks (both computations share
+    those bits).
 
     Each coordinate is a dot product over the n rows of an activation and an
     error term, which reached its layer through one dot product per layer
@@ -119,9 +132,9 @@ def gradient_error_bound(params, feats, labels):
     """
     n = labels.size
     k = n + sum(w.shape[1] for w, _ in params.layer_views[1:]) + 1
-    _, magnitude = _oracle_loss_and_grad(params, feats, labels, magnitudes=True)
-    g = _gamma(k)
-    return g / (1.0 - g) * magnitude
+    loss_magnitude, magnitude = _oracle_loss_and_grad(params, feats, labels, magnitudes=True)
+    g, gl = _gamma(k), _gamma(n + 16)
+    return 2.0 * gl / (1.0 - gl) * loss_magnitude, g / (1.0 - g) * magnitude
 
 
 def _oracle_stable_lse(a):
@@ -134,7 +147,7 @@ def _oracle_bi(z):
         return 0.0
     p = z.shape[0]
     mean_lse = math.fsum(_oracle_stable_lse(row) for row in z) / p
-    bi = mean_lse - _oracle_stable_lse(_oracle_fsum_columns(z) / p)
+    bi = mean_lse - _oracle_stable_lse(_oracle_column_fsums(z) / p)
     if -1e-12 <= bi < 0.0:
         return 0.0
     return bi
@@ -243,16 +256,17 @@ def test_block_forward_equals_per_row_calls(model, p, seed):
 @example(_TINY, 1, 0)
 @example(_TWO_LAYERS, 1, 0)
 def test_loss_and_grad_equals_per_sample_loop(model, n, seed):
-    """The loss keeps the per-row loop's bits; the gradient, summed by one
-    matrix product per layer, lies within the rounding bound of both sums."""
+    """The loss, added in sorted row order, and the gradient, summed by one
+    matrix product per layer, lie within the rounding bounds of both sums."""
     config, params = model
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, config.input_dim)) * rng.choice([0.1, 1.0, 10.0])
     labels = rng.integers(0, config.num_classes, size=n)
     loss, grad = loss_and_grad(params, config, MiniBatch(feats, labels, task_id=0))
     want_loss, want_grad = _oracle_loss_and_grad(params, feats, labels)
-    assert loss == want_loss
-    assert np.all(np.abs(grad - want_grad) <= 2.0 * gradient_error_bound(params, feats, labels))
+    loss_bound, grad_bound = error_bounds(params, feats, labels)
+    assert abs(loss - want_loss) <= loss_bound
+    assert np.all(np.abs(grad - want_grad) <= 2.0 * grad_bound)
 
 
 @given(
@@ -373,23 +387,6 @@ def test_confidence_scores_equal_loops_with_zeros_and_ties(p, c, seed):
     probs = raw / raw.sum(axis=1, keepdims=True)
     for name, fn in uncertainty._SCORERS.items():
         assert fn(probs) == _ORACLE_SCORERS[name](probs), name
-
-
-@given(st.integers(0, 30), st.integers(1, 600), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_fsum_columns_equals_per_column_fsum(rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-20, 20, size=(rows, cols))
-    assert np.array_equal(fsum_columns(x), _oracle_fsum_columns(x))
-
-
-def test_fsum_columns_raises_on_intermediate_overflow():
-    x = np.zeros((3, 300))
-    x[:, 290] = [1e308, 1e308, -1e308]
-    with pytest.raises(OverflowError):
-        math.fsum([1e308, 1e308, -1e308])
-    with pytest.raises(OverflowError):
-        fsum_columns(x)
 
 
 # --- Bregman information against the per-row oracle, byte for byte --------

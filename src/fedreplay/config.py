@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import PurePath
 
 from .federation import AGGREGATIONS
 from .memory import POLICIES, SCORED_POLICIES
@@ -65,6 +66,11 @@ def _parse_int_list(raw: str, name: str) -> tuple[int, ...]:
         raise ConfigError(f"invalid value for {name}: {raw!r} is not a comma-separated int list") from None
 
 
+def _parse_counts(raw: str, name: str) -> int | tuple[int, ...]:
+    counts = _parse_int_list(raw, name)
+    return counts[0] if len(counts) == 1 else counts
+
+
 def _parse_str(raw: str, name: str) -> str:
     return raw.strip()
 
@@ -85,14 +91,12 @@ class ExperimentConfig:
     output_dir: str = _key("experiment", _parse_str, "out")
     data_source: str = _key("data", _parse_str, "synthetic", key="source")
     classes: int = _key("data", _parse_int, 8)
-    samples_per_class: int = _key("data", _parse_int, 100)
-    class_sizes: tuple[int, ...] | None = _key("data", _parse_int_list, None)
+    samples_per_class: int | tuple[int, ...] = _key("data", _parse_counts, 100)  # one count, or one per class
     dim: int = _key("data", _parse_int, 16)
     center_spread: float = _key("data", _parse_float, 3.0)
     cluster_sigma: float = _key("data", _parse_float, 1.0)
     task_assignment: str = _key("data", _parse_str, "shuffle")
     data_path: str | None = _key("data", _parse_str, None, key="path")
-    data_format: str = _key("data", _parse_str, "csv", key="format")
     memory_capacity: int = _key("memory", _parse_int, 100, key="capacity")
     memory_policy: str = _key("memory", _parse_str, "bottom_k", key="policy")
     uncertainty_metric: str = _key("memory", _parse_str, "bi", key="metric")
@@ -100,8 +104,8 @@ class ExperimentConfig:
     perturbation_kind: str = _key("perturbation", _parse_str, "gaussian", key="kind")
     noise_sigma: float = _key("perturbation", _parse_float, 0.1, key="sigma")
     mask_fraction: float = _key("perturbation", _parse_float, 0.25)
-    burn_in: int = _key("federation", _parse_int, 30)
-    q: int = _key("federation", _parse_int, 5)
+    burn_in: int = _key("federation", _parse_int, 2)
+    q: int = _key("federation", _parse_int, 3)
     aggregation: str = _key("federation", _parse_str, "fedavg")
     hidden_dims: tuple[int, ...] = _key("model", _parse_int_list, (64,), key="hidden")
     optimizer: str = _key("model", _parse_str, "sgd")
@@ -132,21 +136,18 @@ class ExperimentConfig:
         if self.data_source == "synthetic":
             require(self.classes >= 2, "classes", "must be >= 2")
             require(self.tasks <= self.classes, "tasks", "must not exceed the class count")
-            if self.class_sizes is not None:
-                require(
-                    len(self.class_sizes) == self.classes,
-                    "class_sizes",
-                    "needs one entry per class",
-                )
-                require(all(n >= 1 for n in self.class_sizes), "class_sizes", "entries must be >= 1")
-            else:
-                require(self.samples_per_class >= 1, "samples_per_class", "must be >= 1")
+            counts = self.samples_per_class
+            if isinstance(counts, tuple):
+                require(len(counts) == self.classes, "samples_per_class", "needs one count, or one per class")
+                counts = min(counts)
+            require(counts >= 1, "samples_per_class", "must be >= 1")
             require(self.dim >= 2, "dim", "must be >= 2")
             require(self.center_spread >= 0, "center_spread", "must be >= 0")
             require(self.cluster_sigma >= 0, "cluster_sigma", "must be >= 0")
         else:
             require(bool(self.data_path), "path", "required for file data source")
-            require(self.data_format in DATASET_FORMATS, "format", f"must be one of {DATASET_FORMATS}")
+            suffix = PurePath(self.data_path).suffix
+            require(suffix in DATASET_FORMATS, "path", f"suffix {suffix!r} names no format of {DATASET_FORMATS}")
         require(
             self.task_assignment in ASSIGNMENT_MODES,
             "task_assignment",
@@ -173,9 +174,14 @@ class ExperimentConfig:
         if self.data_source == "synthetic":
             self.check_copies(self.dim)
 
+    @property
+    def scored(self) -> bool:
+        """Whether retention ranks samples by their uncertainty, so reads ``metric`` and ``[perturbation]``."""
+        return self.memory_capacity > 0 and self.memory_policy in SCORED_POLICIES
+
     def check_copies(self, dim: int) -> None:
         """Refuse scored retention whose perturbed copies of a ``dim``-feature input give every sample one score."""
-        if self.memory_capacity == 0 or self.memory_policy not in SCORED_POLICIES:
+        if not self.scored:
             return
         masked = round(self.mask_fraction * dim) if self.perturbation_kind == "mask" else None
         if masked == dim:  # every copy is the zero vector, under any metric
@@ -188,13 +194,26 @@ class ExperimentConfig:
             raise ConfigError(f"invalid value for mask_fraction: masks 0 of {dim} features, so BI copies are identical")
 
     def echo(self) -> dict:
-        """Stable, JSON-ready view of every resolved field, keyed as in the file.
+        """Stable, JSON-ready view of every resolved field the run reads, keyed as in the file.
 
         ``[experiment]`` keys sit at the top level, every other section is
-        one nested dict; sequences become lists, or None when empty.
+        one nested dict; sequences become lists, or None when empty. File
+        data reads no synthetic key (the runner echoes the file's classes and
+        dim), unscored retention neither ``metric`` nor ``[perturbation]``,
+        and a perturbation kind only its own scale.
         """
+        if self.data_source == "file":
+            unread = {"classes", "samples_per_class", "dim", "center_spread", "cluster_sigma"}
+        else:
+            unread = {"data_path"}
+        if self.scored:
+            unread.add("noise_sigma" if self.perturbation_kind == "mask" else "mask_fraction")
+        else:
+            unread |= {"uncertainty_metric", "perturbation_count", "perturbation_kind", "noise_sigma", "mask_fraction"}
         out: dict = {}
         for (section, key), (attr, _) in _SCHEMA.items():
+            if attr in unread:
+                continue
             value = getattr(self, attr)
             if isinstance(value, (tuple, list)):
                 value = list(value) or None

@@ -57,7 +57,7 @@ class RunResult:
     avg_last_forgetting: float
     accuracy: np.ndarray  # (clients, T, T); NaN above each diagonal
     round_log: list[str]
-    config: dict  # the resolved config echo, seed included
+    config: dict  # the echo of the config keys the run read, seed included
     buffers: list[MemoryBuffer]  # each client's final memory, in client order
 
 
@@ -143,17 +143,16 @@ def broadcast(theta_g: ParameterVector, workers) -> None:
 def _build_dataset(config: ExperimentConfig):
     """``(features, labels, num_classes)``, labels remapped to 0..num_classes-1 by ascending original id."""
     if config.data_source == "synthetic":
-        sizes = list(config.class_sizes) if config.class_sizes else config.samples_per_class
         features, labels = synth_gaussian_blobs(
             config.classes,
-            sizes,
+            config.samples_per_class,
             config.dim,
             config.center_spread,
             config.cluster_sigma,
             seeds.substream(config.seed, seeds.DATA),
         )
     else:
-        features, labels = load_vector_dataset(config.data_path, config.data_format)
+        features, labels = load_vector_dataset(config.data_path)
         if not labels.size:
             raise RuntimeError(f"dataset {config.data_path} is empty")
         # validate() checks synthetic data; a file's dimension (and, below, its classes) is known only now
@@ -292,12 +291,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                 f"{int(np.count_nonzero(counts_arr != 1))} examples not consumed exactly once"
             )
 
+    echo = config.echo()
+    if config.data_source == "file":  # the file, not the config, gives these
+        echo["data"].update(classes=num_classes, dim=model_config.input_dim)
     return RunResult(
         avg_last_accuracy=client_mean([last_accuracy(a) for a in accuracy]),
         avg_last_forgetting=client_mean([last_forgetting(a) for a in accuracy]),
         accuracy=accuracy,
         round_log=round_log,
-        config=config.echo(),
+        config=echo,
         buffers=[w.buffer for w in workers],
     )
 

@@ -9,8 +9,9 @@ permutation, so nothing here draws. ``next_batch`` returns None at every
 task boundary and at the end of the stream, and ``exhausted``
 tells the two apart. Each stream counts how often every underlying
 example was yielded so the runner can audit the single-pass contract.
-Task, client, batch, synthetic-data and format arguments come from a validated
-config and are not checked again here; the loaders check a data file's contents.
+Task, client, batch and synthetic-data arguments and a data file's suffix come
+from a validated config and are not checked again here; the loaders check a
+data file's contents.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 ASSIGNMENT_MODES = ("shuffle", "size_descending")
 
-DATASET_FORMATS = ("csv", "bin")
+DATASET_FORMATS = (".csv", ".bin")  # a data file's suffix names its format
 
 _BIN_HEADER = struct.Struct("<II")
 
@@ -140,10 +142,8 @@ def synth_gaussian_blobs(
     cluster_sigma: float,
     rng,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic Gaussian clusters, one per class, centers drawn once; rows grouped by class."""
-    if isinstance(sizes, int):
-        sizes = [sizes] * num_classes
-    sizes = [int(n) for n in sizes]
+    """Isotropic Gaussian clusters, centers drawn once, of ``sizes`` rows (one count or one per class), grouped by class."""
+    sizes = np.broadcast_to(sizes, num_classes)
     centers = rng.normal(0.0, class_center_spread, size=(num_classes, dim))
     features = np.concatenate(
         [centers[c] + rng.normal(0.0, cluster_sigma, size=(sizes[c], dim)) for c in range(num_classes)]
@@ -151,15 +151,15 @@ def synth_gaussian_blobs(
     return features, np.repeat(np.arange(num_classes), sizes)
 
 
-def load_vector_dataset(path, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read labeled feature vectors from ``path`` as ``(features, labels)``.
+def load_vector_dataset(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read labeled feature vectors from ``path`` as ``(features, labels)``, in the format its suffix names.
 
-    csv: one example per line, ``label,f1,...,fd``, no header.
-    bin: little-endian header (u32 count, u32 dim) then per record a u32
+    .csv: one example per line, ``label,f1,...,fd``, no header.
+    .bin: little-endian header (u32 count, u32 dim) then per record a u32
     label followed by dim f32 features.
     Every feature must be finite; the error names the path and the row.
     """
-    if fmt == "csv":
+    if Path(path).suffix == ".csv":
         return _load_csv(path)
     return _load_bin(path)
 

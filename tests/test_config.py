@@ -1,5 +1,6 @@
 """Config file parsing, defaults, and validation."""
 
+import json
 import re
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -23,13 +24,21 @@ class TestDefaults:
         config = parse_config(_write(tmp_path, ""))
         assert config.clients == 5
         assert config.batch_size == 10
-        assert config.burn_in == 30
-        assert config.q == 5
+        assert config.burn_in == 2
+        assert config.q == 3
         assert config.perturbation_count == 12
         assert config.test_split == 0.2
 
     def test_defaults_validate_standalone(self):
         ExperimentConfig().validate()
+
+    def test_empty_config_fires_rounds(self, tmp_path, capsys):
+        """An empty file runs the defaults, and under them communication rounds fire."""
+        out = tmp_path / "out"
+        assert cli_main(["run", str(_write(tmp_path, "")), "--out", str(out)]) == 0
+        rounds = (out / "rounds.log").read_text().splitlines()
+        assert rounds
+        assert f"rounds={len(rounds)} " in capsys.readouterr().out
 
 
 class TestDeclaredOnce:
@@ -117,8 +126,10 @@ class TestParsing:
         assert config.clients == 4
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # fedprox_mu is no key: the program has no FedProx aggregation
-        for section, key in [("experiment", "clinets"), ("federation", "fedprox_mu")]:
+        # fedprox_mu is no key: the program has no FedProx aggregation; nor are format and
+        # class_sizes: a data file's suffix names its format, and samples_per_class takes per-class counts
+        keys = [("experiment", "clinets"), ("federation", "fedprox_mu"), ("data", "format"), ("data", "class_sizes")]
+        for section, key in keys:
             path = _write(tmp_path, f"[{section}]\n{key} = 0.1\n")
             assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
             assert capsys.readouterr() == ("", f"config error: unknown config key {key!r} in section [{section}]\n")
@@ -177,8 +188,25 @@ class TestValidation:
             parse_config(_write(tmp_path, "[data]\nsource = file\n"))
 
     def test_class_sizes_must_match_classes(self, tmp_path):
-        with pytest.raises(ConfigError, match="class_sizes"):
-            parse_config(_write(tmp_path, "[data]\nclasses = 5\nclass_sizes = 10, 20\n"))
+        message = "invalid value for samples_per_class: needs one count, or one per class"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(_write(tmp_path, "[data]\nclasses = 5\nsamples_per_class = 10, 20\n"))
+
+    def test_per_class_counts_parse(self, tmp_path):
+        text = "[experiment]\ntasks = 2\n[data]\nclasses = 3\nsamples_per_class = 10, 20, 30\n"
+        config = parse_config(_write(tmp_path, text))
+        assert config.samples_per_class == (10, 20, 30)
+        assert config.echo()["data"]["samples_per_class"] == [10, 20, 30]
+        assert parse_config(_write(tmp_path, "[data]\nsamples_per_class = 40\n")).samples_per_class == 40
+
+    def test_data_file_suffix_names_no_format(self, tmp_path, capsys):
+        path = _write(tmp_path, "[data]\nsource = file\npath = data.txt\n")
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "config error: invalid value for path: suffix '.txt' names no format of ('.csv', '.bin')\n",
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_random_policy_ignores_metric(self, tmp_path):
         config = parse_config(_write(tmp_path, "[memory]\npolicy = random\nmetric = en\n"))
@@ -216,8 +244,8 @@ _RULES = [
     ({"classes": 1}, "classes", "must be >= 2"),
     ({"dim": 1}, "dim", "must be >= 2"),
     ({"samples_per_class": 0}, "samples_per_class", "must be >= 1"),
-    ({"class_sizes": (10, 20)}, "class_sizes", "needs one entry per class"),
-    ({"class_sizes": (10,) * 7 + (0,)}, "class_sizes", "entries must be >= 1"),
+    ({"samples_per_class": (10, 20)}, "samples_per_class", "needs one count, or one per class"),
+    ({"samples_per_class": (100,) * 7 + (0,)}, "samples_per_class", "must be >= 1"),
     ({"hidden_dims": (0,)}, "hidden", "widths must be >= 1"),
     ({"learning_rate": 0.0}, "learning_rate", "must be > 0"),
 ]
@@ -328,6 +356,48 @@ class TestIdenticalBICopies:
     )
     def test_copies_not_needed_or_distinct(self, overrides):
         ExperimentConfig(**{"perturbation_count": 1, **overrides}).check_copies(4)
+
+
+class TestEcho:
+    """summary.json's ``config`` holds the keys the run read, and no other."""
+
+    def _summary(self, tmp_path, text, name="exp"):
+        out = tmp_path / f"{name}_out"
+        assert cli_main(["run", str(_write(tmp_path, text)), "--out", str(out)]) == 0
+        return (out / "summary.json").read_bytes()
+
+    def test_file_run_echoes_the_files_classes_and_dim(self, tmp_path):
+        data = tmp_path / "data.csv"
+        labels = np.repeat(np.arange(4), 10)
+        write_csv(data, np.random.default_rng(0).normal(size=(40, 3)) + labels[:, None], labels)
+        text = f"[experiment]\nclients = 2\ntasks = 2\nbatch_size = 5\n[data]\nsource = file\npath = {data}\n"
+        echo = json.loads(self._summary(tmp_path, text))["config"]["data"]
+        assert echo == {"source": "file", "task_assignment": "shuffle", "path": str(data), "classes": 4, "dim": 3}
+
+    def test_synthetic_run_echoes_no_path(self):
+        assert "path" not in ExperimentConfig(data_path="data.csv").echo()["data"]
+
+    def test_unscored_run_echoes_no_scoring_keys(self, tmp_path):
+        text = _SMALL.replace("policy = bottom_k", "policy = random")
+        plain = self._summary(tmp_path, text, "plain")
+        other = text.replace("metric = bi", "metric = en") + "count = 3\nkind = mask\nsigma = 0.5\nmask_fraction = 0.5\n"
+        assert self._summary(tmp_path, other, "other") == plain
+        assert "perturbation" not in json.loads(plain)["config"]
+
+    @pytest.mark.parametrize(
+        "overrides,memory,perturbation",
+        [
+            ({}, ["capacity", "policy", "metric"], ["count", "kind", "sigma"]),
+            ({"perturbation_kind": "mask"}, ["capacity", "policy", "metric"], ["count", "kind", "mask_fraction"]),
+            ({"memory_policy": "class_balanced_random"}, ["capacity", "policy"], None),
+            ({"memory_capacity": 0}, ["capacity", "policy"], None),
+        ],
+        ids=["gaussian", "mask", "unscored", "no_memory"],
+    )
+    def test_scoring_keys_follow_the_retention_and_kind(self, overrides, memory, perturbation):
+        echo = ExperimentConfig(**overrides).echo()
+        assert list(echo["memory"]) == memory
+        assert (list(echo["perturbation"]) if "perturbation" in echo else None) == perturbation
 
 
 _FLOAT_KEYS = sorted((section, key) for (section, key), (_, parse) in _SCHEMA.items() if parse is _parse_float)

@@ -1,10 +1,10 @@
 """Golden bytes: the emitted reports and final memory dumps of small seed-0 runs, pinned by sha256.
 
-Each case is a two-client, three-task run where communication rounds fire
-(burn_in=1, q=2), so scoring, admission, replay, aggregation, smoothing and
-broadcast all shape the bytes. ``memory_<k>.csv`` is client k's buffer as
-``dump_csv`` writes it at the end of the run, so the content and order of
-every stored row is pinned too. A refactor must keep every hash; only a
+Each case is a three-task run where communication rounds fire (burn_in=1,
+q=2), with two clients except ``three_clients``, so scoring, admission,
+replay, aggregation, smoothing and broadcast all shape the bytes.
+``memory_<k>.csv`` is client k's buffer as ``dump_csv`` writes it at the
+end of the run, so the content and order of every stored row is pinned too. A refactor must keep every hash; only a
 change that declares a new baseline may re-record them.
 """
 
@@ -54,21 +54,20 @@ CASES = {
     "top_k_rc": {"memory_policy": "top_k", "uncertainty_metric": "rc"},
     "bottom_k_en_mask": {"uncertainty_metric": "en", "perturbation_kind": "mask", "mask_fraction": 0.25},
     "two_hidden_bi": {"hidden_dims": (8, 5)},
+    # beyond two clients a mean's rounding depends on the order its values are added in
+    "three_clients": {"clients": 3},
 }
 
-FILES = (
-    "summary.json",
-    "rounds.log",
-    "per_client.csv",
-    "acc_matrix_0.csv",
-    "acc_matrix_1.csv",
-    "memory_0.csv",
-    "memory_1.csv",
-)
+
+def _files(clients):
+    """The files a case writes: its reports, then one accuracy matrix and one memory dump per client."""
+    per_client = [f"{stem}_{k}.csv" for stem in ("acc_matrix", "memory") for k in range(clients)]
+    return ("summary.json", "rounds.log", "per_client.csv", *per_client)
+
 
 GOLDEN = {
     "adam_reset": {
-        "summary.json": "bb1e847fa931207b5126d96a4925d872e7361fc60a880132819bd9e72c6dd579",
+        "summary.json": "b2f46d7a176bb90c7d5987e8677a0eaddab92765fadf33c4c06f0c5b89beacc3",
         "rounds.log": "d385149d2857bdbba0a5db982b74c864800606fb5e8e1920514c2990fb673d4a",
         "per_client.csv": "f962d9eec84de1aa3f1d78c663ade9a38938e00a2d52a2429380d4b443991525",
         "acc_matrix_0.csv": "b1087400f4460d9a2a81bd9232f73009c58cffd2ed21b5d5d8245374066bcc70",
@@ -77,7 +76,7 @@ GOLDEN = {
         "memory_1.csv": "e24d2c35382599a64c2bf2443af8e07a1cce3fb52156f440d869f5d2698c560e",
     },
     "bottom_k_bi": {
-        "summary.json": "a582f4df30aab8b36aaf2a4d79cb6570550dde7c0e5adeef1ab32e6d6eadc921",
+        "summary.json": "ec90116f17c7083a3cc1da63acc5abc995bd8628bafa6a5fb2917a850cf5b735",
         "rounds.log": "36d98eb9dcdb84e48c4899cdfd1ccd543e2ecbe0e74feaa15abc4c114bcb685a",
         "per_client.csv": "4cad5b3a2599bce55303b551ffab5afe9c17135dc68395b36362c641072cf800",
         "acc_matrix_0.csv": "d8ad987418cd025f3895fbebd483a454c7fc4ce5e5ef236c9fcbcc981bcf7979",
@@ -86,7 +85,7 @@ GOLDEN = {
         "memory_1.csv": "0db723848a343a417359979fc3a3d707164ff391655e39da4b7889a3aa1a9d1c",
     },
     "bottom_k_en_mask": {
-        "summary.json": "356b97ca2e5193d651429f6762e80754e3eb543f35f40aa74bea47874af2f868",
+        "summary.json": "9ce36a996df490f1b949cf24f693c7d76334655a5f303789ed21dd2171567751",
         "rounds.log": "e2a851aceda8f730f7fb72fae99f57e0420b6d79253394bf8cb136eae1a161df",
         "per_client.csv": "83ad1aa5d7ffde8d8f6cd43689ec9edf478e4f9cf593fc50452292180743968b",
         "acc_matrix_0.csv": "0ca5f0882be2ac889ec3e56263ebbfc802b506ddbbf5992d7d2ddb4f66005377",
@@ -95,7 +94,7 @@ GOLDEN = {
         "memory_1.csv": "74f90734a9c029b18ead2b6fe7e43854b619122a47dd5d1af1d52da75c4da220",
     },
     "bottom_k_lc": {
-        "summary.json": "4e2fc5558f916fe0beaba3587e25d3cdddf18116a84b5ab4d1c33250539bda75",
+        "summary.json": "2a3b09f2b5488c540d0c01225d7b1999b3aa4cd2155b04445f19ef92c6c965dc",
         "rounds.log": "4aac411d71a2551947b923dfbd758b89e38de76d7ab8baa6d2eb5a014b584864",
         "per_client.csv": "50b712749523b56954729702f80114176e7e512ddd5d668507092cdd264111f4",
         "acc_matrix_0.csv": "e96a17a3938d219a1e5e35d0ed7e57c1522af0c31e2958ce79f839f47b703c48",
@@ -104,7 +103,7 @@ GOLDEN = {
         "memory_1.csv": "22d3e3b358dc2cc30b4c965172cd5713db8d55e37dc457fa2560b92084d502df",
     },
     "class_balanced_random": {
-        "summary.json": "a352ce5ae0ef87321c84eefaef9e2224c910f166ffa688f0a64c88d394fd2235",
+        "summary.json": "44c74aca6f937f66b2b9a139b99e25668f281b690bac5b11bd8b898df4529510",
         "rounds.log": "71e6cf9a3d1ea8f60a2e7f2e3a072474207585b3f62f0035385c6ec4ff952395",
         "per_client.csv": "6836fe2ee95c20d19d860b42a1ccde379a7a7267360c3f82fa8184cbc12f8af5",
         "acc_matrix_0.csv": "337eb4ad49bf12dff86f99c7ebc10e5974f6f2c51850af7ad2becb248a9b48cd",
@@ -113,7 +112,7 @@ GOLDEN = {
         "memory_1.csv": "2adf9a5c1b54be2137380fd4c0427f186a439207cc208948e0cd21d1b1b139b0",
     },
     "class_weighted": {
-        "summary.json": "b7c60da5a5150918e097238a45ac5fb44d9e1be5caf0ff0721b293168f3644bc",
+        "summary.json": "0ddc5c05b824750da0cbcb52bf590a1cfa86e78bb913b0d2270339e8a70e1aa3",
         "rounds.log": "c442a1af0b8304a36f570b0244f332c28708bcf7e5541f974a48a0d1ddb9e649",
         "per_client.csv": "036314256375c20bee81b068c1756b9b47972f0ba9565772010f26fcfd5001f8",
         "acc_matrix_0.csv": "870f1f1a44aa2e825d62125a14b948bbb74839400839777b934ff461bd9d43be",
@@ -122,7 +121,7 @@ GOLDEN = {
         "memory_1.csv": "2c5c67b46f6f4d36314108f91b2d4f0dc35631cdf162deef15341f484f8a97d2",
     },
     "random": {
-        "summary.json": "c700f2ca7040846041a60454fbd1c482c2af60e6b6b022d7b942aec12bb06976",
+        "summary.json": "6e89303cd343c14e6a050de5d2977b0016378591fffd12f7ea2513c83d2e2fea",
         "rounds.log": "f9739a3fdf385f775f6ebbc005ec179a75f6a20325d003ca693369fee2475675",
         "per_client.csv": "14a9ed129e5a3dea181851b55bdd9474f226d8128e0dcefd00e6313efa4e165c",
         "acc_matrix_0.csv": "45ed4bd8833c178b19073d4a7b6939740fa008d3864c49d350a8be7a470b8268",
@@ -130,8 +129,19 @@ GOLDEN = {
         "memory_0.csv": "2399b7ad609462c1fe894bc4b1f67ef46928f3d3397d872fdb4dc17ecf77c1dd",
         "memory_1.csv": "470033ab9dbd95b0f72722c302384b535e9d1014f0ed824875d5930dbc4c4084",
     },
+    "three_clients": {
+        "summary.json": "014ea3d6f99808674c601e5908a220c6989fa9cf0c0d8de7dfc0835ab21cc1a7",
+        "rounds.log": "9dfc9610614fde7addd7ceccdc79c580abf45a2ce0668b361e871a94f0ee070f",
+        "per_client.csv": "4af21b56703588b49e12ac8fb90167ef613bc5caf37b0c53b926201bf52bd0f6",
+        "acc_matrix_0.csv": "b59e81b8d74ad86e614791dd1199379fd4f72163da618c7131645e77ff1b2b84",
+        "acc_matrix_1.csv": "b59e81b8d74ad86e614791dd1199379fd4f72163da618c7131645e77ff1b2b84",
+        "acc_matrix_2.csv": "b59e81b8d74ad86e614791dd1199379fd4f72163da618c7131645e77ff1b2b84",
+        "memory_0.csv": "bb441699a131dacdc66c964dad0fab9c6ef5355c2a860b8b50432778f9f59f45",
+        "memory_1.csv": "c3b1c3fcc69c69fe4f383cf8f215e366766bb2a9be63ec7f97e97318b631bc95",
+        "memory_2.csv": "3996c130fe8c5ea778a69346b3d1357d154dcea5dc1e7195b09aa8395672d450",
+    },
     "top_k_lc_mask": {
-        "summary.json": "7c29119b7bc838db9cf9300e13a0b3cbb34786fcdfbaf843206dfab59ba6f11b",
+        "summary.json": "d208cfa04b4b08b6c21fa237c4f2c9da1538c21bba38eb8df8102f72c4807e0d",
         "rounds.log": "cb409e6147bcd388d5ed36d6a49db17d709fe0843583cb7a4882e993e44b3128",
         "per_client.csv": "301b528028108bb367c4bb7929a5f3c99e226c50bbcac847044063410db49dbd",
         "acc_matrix_0.csv": "ac9285cf675aeb3c36ee02a81f706bd68db948c6d501fe7ba05896a5939a538c",
@@ -140,7 +150,7 @@ GOLDEN = {
         "memory_1.csv": "06702cfa7a0fc88492329d142c5a6d763fe399071d14ae251d229542572ba123",
     },
     "top_k_rc": {
-        "summary.json": "f0a1922a982506a0860a95c01f496b04bc3d093cc2280a03409905659ea612fb",
+        "summary.json": "4a84c868d3108d1bf7d922e5fefd900d610daef4ddb5a8b4caf87b9c6a6f6478",
         "rounds.log": "a7c8f901da184477fb2370b833557502cb7fd5bd5ec1572ce70b40ca6644cf71",
         "per_client.csv": "1cebd944e8abcf5b372c3bdb1d57156981e815c02bc07a29284f54e374b950bb",
         "acc_matrix_0.csv": "a6c7305b25a3256a7cdcec3fa6dc774c376361a2e9953191ebccd8460eefe2c0",
@@ -149,7 +159,7 @@ GOLDEN = {
         "memory_1.csv": "82396924a46f2b3e6a3428b93afff64c8ddd3b2b1b91b36116113927f04ac8b0",
     },
     "two_hidden_bi": {
-        "summary.json": "3f79f14ca4dc67b2b61a8d85eb397cc125c0b4cfa1d96be2a9b0462ca0eab5fe",
+        "summary.json": "58b4aa93b1b32f4e5b875b953cfc89f478ba56a57d4030fe01d87526ee913e97",
         "rounds.log": "46c8bd00d770e38b1ea7548d69dc17b91b87a5ea9623684dd7982b44ea4b1b51",
         "per_client.csv": "cec71fb1c1001bd208761e7e7b067438d4c329bca89b7ff60b720c3771d4edc8",
         "acc_matrix_0.csv": "48c88d0119b821d6c3cefddf638ebf7fb9474d9f5be1a60c2de3bd708193b3ad",
@@ -161,12 +171,13 @@ GOLDEN = {
 
 
 def _hashes(name, out):
-    result = run_experiment(ExperimentConfig(**{**_BASE, **CASES[name]}))
+    config = ExperimentConfig(**{**_BASE, **CASES[name]})
+    result = run_experiment(config)
     emit_report(result, out)
     for k, buffer in enumerate(result.buffers):
         dump_csv(buffer, out / f"memory_{k}.csv")
     assert result.round_log, "the golden configs must fire communication rounds"
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in _files(config.clients)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

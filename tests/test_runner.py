@@ -177,7 +177,7 @@ class TestRunExperiment:
         labels = np.repeat(np.arange(4), 20)
         path = tmp_path / "data.csv"
         write_csv(path, rng.normal(size=(80, 3)) + 5 * labels[:, None], labels)
-        config = _small_config(data_source="file", data_path=str(path), data_format="csv")
+        config = _small_config(data_source="file", data_path=str(path))
         result = run_experiment(config)
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
@@ -186,13 +186,13 @@ class TestRunExperiment:
         labels = np.repeat([10, 25, 40, 55], 20)
         path = tmp_path / "data.bin"
         write_bin(path, rng.normal(size=(80, 3)) + labels[:, None], labels)
-        config = _small_config(data_source="file", data_path=str(path), data_format="bin")
+        config = _small_config(data_source="file", data_path=str(path))
         result = run_experiment(config)
         assert 0.0 <= result.avg_last_accuracy <= 1.0
 
     def test_imbalanced_size_descending_regime(self):
         config = _small_config(
-            class_sizes=(60, 40, 30, 20, 10, 10),
+            samples_per_class=(60, 40, 30, 20, 10, 10),
             task_assignment="size_descending",
             test_split=0.25,
         )
@@ -358,7 +358,7 @@ class TestCli:
         labels = np.repeat(np.arange(4), 10)
         data = tmp_path / f"data.{fmt}"
         (write_csv if fmt == "csv" else write_bin)(data, features, labels)
-        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = {fmt}")
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
@@ -368,7 +368,7 @@ class TestCli:
     def test_csv_label_beyond_int64_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0,1.0\n1,2.0\n0,3.0\n100000000000000000000000,4.0\n")
-        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
@@ -380,7 +380,7 @@ class TestCli:
     def test_csv_number_with_separator_exit_code(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0,1.0\n1_0,4_0.5\n0,3.0\n")
-        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
@@ -391,7 +391,7 @@ class TestCli:
         data = tmp_path / "data.csv"
         write_csv(data, np.random.default_rng(0).normal(size=(40, 4)), np.repeat([0, 1], 20))
         text = _config_text().replace("tasks = 2", "tasks = 3")
-        text = text.replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        text = text.replace("[data]", f"[data]\nsource = file\npath = {data}")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
@@ -403,7 +403,7 @@ class TestCli:
     def test_file_data_with_one_class(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         write_csv(data, np.random.default_rng(0).normal(size=(40, 4)), np.zeros(40, dtype=int))
-        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}\nformat = csv")
+        text = _config_text().replace("[data]", f"[data]\nsource = file\npath = {data}")
         config_path = tmp_path / "exp.ini"
         config_path.write_text(text)
         assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1

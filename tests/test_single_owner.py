@@ -1,10 +1,10 @@
 """Facts with one owner upstream are not checked again downstream, yet still fail loudly.
 
 Each case hands a module a value its owner never lets through: the
-config (``tasks >= 2``, ``clients >= 1``, a known ``format``), the
-``MiniBatch`` constructor (no empty batch), the runner (labels remapped to
-``0..C-1``, a test split of at least one row, a round only in a tick where
-some client trained), ``RoundReport`` (one class report per client),
+config (``tasks >= 2``, ``clients >= 1``, a ``path`` whose suffix names a
+format), the ``MiniBatch`` constructor (no empty batch), the runner (labels
+remapped to ``0..C-1``, a test split of at least one row, a round only in a
+tick where some client trained), ``RoundReport`` (one class report per client),
 ``update_memory`` (classes added before their quota is taken) and the
 ``sgd``/``adam`` constructors (moments in pairs). The module does not
 check it, and the call raises rather than returning a quiet wrong value.
@@ -25,10 +25,10 @@ _CONFIG = ModelConfig(input_dim=2, hidden_dims=(3,), num_classes=2, init_seed=1)
 _PARAMS = init_parameters(_CONFIG)
 
 
-def _csv_read_as(tmp_path, fmt):
-    path = tmp_path / "data.csv"
+def _csv_named(tmp_path, name):
+    path = tmp_path / name
     path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
-    return load_vector_dataset(path, fmt)
+    return load_vector_dataset(path)
 
 
 def _adam_without_v():
@@ -76,7 +76,7 @@ CASES = [
     ("OptimizerState m without v", "the sgd/adam constructors", lambda _: _adam_without_v(), TypeError),
     ("class_quota no classes", "update_memory adds the batch's classes first", lambda _: class_quota(4, set()), ZeroDivisionError),
     ("update_memory negative label", "the runner remaps labels to 0..C-1", lambda _: _negative_label_offer(), ValueError),
-    ("load_vector_dataset unknown fmt", "config format in DATASET_FORMATS", lambda tmp: _csv_read_as(tmp, "parquet"), ValueError),
+    ("load_vector_dataset unknown suffix", "config path suffix in DATASET_FORMATS", lambda tmp: _csv_named(tmp, "data.txt"), ValueError),
 ]
 
 

@@ -182,7 +182,7 @@ class TestDatasetIO:
     def test_csv_direct_parse(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,0.5,-0.25\n")
-        features, labels = load_vector_dataset(path, "csv")
+        features, labels = load_vector_dataset(path)
         assert labels.tolist() == [1]
         assert np.array_equal(features, np.array([[0.5, -0.25]]))
 
@@ -194,8 +194,8 @@ class TestDatasetIO:
         # a header that declares no records, whatever its dim
         header_only = tmp_path / "h.bin"
         header_only.write_bytes(struct.pack("<II", 0, 2**31))
-        for path, fmt in ((csv_path, "csv"), (bin_path, "bin"), (header_only, "bin")):
-            features, labels = load_vector_dataset(path, fmt)
+        for path in (csv_path, bin_path, header_only):
+            features, labels = load_vector_dataset(path)
             assert features.shape[0] == 0 and labels.size == 0
 
     def test_csv_bin_csv_roundtrip(self, tmp_path):
@@ -206,21 +206,21 @@ class TestDatasetIO:
         binp = tmp_path / "a.bin"
         csv2 = tmp_path / "b.csv"
         write_csv(csv1, features, labels)
-        write_bin(binp, *load_vector_dataset(csv1, "csv"))
-        write_csv(csv2, *load_vector_dataset(binp, "bin"))
-        out_features, out_labels = load_vector_dataset(csv2, "csv")
+        write_bin(binp, *load_vector_dataset(csv1))
+        write_csv(csv2, *load_vector_dataset(binp))
+        out_features, out_labels = load_vector_dataset(csv2)
         assert out_features.dtype == np.float64 and out_labels.dtype == np.int64
         assert np.array_equal(out_labels, labels)
         # one trip through 32-bit floats loses at most f32 precision
         assert np.allclose(out_features, features, rtol=1e-6, atol=1e-7)
         # the bin loader reads the f32 values exactly
-        assert np.array_equal(load_vector_dataset(binp, "bin")[0], features.astype(np.float32).astype(np.float64))
+        assert np.array_equal(load_vector_dataset(binp)[0], features.astype(np.float32).astype(np.float64))
 
     def test_malformed_row_names_index(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0,2.0\n1,oops,2.0\n")
         with pytest.raises(ValueError, match="row 2"):
-            load_vector_dataset(path, "csv")
+            load_vector_dataset(path)
 
     @pytest.mark.parametrize(
         "row,refused",
@@ -232,22 +232,22 @@ class TestDatasetIO:
         path = tmp_path / "u.csv"
         path.write_text(f"0,1.0\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed row 2: {refused}')}$"):
-            load_vector_dataset(path, "csv")
+            load_vector_dataset(path)
 
     @pytest.mark.parametrize("label", [2**63, -(2**63) - 1, 10**23])
     def test_csv_label_outside_int64_names_path_and_row(self, tmp_path, label):
         path = tmp_path / "big.csv"
         path.write_text(f"{2**63 - 1},1.0\n{-(2**63)},2.0\n{label},3.0\n")
         with pytest.raises(ValueError, match=f"^{path}: malformed row 3: label {label} is outside the int64 range$"):
-            load_vector_dataset(path, "csv")
+            load_vector_dataset(path)
         path.write_text(f"{2**63 - 1},1.0\n{-(2**63)},2.0\n")
-        assert load_vector_dataset(path, "csv")[1].tolist() == [2**63 - 1, -(2**63)]
+        assert load_vector_dataset(path)[1].tolist() == [2**63 - 1, -(2**63)]
 
     def test_dim_mismatch_names_index(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0,2.0\n1,3.0\n")
         with pytest.raises(ValueError, match="row 2"):
-            load_vector_dataset(path, "csv")
+            load_vector_dataset(path)
 
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "t.bin"
@@ -255,14 +255,14 @@ class TestDatasetIO:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(ValueError):
-            load_vector_dataset(path, "bin")
+            load_vector_dataset(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_csv_non_finite_feature_names_path_and_row(self, tmp_path, value):
         path = tmp_path / "nf.csv"
         path.write_text(f"0,1.0,2.0\n\n1,3.0,{value}\n")
         with pytest.raises(ValueError, match=f"{path}: row 3 has a non-finite feature"):
-            load_vector_dataset(path, "csv")
+            load_vector_dataset(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_bin_non_finite_feature_names_path_and_row(self, tmp_path, value):
@@ -271,7 +271,7 @@ class TestDatasetIO:
         path = tmp_path / "nf.bin"
         write_bin(path, features, np.zeros(4))
         with pytest.raises(ValueError, match=f"{path}: row 3 has a non-finite feature"):
-            load_vector_dataset(path, "bin")
+            load_vector_dataset(path)
 
     @pytest.mark.parametrize(
         "name,data,error",
@@ -285,4 +285,4 @@ class TestDatasetIO:
         path = tmp_path / name
         path.write_bytes(data.encode() if isinstance(data, str) else data)
         with pytest.raises(ValueError, match=f"^{path}: {error}$"):
-            load_vector_dataset(path, path.suffix[1:])
+            load_vector_dataset(path)

@@ -4,10 +4,12 @@ The file format is ``key = value`` under section headers (see README for the
 full grammar). Each key is one ``ExperimentConfig`` field that carries its
 section, file key and parser. Keys and sections are case-sensitive, and unknown
 ones fail loudly. A config is frozen and validated when built, and every
-invariant violation names the offending field. An empty file yields the defaults.
+invariant violation names the offending field. An empty file yields the defaults,
+which are the experiment the shipped configs vary only in ``[memory]``. A key
+the run does not read (``unread_keys``) is neither checked nor echoed.
 Each rule is checked once, here or, for what only the data decide (a file's
-shape and classes, a task too small to split), by the runner once it has the
-data; the modules that take these values do not check them again. Likewise
+shape and classes, a task too small to split, a schedule under which no round
+fires), by the runner once it has the data; the modules that take these values do not check them again. Likewise
 a value one module makes (a mini-batch, the label remap, a test split) is
 not checked again by the modules it is handed to.
 """
@@ -84,20 +86,20 @@ def _key(section: str, parse, default, key: str | None = None):
 class ExperimentConfig:
     # Field order is the order of the summary.json echo.
     clients: int = _key("experiment", _parse_int, 5)
-    tasks: int = _key("experiment", _parse_int, 4)
+    tasks: int = _key("experiment", _parse_int, 5)
     batch_size: int = _key("experiment", _parse_int, 10)
     test_split: float = _key("experiment", _parse_float, 0.2)
     seed: int = _key("experiment", _parse_int, 0)
     output_dir: str = _key("experiment", _parse_str, "out")
     data_source: str = _key("data", _parse_str, "synthetic", key="source")
-    classes: int = _key("data", _parse_int, 8)
-    samples_per_class: int | tuple[int, ...] = _key("data", _parse_counts, 100)  # one count, or one per class
+    classes: int = _key("data", _parse_int, 10)
+    samples_per_class: int | tuple[int, ...] = _key("data", _parse_counts, 400)  # one count, or one per class
     dim: int = _key("data", _parse_int, 16)
-    center_spread: float = _key("data", _parse_float, 3.0)
+    center_spread: float = _key("data", _parse_float, 1.0)
     cluster_sigma: float = _key("data", _parse_float, 1.0)
     task_assignment: str = _key("data", _parse_str, "shuffle")
     data_path: str | None = _key("data", _parse_str, None, key="path")
-    memory_capacity: int = _key("memory", _parse_int, 100, key="capacity")
+    memory_capacity: int = _key("memory", _parse_int, 30, key="capacity")
     memory_policy: str = _key("memory", _parse_str, "bottom_k", key="policy")
     uncertainty_metric: str = _key("memory", _parse_str, "bi", key="metric")
     perturbation_count: int = _key("perturbation", _parse_int, 12, key="count")
@@ -116,8 +118,11 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Refuse an invalid value of any key the run reads; a key it does not read is not checked."""
+        unread = self.unread_keys()
+
         def require(cond: bool, name: str, why: str) -> None:
-            if not cond:
+            if not cond and name not in unread:
                 raise ConfigError(f"invalid value for {name}: {why}")
 
         # inf and nan parse as numbers but no float setting means anything with them.
@@ -133,21 +138,20 @@ class ExperimentConfig:
         require(self.seed >= 0, "seed", "must be >= 0")
         require(bool(self.output_dir), "output_dir", "must not be empty")
         require(self.data_source in DATA_SOURCES, "source", f"must be one of {DATA_SOURCES}")
-        if self.data_source == "synthetic":
-            require(self.classes >= 2, "classes", "must be >= 2")
+        require(self.classes >= 2, "classes", "must be >= 2")
+        if self.data_source == "synthetic":  # a file's class count is checked once the file is read
             require(self.tasks <= self.classes, "tasks", "must not exceed the class count")
-            counts = self.samples_per_class
-            if isinstance(counts, tuple):
-                require(len(counts) == self.classes, "samples_per_class", "needs one count, or one per class")
-                counts = min(counts)
-            require(counts >= 1, "samples_per_class", "must be >= 1")
-            require(self.dim >= 2, "dim", "must be >= 2")
-            require(self.center_spread >= 0, "center_spread", "must be >= 0")
-            require(self.cluster_sigma >= 0, "cluster_sigma", "must be >= 0")
-        else:
-            require(bool(self.data_path), "path", "required for file data source")
-            suffix = PurePath(self.data_path).suffix
-            require(suffix in DATASET_FORMATS, "path", f"suffix {suffix!r} names no format of {DATASET_FORMATS}")
+        counts = self.samples_per_class
+        if isinstance(counts, tuple):
+            require(len(counts) == self.classes, "samples_per_class", "needs one count, or one per class")
+            counts = min(counts, default=0)
+        require(counts >= 1, "samples_per_class", "must be >= 1")
+        require(self.dim >= 2, "dim", "must be >= 2")
+        require(self.center_spread >= 0, "center_spread", "must be >= 0")
+        require(self.cluster_sigma >= 0, "cluster_sigma", "must be >= 0")
+        require(bool(self.data_path), "path", "required for file data source")
+        suffix = PurePath(self.data_path or "").suffix
+        require(suffix in DATASET_FORMATS, "path", f"suffix {suffix!r} names no format of {DATASET_FORMATS}")
         require(
             self.task_assignment in ASSIGNMENT_MODES,
             "task_assignment",
@@ -193,26 +197,34 @@ class ExperimentConfig:
         if masked == 0:
             raise ConfigError(f"invalid value for mask_fraction: masks 0 of {dim} features, so BI copies are identical")
 
-    def echo(self) -> dict:
-        """Stable, JSON-ready view of every resolved field the run reads, keyed as in the file.
+    def unread_keys(self) -> set[str]:
+        """The file keys this config's run never reads, which ``validate`` skips and ``echo`` leaves out.
 
-        ``[experiment]`` keys sit at the top level, every other section is
-        one nested dict; sequences become lists, or None when empty. File
-        data reads no synthetic key (the runner echoes the file's classes and
-        dim), unscored retention neither ``metric`` nor ``[perturbation]``,
-        and a perturbation kind only its own scale.
+        File data reads no synthetic key (the runner echoes the file's classes
+        and dim), synthetic data no ``path``; unscored retention reads neither
+        ``metric`` nor ``[perturbation]``, and a perturbation kind only its
+        own scale.
         """
         if self.data_source == "file":
             unread = {"classes", "samples_per_class", "dim", "center_spread", "cluster_sigma"}
         else:
-            unread = {"data_path"}
+            unread = {"path"}
         if self.scored:
-            unread.add("noise_sigma" if self.perturbation_kind == "mask" else "mask_fraction")
+            unread.add("sigma" if self.perturbation_kind == "mask" else "mask_fraction")
         else:
-            unread |= {"uncertainty_metric", "perturbation_count", "perturbation_kind", "noise_sigma", "mask_fraction"}
+            unread |= {"metric", "count", "kind", "sigma", "mask_fraction"}
+        return unread
+
+    def echo(self) -> dict:
+        """Stable, JSON-ready view of every resolved field the run reads, keyed as in the file.
+
+        ``[experiment]`` keys sit at the top level, every other section is
+        one nested dict; sequences become lists, or None when empty.
+        """
+        unread = self.unread_keys()
         out: dict = {}
         for (section, key), (attr, _) in _SCHEMA.items():
-            if attr in unread:
+            if key in unread:
                 continue
             value = getattr(self, attr)
             if isinstance(value, (tuple, list)):

@@ -15,7 +15,9 @@ of all its rows as one block and then reduces each row's logits with one
 
 Once the shared per-task batch counter passes the burn-in and hits a
 multiple of q, client parameters are aggregated, smoothed against the
-previous global parameters ``theta_g``, and broadcast. The loop owns
+previous global parameters ``theta_g``, and broadcast; a schedule under
+which no task reaches such a counter is refused once the tasks are dealt,
+as a config error naming ``burn_in``. The loop owns
 ``theta_g`` and the round log (one line per round); each client owns the
 rest, and trains on its own loss alone, so ``theta_g`` reaches a client
 only through the broadcast. At every task boundary each client is
@@ -175,6 +177,16 @@ def _split_task(indices, config: ExperimentConfig, task_id: int):
     return indices[perm[:n_test]], partition_to_clients(indices[perm[n_test:]], config.clients)
 
 
+def _check_schedule(config: ExperimentConfig, longest: int) -> None:
+    """Refuse a schedule under which no round fires; ``longest`` is the most rows one client gets in one task."""
+    batches = -(-longest // config.batch_size)
+    if not any(should_communicate(bn, config.burn_in, config.q) for bn in range(1, batches + 1)):
+        raise ConfigError(
+            f"invalid value for burn_in: no round fires: a task runs at most {batches} batches, "
+            f"and a round needs a batch past burn_in = {config.burn_in} that is a multiple of q = {config.q}"
+        )
+
+
 def _checksum(params) -> str:
     return hashlib.sha256(params.values.tobytes()).hexdigest()[:16]
 
@@ -205,6 +217,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         test_sets.append((features[test], labels[test]))
         for k, part in enumerate(parts):
             per_client_tasks[k].append((spec.task_id, part))
+    _check_schedule(config, max(len(part) for parts in per_client_tasks for _, part in parts))
 
     model_config = ModelConfig(
         input_dim=features.shape[1],

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.
 """
 
-import dataclasses
 import json
 import math
 import statistics
@@ -42,51 +41,48 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# criterion 7/8/9 share the desk-scale comparative runs
+# criteria 7, 8, 10 and 11 share the runs of five shipped configs, at
+# seeds 0-4: each is its [memory] row over the defaults, where 20 rounds fire
 # ----------------------------------------------------------------------
 
 SEEDS = (0, 1, 2, 3, 4)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# row -> shipped config stem
+REGIME_ROWS = {
+    "no memory": "fedavg_m0",
+    "ER": "er",
+    "class-balanced random": "cbr",
+    "bottom-k BI": "bi_bottom",
+    "top-k BI": "bi_top",
+}
 
 
-def _comparative_config(name: str, seed: int) -> ExperimentConfig:
-    policy, capacity = {
-        "baseline": ("random", 0),
-        "er": ("random", 100),
-        "bi_bottom": ("bottom_k", 100),
-    }[name]
-    return ExperimentConfig(
-        clients=5,
-        tasks=4,
-        batch_size=10,
-        test_split=0.2,
-        seed=seed,
-        classes=8,
-        samples_per_class=400,
-        dim=16,
-        center_spread=3.0,
-        cluster_sigma=1.0,
-        memory_capacity=capacity,
-        memory_policy=policy,
-        uncertainty_metric="bi",
-        perturbation_count=12,
-        noise_sigma=0.1,
-        burn_in=30,
-        q=5,
-        aggregation="fedavg",
-        hidden_dims=(64,),
-        optimizer="sgd",
-        learning_rate=0.1,
-    )
+def _regime_config(row: str, seed: int) -> ExperimentConfig:
+    return parse_config(CONFIGS / f"{REGIME_ROWS[row]}.ini", seed=seed)
 
 
 @pytest.fixture(scope="module")
-def comparative_runs():
+def regime_runs():
+    """Each (row, seed)'s result and client 0's final evaluation inputs, with the seconds taken."""
     start = time.perf_counter()
-    results = {}
-    for name in ("baseline", "er", "bi_bottom"):
-        for seed in SEEDS:
-            results[(name, seed)] = run_experiment(_comparative_config(name, seed))
-    return results, time.perf_counter() - start
+    evaluate = runner.evaluate_model
+    results, final = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        for row in REGIME_ROWS:
+            for seed in SEEDS:
+                evaluated = []
+
+                def keep(params, model_config, test_sets, evaluated=evaluated):
+                    evaluated.append((params, model_config, test_sets))
+                    return evaluate(params, model_config, test_sets)
+
+                patch.setattr(runner, "evaluate_model", keep)
+                config = _regime_config(row, seed)
+                results[(row, seed)] = run_experiment(config)
+                # Client 0's evaluation after the last task is the first one over every task's held-out rows.
+                final[(row, seed)] = next(e for e in evaluated if len(e[2]) == config.tasks)
+    return results, final, time.perf_counter() - start
 
 
 def test_criterion_1_bi_oracle():
@@ -326,17 +322,17 @@ def test_criterion_6_aggregation_reduction():
     assert all_equal
 
 
-def test_criterion_7_comparative_experiment(comparative_runs):
-    results, elapsed = comparative_runs
+def test_criterion_7_comparative_experiment(regime_runs):
+    results, _, elapsed = regime_runs
 
-    def med(name, field):
-        return statistics.median(getattr(results[(name, s)], field) for s in SEEDS)
+    def med(row, field):
+        return statistics.median(getattr(results[(row, s)], field) for s in SEEDS)
 
-    base_a = med("baseline", "avg_last_accuracy")
-    base_f = med("baseline", "avg_last_forgetting")
-    er_f = med("er", "avg_last_forgetting")
-    bi_a = med("bi_bottom", "avg_last_accuracy")
-    bi_f = med("bi_bottom", "avg_last_forgetting")
+    base_a = med("no memory", "avg_last_accuracy")
+    base_f = med("no memory", "avg_last_forgetting")
+    er_f = med("ER", "avg_last_forgetting")
+    bi_a = med("bottom-k BI", "avg_last_accuracy")
+    bi_f = med("bottom-k BI", "avg_last_forgetting")
 
     forgetting_ok = bi_f <= 0.6 * base_f
     accuracy_ok = bi_a >= base_a
@@ -346,33 +342,33 @@ def test_criterion_7_comparative_experiment(comparative_runs):
     _report(
         7,
         ok,
-        f"median F: baseline {base_f:.4f}, ER {er_f:.4f}, BI/bottom {bi_f:.4f}; "
-        f"median A: baseline {base_a:.4f}, BI/bottom {bi_a:.4f}; {elapsed:.0f}s",
+        f"median F: no memory {base_f:.4f}, ER {er_f:.4f}, BI/bottom {bi_f:.4f}; "
+        f"median A: no memory {base_a:.4f}, BI/bottom {bi_a:.4f}; {elapsed:.0f}s",
     )
-    assert forgetting_ok, f"BI forgetting {bi_f} exceeds 0.6 * baseline {base_f}"
-    assert accuracy_ok, f"BI accuracy {bi_a} below baseline {base_a}"
+    assert forgetting_ok, f"BI forgetting {bi_f} exceeds 0.6 * no-memory {base_f}"
+    assert accuracy_ok, f"BI accuracy {bi_a} below no-memory {base_a}"
     assert er_ok, f"BI forgetting {bi_f} exceeds ER forgetting {er_f}"
-    assert runtime_ok, f"comparative runs took {elapsed:.0f}s"
+    assert runtime_ok, f"shipped-config runs took {elapsed:.0f}s"
 
 
-def test_criterion_8_determinism(comparative_runs, tmp_path):
-    results, _ = comparative_runs
+def test_criterion_8_determinism(regime_runs, tmp_path):
+    results, _, _ = regime_runs
     identical = True
-    for name in ("baseline", "bi_bottom"):
-        reference = tmp_path / f"{name}_ref"
-        emit_report(results[(name, 0)], reference)
-        repeat_dir = tmp_path / f"{name}_repeat"
-        emit_report(run_experiment(_comparative_config(name, 0)), repeat_dir)
+    for row in ("no memory", "bottom-k BI"):
+        reference = tmp_path / f"{REGIME_ROWS[row]}_ref"
+        emit_report(results[(row, 0)], reference)
+        repeat_dir = tmp_path / f"{REGIME_ROWS[row]}_repeat"
+        emit_report(run_experiment(_regime_config(row, 0)), repeat_dir)
         ref_bytes = (reference / "summary.json").read_bytes()
         identical = identical and ref_bytes == (repeat_dir / "summary.json").read_bytes()
         # sanity: the summary is not vacuous
-        assert json.loads(ref_bytes)["config"]["federation"]["q"] == 5
+        assert json.loads(ref_bytes)["config"]["federation"]["q"] == 3
     _report(8, identical, "summary.json bit-identical across serial reruns")
     assert identical
 
 
 def test_criterion_9_single_pass_audit(monkeypatch):
-    # every comparative run above passed the audit, or it would have raised;
+    # every shipped-config run above passed the audit, or it would have raised;
     # here client 1's stream reports one example skipped, then one repeated
     tally = ClientStream.consumption_counts
     config = ExperimentConfig(
@@ -392,61 +388,6 @@ def test_criterion_9_single_pass_audit(monkeypatch):
             run_experiment(config)
         raised.append(str(err.value))
     _report(9, len(raised) == 2, f"audit raised on a skip and on a repeat: {raised[0]}")
-
-
-# ----------------------------------------------------------------------
-# criteria 10 and 11 share runs in a regime where rounds fire:
-# configs/bi_bottom.ini with 10 classes, 5 tasks, center_spread 1.0,
-# capacity 30, burn_in 2 and q 3, at seeds 0-4
-# ----------------------------------------------------------------------
-
-# row -> (policy, capacity)
-REGIME_ROWS = {
-    "no memory": ("random", 0),
-    "ER": ("random", 30),
-    "class-balanced random": ("class_balanced_random", 30),
-    "bottom-k BI": ("bottom_k", 30),
-    "top-k BI": ("top_k", 30),
-}
-
-
-def _regime_config(row: str, seed: int) -> ExperimentConfig:
-    policy, capacity = REGIME_ROWS[row]
-    base = parse_config(Path(__file__).resolve().parent.parent / "configs" / "bi_bottom.ini")
-    return dataclasses.replace(
-        base,
-        seed=seed,
-        classes=10,
-        tasks=5,
-        center_spread=1.0,
-        memory_capacity=capacity,
-        memory_policy=policy,
-        burn_in=2,
-        q=3,
-    )
-
-
-@pytest.fixture(scope="module")
-def regime_runs():
-    """Each (row, seed)'s result and client 0's final evaluation inputs, with the seconds taken."""
-    start = time.perf_counter()
-    evaluate = runner.evaluate_model
-    results, final = {}, {}
-    with pytest.MonkeyPatch.context() as patch:
-        for row in REGIME_ROWS:
-            for seed in SEEDS:
-                evaluated = []
-
-                def keep(params, model_config, test_sets, evaluated=evaluated):
-                    evaluated.append((params, model_config, test_sets))
-                    return evaluate(params, model_config, test_sets)
-
-                patch.setattr(runner, "evaluate_model", keep)
-                config = _regime_config(row, seed)
-                results[(row, seed)] = run_experiment(config)
-                # Client 0's evaluation after the last task is the first one over every task's held-out rows.
-                final[(row, seed)] = next(e for e in evaluated if len(e[2]) == config.tasks)
-    return results, final, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------

@@ -85,8 +85,11 @@ _SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
 
 @pytest.mark.parametrize("path", _SHIPPED, ids=[p.stem for p in _SHIPPED])
 def test_shipped_config_parses(path):
-    """Every shipped config names only keys and values the parser accepts."""
-    parse_config(path)
+    """Every shipped config parses, and is its [memory] row over the defaults: the defaults define the experiment."""
+    assert re.findall(r"^\[(\w+)\]", path.read_text(), flags=re.MULTILINE) == ["memory"]
+    config = parse_config(path)
+    row = {f: getattr(config, f) for f in ("memory_capacity", "memory_policy", "uncertainty_metric")}
+    assert config == ExperimentConfig(**row)
 
 
 class TestParsing:
@@ -230,7 +233,7 @@ _RULES = [
     ({"perturbation_count": 0}, "count", "must be >= 1"),
     ({"perturbation_kind": "cutout"}, "kind", "must be one of ('gaussian', 'mask')"),
     ({"noise_sigma": 0.0}, "sigma", "must be > 0"),
-    ({"mask_fraction": 1.0}, "mask_fraction", "must lie in [0, 1)"),
+    ({"perturbation_kind": "mask", "mask_fraction": 1.0}, "mask_fraction", "must lie in [0, 1)"),
     ({"uncertainty_metric": "variance"}, "metric", "must be one of ('bi', 'lc', 'rc', 'en')"),
     ({"uncertainty_metric": "ms"}, "metric", "must be one of ('bi', 'lc', 'rc', 'en')"),
     ({"aggregation": "fedprox"}, "aggregation", "must be one of ('fedavg', 'class_weighted')"),
@@ -245,7 +248,7 @@ _RULES = [
     ({"dim": 1}, "dim", "must be >= 2"),
     ({"samples_per_class": 0}, "samples_per_class", "must be >= 1"),
     ({"samples_per_class": (10, 20)}, "samples_per_class", "needs one count, or one per class"),
-    ({"samples_per_class": (100,) * 7 + (0,)}, "samples_per_class", "must be >= 1"),
+    ({"samples_per_class": (100,) * 9 + (0,)}, "samples_per_class", "must be >= 1"),
     ({"hidden_dims": (0,)}, "hidden", "widths must be >= 1"),
     ({"learning_rate": 0.0}, "learning_rate", "must be > 0"),
 ]
@@ -271,7 +274,7 @@ batch_size = 5
 
 [data]
 classes = 4
-samples_per_class = 10
+samples_per_class = 20
 dim = 4
 
 [memory]
@@ -368,14 +371,25 @@ class TestEcho:
 
     def test_file_run_echoes_the_files_classes_and_dim(self, tmp_path):
         data = tmp_path / "data.csv"
-        labels = np.repeat(np.arange(4), 10)
-        write_csv(data, np.random.default_rng(0).normal(size=(40, 3)) + labels[:, None], labels)
+        labels = np.repeat(np.arange(4), 20)
+        write_csv(data, np.random.default_rng(0).normal(size=(80, 3)) + labels[:, None], labels)
         text = f"[experiment]\nclients = 2\ntasks = 2\nbatch_size = 5\n[data]\nsource = file\npath = {data}\n"
         echo = json.loads(self._summary(tmp_path, text))["config"]["data"]
         assert echo == {"source": "file", "task_assignment": "shuffle", "path": str(data), "classes": 4, "dim": 3}
 
     def test_synthetic_run_echoes_no_path(self):
         assert "path" not in ExperimentConfig(data_path="data.csv").echo()["data"]
+
+    def test_unread_key_is_not_checked(self, tmp_path):
+        """A random policy reads no ``count``, so a count that scoring would refuse runs, and echoes as any other."""
+        text = _SMALL.replace("policy = bottom_k", "policy = random")
+        assert self._summary(tmp_path, text + "count = 0\n", "zero") == self._summary(tmp_path, text + "count = 12\n")
+
+    def test_read_key_is_still_checked(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", str(_write(tmp_path, _SMALL + "count = 0\n")), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "config error: invalid value for count: must be >= 1\n")
+        assert not out.exists()
 
     def test_unscored_run_echoes_no_scoring_keys(self, tmp_path):
         text = _SMALL.replace("policy = bottom_k", "policy = random")
@@ -417,7 +431,8 @@ class TestNonFiniteFloats:
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("section,key", _FLOAT_KEYS)
     def test_rejected_through_cli_naming_the_key(self, tmp_path, capsys, section, key, raw):
-        path = _write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        # mask_fraction is read only by the mask kind
+        path = _write(tmp_path, f"[{section}]\n{key} = {raw}\n" + ("kind = mask\n" if key == "mask_fraction" else ""))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: invalid value for {key}: must be finite\n"
         assert not (tmp_path / "out").exists()

@@ -14,7 +14,7 @@ from test_stream import write_bin, write_csv
 
 import fedreplay
 from fedreplay.cli import main as cli_main
-from fedreplay.config import ExperimentConfig
+from fedreplay.config import ConfigError, ExperimentConfig
 from fedreplay.federation import fedavg, temporal_smooth
 from fedreplay.model import ModelConfig, OptimizerState, ParameterVector, init_parameters, optimizer_step
 from fedreplay.runner import _ClientWorker, broadcast, emit_report, run_experiment
@@ -128,8 +128,24 @@ class TestRunExperiment:
         assert all(any(r.class_reports) for r in reports)
 
     def test_burn_in_suppresses_rounds(self):
-        result = run_experiment(_small_config(burn_in=100))
-        assert result.round_log == []
+        """A burn-in past every batch of every task would fire no round, so the run is refused."""
+        message = r"^invalid value for burn_in: no round fires: a task runs at most 8 batches, .* burn_in = 100 "
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(_small_config(burn_in=100))
+
+    @pytest.mark.parametrize("schedule", ["burn_in = 4\nq = 2", "burn_in = 1\nq = 6"])
+    def test_schedule_without_rounds_is_refused(self, tmp_path, capsys, schedule):
+        """Each task runs 5 batches: no batch past burn_in 4 is even, and none past 1 is a multiple of 6."""
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(_config_text().replace("burn_in = 1\nq = 2", schedule))
+        assert cli_main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        burn_in, q = re.findall(r"\d+", schedule)
+        assert capsys.readouterr() == (
+            "",
+            f"config error: invalid value for burn_in: no round fires: a task runs at most 5 batches, "
+            f"and a round needs a batch past burn_in = {burn_in} that is a multiple of q = {q}\n",
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_metrics_consistent_with_matrices(self):
         from fedreplay.metrics import client_mean, last_accuracy, last_forgetting
@@ -534,10 +550,11 @@ class TestDivergence:
         return text + "learning_rate = 1e200\n"
 
     def _evaluation_overflow_text(self):
-        """``configs/er.ini`` at a step size whose parameters stay finite but overflow held-out logits."""
-        text = (Path(__file__).parents[1] / "configs" / "er.ini").read_text()
-        text = text.replace("samples_per_class = 400", "samples_per_class = 60")
-        return text.replace("learning_rate = 0.1", "learning_rate = 1e20")
+        """Random replay at a step size whose parameters stay finite but overflow held-out logits.
+
+        Each client runs 4 batches a task, so a round fires at bn=3.
+        """
+        return "[data]\nsamples_per_class = 100\n[memory]\npolicy = random\n[model]\nlearning_rate = 1e10\n"
 
     def test_nonfinite_loss(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, self._diverging_text("random"))
